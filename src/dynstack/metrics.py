@@ -6,7 +6,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "accuracy",
@@ -143,6 +142,8 @@ def paired_comparison(acc_a: np.ndarray, acc_b: np.ndarray) -> ComparisonResult:
         if mean == 0.0:
             return ComparisonResult(mean, 0.5, True)
         return ComparisonResult(mean, 0.0 if mean > 0 else 1.0, True)
+    from scipy import stats  # deferred: importing scipy.stats costs most of `import dynstack`
+
     t = mean / (sd / np.sqrt(n))
     p = float(stats.t.sf(t, df=n - 1))
     return ComparisonResult(mean, p, False)

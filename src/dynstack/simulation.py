@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .stacking import (
     FitConfig,
@@ -102,6 +101,8 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
+    from scipy.stats import rankdata  # deferred, as in metrics.paired_comparison
+
     ranks = rankdata(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -84,6 +84,11 @@ class Level1Data:
             raise ValueError("y must be binary 0/1")
         if z.shape[0] != len(y) or len(u) != len(y):
             raise ValueError("y, z, u must be aligned")
+        if not np.all(np.isfinite(z)):
+            row, col = np.argwhere(~np.isfinite(z))[0]
+            raise ValueError(
+                f"z column {col + 1} holds {z[row, col]} in row {row + 1}; z must be finite"
+            )
         if z.min(initial=0.0) < -1e-9 or z.max(initial=0.0) > 1 + 1e-9:
             raise ValueError("z entries must be probabilities in [0, 1]")
         if not np.all(np.isfinite(u)):
@@ -373,11 +378,18 @@ def fit_dynamic(
     )
 
 
+def _check_rows(z: np.ndarray, u) -> None:
+    rows = np.atleast_1d(np.asarray(u)).shape[0]
+    if z.shape[0] != rows:
+        raise ValueError(f"z has {z.shape[0]} rows, u has {rows}")
+
+
 def predict_dynamic(model: DynamicStackModel, z, u) -> np.ndarray:
     """Positive-class probability for rows ``(Z, u)``."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != model.p:
         raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
+    _check_rows(z, u)
     x = dynamic_design(z, u, model.basis)
     return sigmoid(x @ model.coef)
 
@@ -475,26 +487,45 @@ def static_design(z: np.ndarray, u: np.ndarray, design: str) -> np.ndarray:
     raise ValueError(f"unknown design {design!r}; expected one of {STATIC_DESIGNS}")
 
 
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _lasso_working_solve(gram, c, strength, b0):
+    """Exact ``argmin_b b'Gb/2 - c'b + strength * |b[1:]|_1``, intercept free.
+
+    Feature-sign search from ``b0``: solve on the signed active set, stop at
+    the first sign change (that coefficient leaves the set), or add the worst
+    KKT violator once the set is optimal; the step cap only stops round-off cycles.
+    """
+    b = np.asarray(b0, dtype=float).copy()
+    sign = np.r_[0.0, np.sign(b[1:])]
+    for _ in range(100 * len(c)):
+        idx = np.r_[0, np.flatnonzero(sign)]
+        sol = _solve_spd(gram[np.ix_(idx, idx)], c[idx] - strength * sign[idx], 0.0)
+        flip = np.flatnonzero(sol * sign[idx] < 0.0)
+        if flip.size:
+            t = b[idx[flip]] / (b[idx[flip]] - sol[flip])
+            k = np.argmin(t)
+            b[idx] += t[k] * (sol - b[idx])
+            b[idx[flip[k]]] = sign[idx[flip[k]]] = 0.0
+            continue
+        b[idx] = sol
+        grad = gram @ b - c
+        viol = np.abs(grad) * (sign == 0.0)
+        j = 1 + int(np.argmax(viol[1:]))
+        if viol[j] <= strength:
+            break
+        sign[j] = -np.sign(grad[j])
+    return b
 
 
 def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
     """L1-penalized logistic fit (intercept free).
 
     Proximal Newton: each outer step solves the weighted least-squares
-    working problem with the L1 term by coordinate descent (cycling the
-    active set, glmnet style), backtracks along the resulting direction
-    until the true objective does not increase, and stops when the exact
-    subgradient optimality conditions hold.
+    working problem with the L1 term exactly, backtracks along the resulting
+    direction until the true objective does not increase, and stops when
+    the exact subgradient optimality conditions hold.
     """
-    n, d = x.shape
     ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
-    intercept_only = np.r_[np.log(ybar / (1 - ybar)), np.zeros(d - 1)]
+    intercept_only = np.r_[np.log(ybar / (1 - ybar)), np.zeros(x.shape[1] - 1)]
     kkt_tol = 1e-8
 
     def objective(b):
@@ -522,41 +553,22 @@ def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
             converged = True
             break
 
-        # working least-squares problem, solved on its Gram matrix so each
-        # coordinate update costs O(d) rather than O(n)
+        # working least-squares problem, solved exactly on its d x d Gram matrix
         w = np.clip(mu * (1.0 - mu), 1e-8, None)
         gram = (x * w[:, None]).T @ x
         target = gram @ beta + (x.T @ (y - mu))  # X'W z_work
-        q = gram @ beta
-        prev = beta.copy()
-        for sweep in range(200):
-            full = sweep % 5 == 0
-            coords = (
-                range(d) if full else [0] + [j for j in range(1, d) if beta[j] != 0.0]
-            )
-            max_delta = 0.0
-            for j in coords:
-                old = beta[j]
-                rho = target[j] - q[j] + gram[j, j] * old
-                new = rho / gram[j, j] if j == 0 else _soft_threshold(rho, strength) / gram[j, j]
-                if new != old:
-                    q += gram[:, j] * (new - old)
-                    beta[j] = new
-                    max_delta = max(max_delta, abs(new - old))
-            if max_delta < 1e-10 and full:
-                break
+        direction = _lasso_working_solve(gram, target, strength, beta) - beta
 
         # damp the proximal step if the true objective would rise
-        direction = beta - prev
         t = 1.0
         f_prev = path[-1]
         for _ in range(60):
-            cand = prev + t * direction
+            cand = beta + t * direction
             f_cand = objective(cand)
             if np.isfinite(f_cand) and f_cand <= f_prev + 1e-12 * (1 + abs(f_prev)):
                 break
             t *= 0.5
-        beta = prev + t * direction
+        beta = beta + t * direction
         path.append(objective(beta))
     return beta, path, converged
 
@@ -651,6 +663,7 @@ def predict_static(model: StaticStackModel, z, u) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != model.p:
         raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
+    _check_rows(z, u)
     x = static_design(z, u, model.design)
     if x.shape[1] != len(model.coef):
         raise ValueError(
@@ -758,25 +771,41 @@ def load_model(path) -> DynamicStackModel | StaticStackModel:
             columns.append(value)
         else:
             fields[key] = value
-    coef = np.array([float(v) for v in fields["coef"].split()])
-    p = int(fields["p"])
-    if fields["kind"] == "dynamic":
+
+    def get(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"{path}: model file has no {key!r} line")
+        return fields[key]
+
+    kind = get("kind")
+    coef = np.array([float(v) for v in get("coef").split()])
+    p = int(get("p"))
+    if kind == "dynamic":
         basis = BSplineBasis(
-            degree=int(fields["degree"]),
-            knots=np.array([float(v) for v in fields["knots"].split()]),
-            u_lo=float(fields["u_lo"]),
-            u_hi=float(fields["u_hi"]),
+            degree=int(get("degree")),
+            knots=np.array([float(v) for v in get("knots").split()]),
+            u_lo=float(get("u_lo")),
+            u_hi=float(get("u_hi")),
         )
-        return DynamicStackModel(
-            coef=coef, basis=basis, lam=float(fields["lambda"]), p=p, columns=columns
+        model = DynamicStackModel(
+            coef=coef, basis=basis, lam=float(get("lambda")), p=p, columns=columns
         )
-    if fields["kind"] == "static":
-        return StaticStackModel(
-            design=fields["design"],
-            penalty=fields["penalty"],
-            strength=float(fields["strength"]),
+        width = 1 + p * basis.size
+    elif kind == "static":
+        model = StaticStackModel(
+            design=get("design"),
+            penalty=get("penalty"),
+            strength=float(get("strength")),
             coef=coef,
             p=p,
             columns=columns,
         )
-    raise ValueError(f"unknown model kind {fields['kind']!r}")
+        width = static_design(np.zeros((1, p)), np.zeros(1), model.design).shape[1]
+    else:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    if len(coef) != width:
+        raise ValueError(
+            f"{path}: 'coef' has {len(coef)} values; a {kind} model with "
+            f"p = {p} needs {width}"
+        )
+    return model

@@ -5,10 +5,13 @@ fits go through explicit iteratively-reweighted least squares on
 
 ``numpy.linalg.lstsq``, AUC enumerates all positive/negative pairs, the
 curvature penalty integrates on a dense grid, and graph components come
-from plain set expansion.
+from plain set expansion. The lasso working problem is solved by trying
+every support and sign pattern.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.integrate import simpson
@@ -31,6 +34,36 @@ def irls_logistic(x: np.ndarray, y: np.ndarray, max_iter: int = 200, tol: float 
             return new
         beta = new
     return beta
+
+
+def lasso_quadratic_bruteforce(gram, c, strength: float) -> np.ndarray:
+    """``argmin_b b'Gb/2 - c'b + strength * |b[1:]|_1`` by enumeration.
+
+    Every sign pattern of ``b[1:]`` in {-1, 0, +1} (3^(d-1) of them, the
+    intercept always free) fixes a reduced linear system. Its solution is a
+    candidate when each coefficient carries its pattern's sign and each
+    zero coefficient meets the KKT bound; the lowest objective wins.
+    """
+    gram = np.asarray(gram, dtype=float)
+    c = np.asarray(c, dtype=float)
+    d = len(c)
+    best, best_val = None, np.inf
+    for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=d - 1):
+        signs = np.array((0.0,) + pattern)
+        support = np.array([True] + [s != 0.0 for s in pattern])
+        b = np.zeros(d)
+        b[support] = np.linalg.solve(
+            gram[np.ix_(support, support)], c[support] - strength * signs[support]
+        )
+        if np.any((b * signs <= 0.0) & (signs != 0.0)):
+            continue
+        resid = gram @ b - c
+        if np.any(np.abs(resid[~support]) > strength * (1 + 1e-9) + 1e-12):
+            continue
+        val = 0.5 * b @ gram @ b - c @ b + strength * np.abs(b[1:]).sum()
+        if val < best_val:
+            best, best_val = b, val
+    return best
 
 
 def brute_force_auc(scores, labels) -> float:

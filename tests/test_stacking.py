@@ -24,7 +24,7 @@ from dynstack.stacking import (
     write_level1,
 )
 
-from oracles import irls_logistic
+from oracles import irls_logistic, lasso_quadratic_bruteforce
 
 
 def make_data(case=3, n=600, seed=0):
@@ -47,6 +47,13 @@ class TestLevel1Data:
             Level1Data(np.array([0, 1]), np.array([[0.2], [1.5]]), np.zeros(2), ["a"])
         with pytest.raises(ValueError, match="provenance"):
             Level1Data(np.array([0, 1]), np.zeros((2, 2)), np.zeros(2), ["a"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_z_names_its_column(self, bad):
+        z = np.full((3, 2), 0.5)
+        z[1, 1] = bad
+        with pytest.raises(ValueError, match="z column 2 .* row 2"):
+            Level1Data(np.array([0, 1, 0]), z, np.zeros(3), ["a", "b"])
 
     def test_csv_round_trip_with_provenance(self, tmp_path):
         data = make_data(n=40)
@@ -281,6 +288,12 @@ class TestPredictDynamic:
         with pytest.raises(ValueError, match="z columns"):
             predict_dynamic(model, np.zeros((3, 5)), np.zeros(3))
 
+    def test_row_mismatch_rejected(self):
+        data = make_data(n=50)
+        model = fit_dynamic(data, 1.0, default_basis(data.u))
+        with pytest.raises(ValueError, match="z has 3 rows, u has 4"):
+            predict_dynamic(model, np.zeros((3, 2)), np.zeros(4))
+
     def test_outputs_in_unit_interval(self):
         data = make_data(n=300, seed=21)
         model = fit_dynamic(data, 0.01, default_basis(data.u))
@@ -421,6 +434,62 @@ class TestFitStatic:
         assert len(report) == 7
 
 
+def working_problem(rng, design, p, n=400):
+    """Weighted Gram and target of one proximal-Newton step on a static design."""
+    from dynstack.stacking import static_design
+
+    x = static_design(rng.uniform(0, 1, (n, p)), rng.uniform(0, 1, n), design)
+    mu = sigmoid(x @ rng.normal(0.0, 1.0, x.shape[1]))
+    y = (rng.uniform(0, 1, n) < mu).astype(float)
+    gram = (x * (mu * (1 - mu))[:, None]).T @ x
+    c = gram @ rng.normal(0.0, 2.0, x.shape[1]) + x.T @ (y - mu)
+    return gram, c
+
+
+def critical_strength(gram, c):
+    """Smallest strength at which the intercept-only point is optimal."""
+    return float(np.abs(gram[1:, 0] * (c[0] / gram[0, 0]) - c[1:]).max())
+
+
+class TestLassoWorkingSolve:
+    # m3 is the hard case: its z*u columns correlate with z and u (r ~ 0.6)
+    @pytest.mark.parametrize(
+        "design,p,width", [("m1", 2, 3), ("m3", 1, 4), ("m2", 2, 4), ("m3", 2, 6)]
+    )
+    def test_matches_bruteforce_oracle(self, design, p, width):
+        from dynstack.stacking import _lasso_working_solve
+
+        rng = np.random.default_rng(40 + width + p)
+        for _ in range(4):
+            gram, c = working_problem(rng, design, p)
+            assert gram.shape == (width, width)
+            crit = critical_strength(gram, c)
+            for frac in (0.001, 0.05, 0.2, 0.5, 0.8, 0.99, 1.01, 3.0):
+                want = lasso_quadratic_bruteforce(gram, c, frac * crit)
+                for b0 in (np.zeros(width), rng.normal(0.0, 3.0, width)):
+                    got = _lasso_working_solve(gram, c, frac * crit, b0)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+                    if frac > 1:  # above the critical strength: intercept only
+                        assert np.all(got[1:] == 0.0)
+
+    def test_collinear_columns_do_not_crash(self):
+        from dynstack.stacking import _lasso_working_solve
+
+        rng = np.random.default_rng(42)
+        z = rng.uniform(0, 1, (300, 1))
+        y = (rng.uniform(0, 1, 300) < sigmoid(3 * z[:, 0] - 1.5)).astype(int)
+        data = Level1Data(y, np.hstack([z, z]), rng.uniform(0, 1, 300), ["a", "b"])
+        for strength in (0.01, 1.0, 10.0):
+            m = fit_static(data, "m3", "lasso", strength=strength)
+            assert np.all(np.isfinite(m.coef))
+        x = np.hstack([np.ones((300, 1)), z, z])
+        gram = x.T @ x
+        b = _lasso_working_solve(gram, gram @ np.array([0.5, 1.0, 1.0]), 0.5, np.zeros(3))
+        grad = gram @ b - gram @ np.array([0.5, 1.0, 1.0])
+        assert np.all(np.isfinite(b))
+        assert abs(grad[0]) < 1e-8 and np.all(np.abs(grad[1:]) <= 0.5 + 1e-8)
+
+
 class TestPredictStatic:
     def test_zero_coefficients_give_half(self):
         m = StaticStackModel("m2", "none", 0.0, np.zeros(4), 2, ["z1", "z2"])
@@ -450,6 +519,11 @@ class TestPredictStatic:
         with pytest.raises(ValueError, match="z columns"):
             predict_static(m, np.zeros((2, 4)), np.zeros(2))
 
+    def test_row_mismatch_rejected(self):
+        m = StaticStackModel("m3", "none", 0.0, np.zeros(6), 2, ["z1", "z2"])
+        with pytest.raises(ValueError, match="z has 5 rows, u has 2"):
+            predict_static(m, np.zeros((5, 2)), np.zeros(2))
+
 
 class TestModelFiles:
     def test_dynamic_round_trip_exact(self, tmp_path):
@@ -476,6 +550,34 @@ class TestModelFiles:
         back = load_model(path)
         np.testing.assert_array_equal(back.coef, model.coef)
         assert (back.design, back.penalty, back.strength) == ("m3", "lasso", 0.8)
+
+    @pytest.mark.parametrize(
+        "kind,edit,message",
+        [
+            ("dynamic", "drop coef", "model file has no 'coef' line"),
+            ("static", "drop kind", "model file has no 'kind' line"),
+            ("dynamic", "truncate coef", "'coef' has 20 values; a dynamic model .* needs 21"),
+            ("static", "truncate coef", "'coef' has 5 values; a static model with p = 2 needs 6"),
+        ],
+    )
+    def test_damaged_file_names_file_and_key(self, tmp_path, kind, edit, message):
+        data = make_data(n=150, seed=18)
+        if kind == "dynamic":
+            model = fit_dynamic(data, 1.0, default_basis(data.u))
+        else:
+            model = fit_static(data, "m3", "ridge", strength=1.0)
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        action, key = edit.split()
+        lines = []
+        for line in path.read_text().splitlines():
+            if line.startswith(key) and action == "truncate":
+                line = line.rsplit(" ", 1)[0]
+            if not (line.startswith(key) and action == "drop"):
+                lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="model.txt: " + message):
+            load_model(path)
 
     def test_non_model_file_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
