@@ -28,7 +28,6 @@ from .splines import (
     assemble_block_penalty,
     basis_matrix,
     curvature_penalty,
-    eval_basis,
     make_basis,
 )
 from .stacking import (
@@ -85,7 +84,6 @@ __all__ = [
     "assemble_block_penalty",
     "basis_matrix",
     "curvature_penalty",
-    "eval_basis",
     "make_basis",
     "ConvergenceError",
     "DynamicStackModel",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .graph import (
 from .metrics import ComparisonResult, accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import SparseFeatures, fit_nb, predict_nb
 from .relational import IcaConfig, ica_run
+from .simulation import child_seeds, map_reps
 from .stacking import (
     ConvergenceError,
     FitConfig,
@@ -156,10 +156,6 @@ class RepetitionResult:
     lam: float
 
 
-def _sub_seeds(rep_seed: int, count: int = 4) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(rep_seed).generate_state(count, np.uint64)]
-
-
 def run_graph_repetition(
     graph: Graph,
     features: SparseFeatures,
@@ -168,7 +164,7 @@ def run_graph_repetition(
     cfg: ExperimentConfig,
 ) -> RepetitionResult:
     """One seeded split -> level-0 fits -> stacking fits -> test accuracy."""
-    split_seed, fold_seed, ica_seed, cv_seed = _sub_seeds(rep_seed)
+    split_seed, fold_seed, ica_seed, cv_seed = child_seeds(rep_seed, 4)
     train, test = split_nodes(graph, SplitSpec(cfg.test_fraction, split_seed))
     masked = graph.mask_labels(test)
     y = (graph.labels == 0).astype(np.int64)  # class 0 is the positive label
@@ -253,10 +249,6 @@ class GraphExperimentReport:
         return float(self.accuracies[method].mean())
 
 
-def _rep_star(job):
-    return run_graph_repetition(*job)
-
-
 def run_graph_experiment(
     graph: Graph,
     features: SparseFeatures,
@@ -271,14 +263,8 @@ def run_graph_experiment(
     """
     bin_graph = binarize_labels(graph, positive_prefix)
     cov = node_covariate(bin_graph, cfg.covariate)
-    rep_seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.reps, np.uint64)
-
-    jobs = [(bin_graph, features, cov, int(s), cfg) for s in rep_seeds]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_rep_star, jobs, chunksize=1))
-    else:
-        results = [_rep_star(job) for job in jobs]
+    jobs = [(bin_graph, features, cov, s, cfg) for s in child_seeds(cfg.seed, cfg.reps)]
+    results = map_reps(run_graph_repetition, jobs, cfg.threads)
 
     methods = ["dynamic", *STATIC_METHODS]
     accuracies = {

@@ -86,31 +86,26 @@ class Graph:
     def build(cls, node_ids, edges, labels=None, class_names=()):
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
-        Parallel edges are merged by summing weights; self-loops and
-        negative weights are rejected.
+        Parallel edges are merged by summing their weights in input order;
+        self-loops, out-of-range indices and negative weights are rejected.
+        Zero-weight edges are stored, so they count toward the degree.
         """
         node_ids = list(node_ids)
         n = len(node_ids)
-        merged: dict[tuple[int, int], float] = {}
-        for i, j, w in edges:
-            if i == j:
-                raise GraphParseError(f"self-loop at node index {i}")
-            if not 0 <= i < n or not 0 <= j < n:
-                raise GraphParseError(f"edge ({i},{j}) out of range")
-            w = float(w)
-            if w < 0:
-                raise GraphParseError(f"negative weight on edge ({i},{j})")
-            key = (i, j) if i < j else (j, i)
-            merged[key] = merged.get(key, 0.0) + w
-
-        rows, cols, vals = [], [], []
-        for (i, j), w in merged.items():
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        adj = csr_matrix(
-            (np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n)
-        )
+        e = np.array(list(edges), dtype=float).reshape(-1, 3)
+        outside = ((e[:, :2] < 0) | (e[:, :2] >= n)).any(axis=1)
+        fault = np.select([e[:, 0] == e[:, 1], outside, e[:, 2] < 0], [1, 2, 3])
+        if fault.any():
+            k = int(np.argmax(fault > 0))
+            what = ("a self-loop", f"out of range for {n} nodes", "negatively weighted")
+            edge = ", ".join(f"{v:g}" for v in e[k])
+            raise GraphParseError(f"edges[{k}] = ({edge}) is {what[fault[k] - 1]}")
+        lo, hi = np.sort(e[:, :2], axis=1).astype(np.int64).T
+        pairs, inverse = np.unique(lo * n + hi, return_inverse=True)
+        # bincount adds each pair's weights in input order, starting from 0.0
+        total = np.bincount(inverse, weights=e[:, 2], minlength=len(pairs))
+        i, j = np.divmod(pairs, n)
+        adj = csr_matrix((np.r_[total, total], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         adj.sort_indices()
 
         if labels is None:
@@ -142,12 +137,6 @@ class Graph:
         n = self.n_nodes
         return csr_matrix((self._weights, self._indices, self._indptr), shape=(n, n))
 
-    def index_of(self, node_id: str) -> int:
-        try:
-            return self.node_ids.index(node_id)
-        except ValueError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
-
     # -- derived graphs ---------------------------------------------------
 
     def with_labels(self, labels: np.ndarray, class_names) -> "Graph":
@@ -168,21 +157,11 @@ class Graph:
 
     def subgraph(self, node_indices) -> "Graph":
         """Induced subgraph; indices recompacted, external ids preserved."""
-        keep = np.asarray(sorted(node_indices), dtype=np.int64)
-        remap = -np.ones(self.n_nodes, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        edges = []
-        for old_i in keep:
-            nbrs, wts = self.neighbors(old_i)
-            for old_j, w in zip(nbrs, wts):
-                if old_i < old_j and remap[old_j] >= 0:
-                    edges.append((remap[old_i], remap[old_j], w))
-        return Graph.build(
-            [self.node_ids[i] for i in keep],
-            edges,
-            labels=self.labels[keep],
-            class_names=self.class_names,
-        )
+        keep = np.sort(np.asarray(node_indices, dtype=np.int64))
+        adj = self.adjacency()[keep][:, keep]
+        adj.sort_indices()
+        ids = [self.node_ids[i] for i in keep]
+        return Graph(ids, adj.indptr, adj.indices, adj.data, self.labels[keep], self.class_names)
 
 
 def parse_edge_list(lines) -> Graph:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,6 @@ __all__ = [
     "binned_accuracy",
     "ComparisonResult",
     "paired_comparison",
-    "write_binned",
 ]
 
 
@@ -45,10 +43,6 @@ class BinnedAccuracy:
     counts: np.ndarray
     accuracies: np.ndarray
     correct: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
 
 
 def binned_accuracy(
@@ -147,13 +141,3 @@ def paired_comparison(acc_a: np.ndarray, acc_b: np.ndarray) -> ComparisonResult:
     t = mean / (sd / np.sqrt(n))
     p = float(stats.t.sf(t, df=n - 1))
     return ComparisonResult(mean, p, False)
-
-
-def write_binned(path, binned: BinnedAccuracy) -> None:
-    """CSV export: ``bin_lo,bin_hi,count,accuracy`` (blank for empty bins)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count", "accuracy"])
-        for lo, hi, c, acc in zip(binned.bin_lo, binned.bin_hi, binned.counts, binned.accuracies):
-            acc_str = "" if np.isnan(acc) else repr(float(acc))
-            w.writerow([repr(float(lo)), repr(float(hi)), int(c), acc_str])

@@ -37,10 +37,6 @@ class NaiveBayesModel:
     alpha: float
 
     @property
-    def n_classes(self) -> int:
-        return len(self.log_priors)
-
-    @property
     def vocab_size(self) -> int:
         return self.log_likelihoods.shape[1]
 

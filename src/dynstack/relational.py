@@ -9,14 +9,13 @@ estimate, until a full sweep changes nothing or the iteration cap hits.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["IcaConfig", "IcaResult", "LabelState", "wvrn_estimate", "ica_run", "write_predictions"]
+__all__ = ["IcaConfig", "IcaResult", "LabelState", "wvrn_estimate", "ica_run"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class IcaResult:
     was_null: np.ndarray
     n_sweeps: int
     converged: bool
-    test_nodes: np.ndarray = field(repr=False)
 
 
 def _neighbor_average(graph: Graph, i: int, probs: np.ndarray, known: np.ndarray):
@@ -141,21 +139,4 @@ def ica_run(
             hard[i] = 0
         else:
             out[i] = est
-    return IcaResult(out, hard, was_null, sweeps, converged, test_nodes)
-
-
-def write_predictions(path, graph: Graph, result: IcaResult) -> None:
-    """CSV export: ``node_id,p_class0,...,hard_label,was_null`` per node."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["node_id"]
-            + [f"p_class{c}" for c in range(graph.class_count)]
-            + ["hard_label", "was_null"]
-        )
-        for i, nid in enumerate(graph.node_ids):
-            w.writerow(
-                [nid]
-                + [repr(float(p)) for p in result.probs[i]]
-                + [int(result.hard_labels[i]), int(result.was_null[i])]
-            )
+    return IcaResult(out, hard, was_null, sweeps, converged)

@@ -132,6 +132,20 @@ class SimReport:
         raise KeyError((case, method))
 
 
+def child_seeds(seed: int, count: int) -> list[int]:
+    """``count`` 64-bit seeds expanded from ``numpy.random.SeedSequence(seed)``."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+
+
+def map_reps(fn, jobs, threads: int = 1) -> list:
+    """``fn(*job)`` for every job, in job order; ``threads > 1`` runs the jobs
+    in that many worker processes, so ``fn`` and the jobs must pickle."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, *zip(*jobs), chunksize=1))
+    return [fn(*job) for job in jobs]
+
+
 def _method_scores(name, train, test, config, method_seed, cv_seed):
     if name == "random":
         return np.random.default_rng(method_seed).uniform(0.0, 1.0, test.n)
@@ -154,9 +168,7 @@ def _method_scores(name, train, test, config, method_seed, cv_seed):
 
 def _run_repetition(case, n, rep_seed, methods, config):
     """One fresh-data experiment; returns per-method AUC (NaN on failure)."""
-    data_seed, split_seed, rand_seed, cv_seed = (
-        int(s) for s in np.random.SeedSequence(rep_seed).generate_state(4, np.uint64)
-    )
+    data_seed, split_seed, rand_seed, cv_seed = child_seeds(rep_seed, 4)
     data = generate_case(case, n, data_seed).to_level1()
     perm = np.random.default_rng(split_seed).permutation(data.n)
     train = data.subset(np.sort(perm[: data.n // 2]))
@@ -194,32 +206,18 @@ def run_simulation(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    rep_seeds = (
-        np.random.SeedSequence(seed)
-        .generate_state(len(cases) * reps, np.uint64)
-        .reshape(len(cases), reps)
-    )
-
-    results: dict[int, list[dict[str, float]]] = {}
+    rep_seeds = child_seeds(seed, len(cases) * reps)
     jobs = [
-        (case, n, int(rep_seeds[ci, r]), methods, config)
+        (case, n, rep_seeds[ci * reps + r], methods, config)
         for ci, case in enumerate(cases)
         for r in range(reps)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for (case, _, _, _, _), res in zip(jobs, pool.map(_rep_star, jobs, chunksize=1)):
-                results.setdefault(case, [])
-                results[case].append(res)
-    else:
-        for job in jobs:
-            results.setdefault(job[0], [])
-            results[job[0]].append(_rep_star(job))
+    results = map_reps(_run_repetition, jobs, threads)
 
     cells = []
     raw = {}
-    for case in cases:
-        per_rep = results[case]
+    for ci, case in enumerate(cases):
+        per_rep = results[ci * reps : (ci + 1) * reps]
         for m in methods:
             vals = np.array([rep[m] for rep in per_rep])
             ok = vals[~np.isnan(vals)]
@@ -228,7 +226,3 @@ def run_simulation(
             cells.append(SimCell(case, m, mean, sd, len(ok)))
             raw[(case, m)] = vals
     return SimReport(cells, raw)
-
-
-def _rep_star(job):
-    return _run_repetition(*job)

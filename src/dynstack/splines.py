@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BSplineBasis",
     "make_basis",
-    "eval_basis",
     "basis_matrix",
     "curvature_penalty",
     "assemble_block_penalty",
@@ -49,21 +48,14 @@ class BSplineBasis:
         """Number of basis functions (interior knots + degree + 1)."""
         return len(self.knots) - self.degree - 1
 
-    @property
-    def interior_knots(self) -> np.ndarray:
-        d = self.degree
-        return self.knots[d + 1 : len(self.knots) - d - 1]
-
 
 def make_basis(
     u_lo: float,
     u_hi: float,
     interior_knots: int = 6,
     degree: int = 3,
-    placement: str = "uniform",
-    sample: np.ndarray | None = None,
 ) -> BSplineBasis:
-    """Build a clamped B-spline basis over ``[u_lo, u_hi]``.
+    """Build a clamped B-spline basis with uniform interior knots over ``[u_lo, u_hi]``.
 
     Parameters
     ----------
@@ -75,12 +67,6 @@ def make_basis(
     degree : int
         Spline degree, >= 0. Degree 0 with no interior knots gives the
         constant basis (a single indicator over the domain).
-    placement : {"uniform", "quantile"}
-        Interior knot placement. "quantile" places knots at evenly spaced
-        quantiles of ``sample``; duplicate or boundary-coincident knots
-        are dropped, which reduces the basis size accordingly.
-    sample : array, optional
-        Training covariate values, required for quantile placement.
     """
     if not np.isfinite(u_lo) or not np.isfinite(u_hi) or u_lo >= u_hi:
         raise ValueError(f"invalid domain [{u_lo}, {u_hi}]: need u_lo < u_hi")
@@ -89,17 +75,7 @@ def make_basis(
     if degree < 0:
         raise ValueError("degree must be >= 0")
 
-    if placement == "uniform":
-        interior = np.linspace(u_lo, u_hi, interior_knots + 2)[1:-1]
-    elif placement == "quantile":
-        if sample is None:
-            raise ValueError("quantile placement requires a sample")
-        qs = np.arange(1, interior_knots + 1) / (interior_knots + 1)
-        interior = np.unique(np.quantile(np.asarray(sample, dtype=float), qs))
-        interior = interior[(interior > u_lo) & (interior < u_hi)]
-    else:
-        raise ValueError(f"unknown placement {placement!r}")
-
+    interior = np.linspace(u_lo, u_hi, interior_knots + 2)[1:-1]
     knots = np.concatenate(
         [np.full(degree + 1, float(u_lo)), interior, np.full(degree + 1, float(u_hi))]
     )
@@ -174,11 +150,6 @@ def basis_matrix(basis: BSplineBasis, u, deriv: int = 0) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.clip(u, basis.u_lo, basis.u_hi)
     return _deriv_all(basis.knots, basis.degree, x, deriv)
-
-
-def eval_basis(basis: BSplineBasis, u: float) -> np.ndarray:
-    """Row vector of all basis functions at a single point (clamped)."""
-    return basis_matrix(basis, u)[0]
 
 
 def curvature_penalty(basis: BSplineBasis) -> np.ndarray:

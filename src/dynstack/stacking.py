@@ -46,6 +46,8 @@ __all__ = [
 
 STATIC_DESIGNS = ("m1", "m2", "m3")
 STATIC_PENALTIES = ("none", "ridge", "lasso")
+MAX_NEWTON_ITER = 100
+HESSIAN_JITTER = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -120,8 +122,6 @@ class FitConfig:
     )
     cv_folds: int = 10
     newton_tol: float = 1e-8
-    max_newton_iter: int = 100
-    hessian_jitter: float = 1e-10
 
     def __post_init__(self):
         grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
@@ -262,7 +262,7 @@ def _newton_diag(
         raise ConvergenceError("non-finite objective at the starting point")
     path = [f]
     converged = False
-    for _ in range(config.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         mu = sigmoid(eta)
         grad = -(x.T @ (y - mu))
         w = mu * (1.0 - mu)
@@ -270,7 +270,7 @@ def _newton_diag(
         if pen_diag is not None:
             grad += 2.0 * pen_diag * beta
             hess = hess + np.diag(2.0 * pen_diag)
-        step = _solve_spd(hess, -grad, config.hessian_jitter)
+        step = _solve_spd(hess, -grad, HESSIAN_JITTER)
 
         t = 1.0
         for _ in range(60):
@@ -294,6 +294,71 @@ def _newton_diag(
     if not np.isfinite(f):
         raise ConvergenceError("objective diverged to a non-finite value")
     return beta, path, converged
+
+
+# ---------------------------------------------------------------------------
+# one level-1 fit and one cross-validation driver for every generalizer
+
+
+def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None):
+    """Logistic fit with penalty ``strength * b'(pen)b``, or ``strength * |b|_1``
+    on the coordinates ``pen`` penalizes when ``lasso``; ``pen`` None is plain
+    logistic. Returns ``(coef, objective_path, converged)``."""
+    if lasso and strength > 0:
+        return _lasso_logistic(x, y, strength, config, coef0)
+    penalty = strength * pen if pen is not None and strength > 0 else None
+    return _newton_penalized(x, y, penalty, config, coef0)
+
+
+def _fit_checked(x, y, pen, strength, lasso, config: FitConfig, coef0=None):
+    """:func:`_fit` for a final model. Without an effective penalty (strength 0,
+    or ``pen`` None or all zero as for a degree <= 1 basis) separable classes
+    send the coefficients to infinity, so such a fit raises instead."""
+    coef, path, converged = _fit(x, y, pen, strength, lasso, config, coef0)
+    unpenalized = strength == 0 or pen is None or not pen.any()
+    if unpenalized and (not converged or np.abs(coef).max() > 1e2):
+        raise ConvergenceError(
+            "the unpenalized fit diverged; the classes may be separable -- "
+            "use ridge, or a curvature penalty for the dynamic model"
+        )
+    if not converged:
+        warnings.warn("Newton reached the iteration cap before converging", stacklevel=3)
+    return coef, path, converged
+
+
+def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
+    n = len(y)
+    for j, heldout in enumerate(fold_idx):
+        if len(heldout) == 0 or len(heldout) == n:
+            raise ValueError(f"degenerate folds: fold {j + 1} is empty or everything")
+        train_y = np.delete(y, heldout)
+        if len(np.unique(train_y)) < 2:
+            raise ValueError(
+                f"degenerate folds: fold {j + 1} leaves a single-class training set"
+            )
+
+
+def _cv_profile(x, y, pen, lasso, config: FitConfig, seed: int):
+    """The cross-validation of :func:`select_lambda` and :func:`select_strength`;
+    each fold walks the grid warm-starting :func:`_fit` from the last coefficients."""
+    fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
+    _assert_valid_folds(y, fold_idx)
+    scores = np.zeros(len(config.lambda_grid))
+    all_rows = np.arange(len(y))
+    for heldout in fold_idx:
+        fit_rows = np.setdiff1d(all_rows, heldout)
+        x_fit, y_fit, x_out, y_out = x[fit_rows], y[fit_rows], x[heldout], y[heldout]
+        coef = None
+        for gi, s in enumerate(config.lambda_grid):
+            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef)
+            scores[gi] += _neg_loglik(x_out @ coef, y_out)
+
+    best = 0
+    for gi in range(len(scores)):
+        if scores[gi] <= scores[best]:
+            best = gi
+    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
+    return float(config.lambda_grid[best]), report
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +420,8 @@ def fit_dynamic(
             "expect an unstable fit",
             stacklevel=2,
         )
-    penalty = None
-    if lam > 0:
-        penalty = lam * assemble_block_penalty(curvature_penalty(basis), data.p)
-    coef, path, converged = _newton_penalized(x, data.y, penalty, config, coef0)
-    unpenalized = penalty is None or basis.degree <= 1
-    if unpenalized and (not converged or np.abs(coef).max() > 1e2):
-        raise ConvergenceError(
-            "the unpenalized fit diverged; the data may be separable -- "
-            "add curvature penalty or use ridge"
-        )
-    if not converged:
-        warnings.warn("Newton reached the iteration cap before converging", stacklevel=2)
+    pen = assemble_block_penalty(curvature_penalty(basis), data.p) if lam > 0 else None
+    coef, path, converged = _fit_checked(x, data.y, pen, lam, False, config, coef0)
     return DynamicStackModel(
         coef=coef,
         basis=basis,
@@ -378,18 +433,20 @@ def fit_dynamic(
     )
 
 
-def _check_rows(z: np.ndarray, u) -> None:
+def _checked_z(model: DynamicStackModel | StaticStackModel, z, u) -> np.ndarray:
+    """``z`` as a float matrix, checked against the model's width and ``u``'s length."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    if z.shape[1] != model.p:
+        raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
     rows = np.atleast_1d(np.asarray(u)).shape[0]
     if z.shape[0] != rows:
         raise ValueError(f"z has {z.shape[0]} rows, u has {rows}")
+    return z
 
 
 def predict_dynamic(model: DynamicStackModel, z, u) -> np.ndarray:
     """Positive-class probability for rows ``(Z, u)``."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
-    _check_rows(z, u)
+    z = _checked_z(model, z, u)
     x = dynamic_design(z, u, model.basis)
     return sigmoid(x @ model.coef)
 
@@ -399,18 +456,6 @@ def coefficient_curves(model: DynamicStackModel, u_grid) -> np.ndarray:
     b = basis_matrix(model.basis, u_grid)
     eta = model.coef[1:].reshape(model.p, model.basis.size)
     return b @ eta.T
-
-
-def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
-    n = len(y)
-    for j, heldout in enumerate(fold_idx):
-        if len(heldout) == 0 or len(heldout) == n:
-            raise ValueError(f"degenerate folds: fold {j + 1} is empty or everything")
-        train_y = np.delete(y, heldout)
-        if len(np.unique(train_y)) < 2:
-            raise ValueError(
-                f"degenerate folds: fold {j + 1} leaves a single-class training set"
-            )
 
 
 def select_lambda(
@@ -427,28 +472,9 @@ def select_lambda(
     """
     if basis is None:
         basis = default_basis(data.u)
-    fold_idx = _cv_fold_indices(data.n, config.cv_folds, seed)
-    _assert_valid_folds(data.y, fold_idx)
     x = dynamic_design(data.z, data.u, basis)
-    block = curvature_penalty(basis)
-    assembled = assemble_block_penalty(block, data.p)
-
-    scores = np.zeros(len(config.lambda_grid))
-    all_rows = np.arange(data.n)
-    for heldout in fold_idx:
-        fit_rows = np.setdiff1d(all_rows, heldout)
-        coef = None
-        for gi, lam in enumerate(config.lambda_grid):
-            penalty = lam * assembled if lam > 0 else None
-            coef, _, _ = _newton_penalized(x[fit_rows], data.y[fit_rows], penalty, config, coef)
-            scores[gi] += _neg_loglik(x[heldout] @ coef, data.y[heldout])
-
-    best = 0
-    for gi in range(len(scores)):
-        if scores[gi] <= scores[best]:
-            best = gi
-    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
-    return float(config.lambda_grid[best]), report
+    pen = assemble_block_penalty(curvature_penalty(basis), data.p)
+    return _cv_profile(x, data.y, pen, False, config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +565,7 @@ def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
     beta = intercept_only if coef0 is None else np.asarray(coef0, dtype=float).copy()
     path = [objective(beta)]
     converged = False
-    for _ in range(config.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         eta = x @ beta
         mu = sigmoid(eta)
         grad = -(x.T @ (y - mu))
@@ -587,9 +613,8 @@ def fit_static(
     intercept is never penalized. Leaving ``strength`` unset with a
     penalty selects it by cross-validation over ``config.lambda_grid``.
     """
-    if penalty not in STATIC_PENALTIES:
-        raise ValueError(f"unknown penalty {penalty!r}; expected one of {STATIC_PENALTIES}")
     x = static_design(data.z, data.u, design)
+    pen = _static_penalty(x.shape[1], penalty)
     if penalty == "none":
         strength = 0.0
     elif strength is None:
@@ -597,15 +622,7 @@ def fit_static(
     elif strength < 0:
         raise ValueError("penalty strength must be >= 0")
 
-    coef, path, converged = _fit_static_design(x, data.y, penalty, strength, config)
-    diverged = penalty == "none" and (not converged or np.abs(coef).max() > 1e2)
-    if diverged:
-        raise ConvergenceError(
-            "the logistic fit diverged; the classes may be separable on "
-            "this design -- use ridge regularization"
-        )
-    if not converged:
-        warnings.warn("penalized fit reached the iteration cap", stacklevel=2)
+    coef, path, converged = _fit_checked(x, data.y, pen, strength, penalty == "lasso", config)
     return StaticStackModel(
         design=design,
         penalty=penalty,
@@ -618,13 +635,11 @@ def fit_static(
     )
 
 
-def _fit_static_design(x, y, penalty, strength, config, coef0=None):
-    if penalty == "lasso" and strength > 0:
-        return _lasso_logistic(x, y, strength, config, coef0)
-    pen = None
-    if penalty in ("ridge", "lasso") and strength > 0:
-        pen = strength * np.diag(np.r_[0.0, np.ones(x.shape[1] - 1)])
-    return _newton_penalized(x, y, pen, config, coef0)
+def _static_penalty(width: int, penalty: str) -> np.ndarray | None:
+    """Ridge and lasso act on every coefficient but the intercept."""
+    if penalty not in STATIC_PENALTIES:
+        raise ValueError(f"unknown penalty {penalty!r}; expected one of {STATIC_PENALTIES}")
+    return None if penalty == "none" else np.diag(np.r_[0.0, np.ones(width - 1)])
 
 
 def select_strength(
@@ -637,33 +652,14 @@ def select_strength(
     """Cross-validated penalty strength for a static design; mirrors
     :func:`select_lambda` (shared folds, held-out likelihood, ties to the
     larger value)."""
-    fold_idx = _cv_fold_indices(data.n, config.cv_folds, seed)
-    _assert_valid_folds(data.y, fold_idx)
     x = static_design(data.z, data.u, design)
-    scores = np.zeros(len(config.lambda_grid))
-    all_rows = np.arange(data.n)
-    for heldout in fold_idx:
-        fit_rows = np.setdiff1d(all_rows, heldout)
-        coef = None
-        for gi, s in enumerate(config.lambda_grid):
-            coef, _, _ = _fit_static_design(
-                x[fit_rows], data.y[fit_rows], penalty, s, config, coef0=coef
-            )
-            scores[gi] += _neg_loglik(x[heldout] @ coef, data.y[heldout])
-    best = 0
-    for gi in range(len(scores)):
-        if scores[gi] <= scores[best]:
-            best = gi
-    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
-    return float(config.lambda_grid[best]), report
+    pen = _static_penalty(x.shape[1], penalty)
+    return _cv_profile(x, data.y, pen, penalty == "lasso", config, seed)
 
 
 def predict_static(model: StaticStackModel, z, u) -> np.ndarray:
     """Positive-class probability under the model's design expansion."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
-    _check_rows(z, u)
+    z = _checked_z(model, z, u)
     x = static_design(z, u, model.design)
     if x.shape[1] != len(model.coef):
         raise ValueError(
@@ -696,18 +692,44 @@ def write_level1(path, data: Level1Data) -> None:
             fh.write(f"z_{j + 1} = {name}\n")
 
 
+def _bad_level1_line(path, width: int) -> str:
+    """Name the first data line that does not hold ``width`` finite numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rec in filter(None, reader):
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != width:
+                return f"{where}: expected {width} fields, got {len(rec)}"
+            try:
+                if not np.isfinite(np.asarray(rec, dtype=float)).all():
+                    return f"{where}: non-finite value in {rec}"
+            except ValueError as err:
+                return f"{where}: {err}"
+    return f"{path}: no data rows"
+
+
 def read_level1(path, require_y: bool = True) -> Level1Data:
-    """Read a level-1 CSV; picks up the provenance sidecar when present."""
+    """Read a level-1 CSV; picks up the provenance sidecar when present.
+
+    A malformed row raises a ``ValueError`` naming the file and line.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [""])
         if header[-1] != "u" or (require_y and header[0] != "y"):
-            raise ValueError(f"unexpected level-1 header {header!r}")
+            raise ValueError(f"{path}: unexpected level-1 header {header!r}")
         rows = [rec for rec in reader if rec]
     has_y = header[0] == "y"
     zcols = len(header) - 1 - int(has_y)
-    body = np.asarray(rows, dtype=float)
+    try:
+        body = np.asarray(rows, dtype=float)
+        ok = body.ndim == 2 and body.shape[1] == len(header) and np.isfinite(body).all()
+    except ValueError:
+        ok = False
+    if not ok:  # only a bad file pays for the line-by-line search
+        raise ValueError(_bad_level1_line(path, len(header)))
     y = body[:, 0].astype(np.int64) if has_y else np.zeros(len(body), dtype=np.int64)
     z = body[:, int(has_y) : int(has_y) + zcols]
     u = body[:, -1]
@@ -757,9 +779,16 @@ def save_model(path, model: DynamicStackModel | StaticStackModel) -> None:
 
 
 def load_model(path) -> DynamicStackModel | StaticStackModel:
-    text = Path(path).read_text().splitlines()
+    """Read a file written by :func:`save_model`; errors name the file."""
+    try:
+        return _parse_model(Path(path).read_text().splitlines())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _parse_model(text: list[str]) -> DynamicStackModel | StaticStackModel:
     if not text or text[0].strip() != "dynstack-model 1":
-        raise ValueError(f"{path}: not a dynstack model file")
+        raise ValueError("not a dynstack model file")
     fields: dict[str, str] = {}
     columns: list[str] = []
     for line in text[1:]:
@@ -774,7 +803,7 @@ def load_model(path) -> DynamicStackModel | StaticStackModel:
 
     def get(key: str) -> str:
         if key not in fields:
-            raise ValueError(f"{path}: model file has no {key!r} line")
+            raise ValueError(f"model file has no {key!r} line")
         return fields[key]
 
     kind = get("kind")
@@ -802,10 +831,10 @@ def load_model(path) -> DynamicStackModel | StaticStackModel:
         )
         width = static_design(np.zeros((1, p)), np.zeros(1), model.design).shape[1]
     else:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
+        raise ValueError(f"unknown model kind {kind!r}")
     if len(coef) != width:
         raise ValueError(
-            f"{path}: 'coef' has {len(coef)} values; a {kind} model with "
+            f"'coef' has {len(coef)} values; a {kind} model with "
             f"p = {p} needs {width}"
         )
     return model

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynstack.graph import (
+    Graph,
     GraphParseError,
     SplitSpec,
     attach_labels,
@@ -56,6 +57,68 @@ class TestParseEdgeList:
             adj = g.adjacency().toarray()
             np.testing.assert_array_equal(adj, adj.T)
             assert degree(g).values.sum() == 2 * g.n_edges
+
+
+def dict_merge_reference(n, edges):
+    """CSR arrays of the merged adjacency, built edge by edge through a dict."""
+    merged = {}
+    for i, j, w in edges:
+        key = (min(i, j), max(i, j))
+        merged[key] = merged.get(key, 0.0) + w
+    rows = [{} for _ in range(n)]
+    for (i, j), w in merged.items():
+        rows[i][j] = rows[j][i] = w
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = [j for r in rows for j in sorted(r)]
+    data = [r[j] for r in rows for j in sorted(r)]
+    return indptr, np.array(indices, dtype=np.int64), np.array(data)
+
+
+class TestBuild:
+    def test_matches_dict_merge_reference(self):
+        rng = np.random.default_rng(8)
+        most_parallel = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 15))
+            edges = []
+            for _ in range(int(rng.integers(1, 3 * n))):
+                i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+                copies = int(rng.integers(1, 5))
+                most_parallel = max(most_parallel, copies)
+                for _ in range(copies):  # either direction, zero or fractional weights
+                    w = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)]))
+                    edges.append((i, j, w) if rng.uniform() < 0.5 else (j, i, w))
+            edges = [edges[k] for k in rng.permutation(len(edges))]
+            adj = Graph.build([f"v{k}" for k in range(n)], edges).adjacency()
+            indptr, indices, data = dict_merge_reference(n, edges)
+            np.testing.assert_array_equal(adj.indptr, indptr)
+            np.testing.assert_array_equal(adj.indices, indices)
+            np.testing.assert_allclose(adj.data, data, rtol=1e-15)
+            assert (adj != adj.T).nnz == 0
+        assert most_parallel >= 3
+
+    def test_zero_weight_edge_survives_subgraph_and_lcc(self):
+        g = parse_edge_list(["a b 1", "b c 1", "a c 0", "d e 1"])
+        for h in (g.subgraph([0, 1, 2]), largest_connected_component(g)):
+            assert h.node_ids == ["a", "b", "c"]
+            nbrs, w = h.neighbors(0)
+            assert nbrs.tolist() == [1, 2] and w.tolist() == [1.0, 0.0]
+            np.testing.assert_array_equal(degree(h).values, [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((2, 2, 1.0), r"edges\[1\] = \(2, 2, 1\) is a self-loop"),
+            ((0, 3, 1.0), r"edges\[1\] = \(0, 3, 1\) is out of range for 3 nodes"),
+            ((-1, 2, 1.0), r"edges\[1\] = \(-1, 2, 1\) is out of range"),
+            ((1, 2, -0.5), r"edges\[1\] = \(1, 2, -0.5\) is negatively weighted"),
+        ],
+        ids=["self-loop", "index too large", "negative index", "negative weight"],
+    )
+    def test_bad_edge_rejected_by_position(self, edge, message):
+        # edges[2] is bad as well; the first bad edge is the one named
+        with pytest.raises(GraphParseError, match=message):
+            Graph.build(["a", "b", "c"], [(0, 1, 1.0), edge, (1, 1, -1.0)])
 
 
 class TestAttachLabels:

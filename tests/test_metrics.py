@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dynstack.metrics import accuracy, binned_accuracy, paired_comparison, write_binned
+from dynstack.metrics import accuracy, binned_accuracy, paired_comparison
 
 
 class TestAccuracy:
@@ -35,7 +35,7 @@ class TestBinnedAccuracy:
         truth = rng.integers(0, 2, 50)
         vals = rng.normal(0, 1, 50)
         b = binned_accuracy(pred, truth, vals, bins=1)
-        assert b.n_bins == 1
+        assert len(b.counts) == 1
         assert b.accuracies[0] == pytest.approx(accuracy(pred, truth))
 
     def test_integer_bins_by_degree(self):
@@ -44,7 +44,7 @@ class TestBinnedAccuracy:
         truth = np.array([1, 1, 0, 0])
         deg = np.array([1.0, 1.0, 2.0, 2.0])
         b = binned_accuracy(pred, truth, deg, integer_bins=True)
-        assert b.n_bins == 2
+        assert len(b.counts) == 2
         np.testing.assert_allclose(b.accuracies, [1.0, 0.5])
         np.testing.assert_array_equal(b.counts, [2, 2])
 
@@ -94,14 +94,6 @@ class TestBinnedAccuracy:
         truth = np.array([1, 0])
         b = binned_accuracy(pred, truth, np.array([0.2, 0.8]), bins=4, value_range=(0.0, 1.0))
         np.testing.assert_allclose(b.bin_lo, [0.0, 0.25, 0.5, 0.75])
-
-    def test_csv_export(self, tmp_path):
-        b = binned_accuracy(np.array([1, 0]), np.array([1, 1]), np.array([0.0, 1.0]), bins=2)
-        path = tmp_path / "bins.csv"
-        write_binned(path, b)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin_lo,bin_hi,count,accuracy"
-        assert len(lines) == 3
 
 
 class TestPairedComparison:

@@ -1,7 +1,11 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dynstack
 
@@ -16,3 +20,13 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["dynstack"] + [f"dynstack.{m.name}" for m in pkgutil.iter_modules(dynstack.__path__)]
+)
+def test_every_exported_name_resolves(module):
+    # a stale entry in __all__ breaks `from module import *`
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert missing == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynstack.graph import Graph, attach_labels, parse_edge_list
-from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate, write_predictions
+from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate
 
 from conftest import random_graph
 from oracles import direct_wvrn
@@ -228,15 +228,6 @@ class TestIcaRun:
         assert res.hard_labels[i_b] == 0
         np.testing.assert_allclose(res.probs[i_t], [1.0, 0.0])
         np.testing.assert_allclose(res.probs[i_b], [0.5, 0.5])
-
-    def test_prediction_csv_export(self, tmp_path):
-        g = attach_labels(parse_edge_list(["a b", "b c"]), [("a", "X"), ("c", "Y")])
-        res = ica_run(g, g.labels, IcaConfig())
-        out = tmp_path / "pred.csv"
-        write_predictions(out, g, res)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "node_id,p_class0,p_class1,hard_label,was_null"
-        assert len(lines) == 1 + g.n_nodes
 
 
 class TestIcaConfig:

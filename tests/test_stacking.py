@@ -66,6 +66,30 @@ class TestLevel1Data:
         np.testing.assert_array_equal(back.u, data.u)
         assert back.columns == data.columns
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1,0.5,0.3\n0,0.5\n", "level1.csv line 3: expected 3 fields, got 2"),
+            ("1,0.5\n0,0.5\n", "level1.csv line 2: expected 3 fields, got 2"),
+            ("1,0.5,0.3\n\n0,nan,0.2\n", "level1.csv line 4: non-finite value"),
+            ("1,0.5,0.3\n\n\n0,0.5,inf\n", "level1.csv line 5: non-finite value"),
+            ("1,0.5,0.3\n0,abc,0.2\n", "level1.csv line 3: could not convert .*'abc'"),
+            ("", "level1.csv: no data rows"),
+        ],
+        ids=["short row", "every row short", "nan", "inf", "non-numeric", "header only"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "level1.csv"
+        path.write_text("y,z_1,u\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_level1(path)
+
+    def test_empty_file_names_file(self, tmp_path):
+        path = tmp_path / "level1.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="level1.csv: unexpected level-1 header"):
+            read_level1(path)
+
 
 class _StubClassifier:
     """Deterministic stand-in level-0 model for dataset-assembly tests."""
@@ -260,8 +284,10 @@ class TestFitDynamic:
         z = rng.uniform(0, 1, (80, 2))
         y = (z[:, 0] > 0.5).astype(int)
         data = Level1Data(y, z, rng.uniform(0, 1, 80), ["z1", "z2"])
-        with pytest.raises(ConvergenceError, match="ridge"):
-            fit_static(data, "m1", "none")
+        # a zero-strength ridge or lasso is as unpenalized as plain logistic
+        for penalty, strength in (("none", None), ("ridge", 0.0), ("lasso", 0.0)):
+            with pytest.raises(ConvergenceError, match="ridge"):
+                fit_static(data, "m1", penalty, strength=strength)
 
 
 class TestPredictDynamic:
@@ -558,6 +584,9 @@ class TestModelFiles:
             ("static", "drop kind", "model file has no 'kind' line"),
             ("dynamic", "truncate coef", "'coef' has 20 values; a dynamic model .* needs 21"),
             ("static", "truncate coef", "'coef' has 5 values; a static model with p = 2 needs 6"),
+            ("static", "replace coef = 1.0 abc", "could not convert string to float: 'abc'"),
+            ("dynamic", "replace p = 2.5", "invalid literal for int"),
+            ("static", "replace design = m9", "unknown design 'm9'"),
         ],
     )
     def test_damaged_file_names_file_and_key(self, tmp_path, kind, edit, message):
@@ -568,11 +597,13 @@ class TestModelFiles:
             model = fit_static(data, "m3", "ridge", strength=1.0)
         path = tmp_path / "model.txt"
         save_model(path, model)
-        action, key = edit.split()
+        action, key, *value = edit.split(" ", 2)
         lines = []
         for line in path.read_text().splitlines():
             if line.startswith(key) and action == "truncate":
                 line = line.rsplit(" ", 1)[0]
+            if line.startswith(key + " ") and action == "replace":
+                line = f"{key} {value[0]}"
             if not (line.startswith(key) and action == "drop"):
                 lines.append(line)
         path.write_text("\n".join(lines) + "\n")
