@@ -16,6 +16,7 @@ import numpy as np
 
 from . import experiment as exp
 from .graph import (
+    GraphParseError,
     attach_labels,
     closeness_centrality,
     degree,
@@ -70,6 +71,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _parse_file(parse, path, *args):
+    """Run a ``line N: ...`` line parser on a file; errors name the file."""
+    try:
+        return parse(Path(path).read_text().splitlines(), *args)
+    except GraphParseError as err:
+        raise GraphParseError(f"{path} {err}") from None
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -120,13 +129,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_graph_experiment(args) -> int:
     out = _out_dir(args)
-    graph = attach_labels(
-        parse_edge_list(Path(args.edges).read_text().splitlines()),
-        read_label_file(args.labels),
-    )
-    features = parse_feature_file(
-        Path(args.features).read_text().splitlines(), graph.node_ids
-    )
+    graph = attach_labels(_parse_file(parse_edge_list, args.edges), read_label_file(args.labels))
+    features = _parse_file(parse_feature_file, args.features, graph.node_ids)
     original_index = {nid: i for i, nid in enumerate(graph.node_ids)}
     # nodes without labels cannot enter a fully labeled split
     labeled = np.flatnonzero(graph.labels >= 0)
@@ -227,8 +231,7 @@ def cmd_graph_experiment(args) -> int:
 
 def cmd_centrality(args) -> int:
     out = _out_dir(args)
-    graph = parse_edge_list(Path(args.edges).read_text().splitlines())
-    graph = largest_connected_component(graph)
+    graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
     cov = degree(graph) if args.kind == "degree" else closeness_centrality(graph)
     write_covariate(out / "covariate.csv", graph, cov)
     _write_manifest(out, "centrality", {"edges": args.edges, "kind": args.kind})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -223,14 +223,20 @@ def attach_labels(graph: Graph, rows) -> Graph:
 
 
 def read_label_file(path) -> list[tuple[str, str]]:
-    """Read a ``node_id,label`` CSV; a literal header row is tolerated."""
+    """Read a ``node_id,label`` CSV; a literal header row is tolerated.
+
+    A malformed row raises :class:`GraphParseError` naming the file and line.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
+        reader = csv.reader(fh)
+        for rec in reader:
             if not rec:
                 continue
             if len(rec) != 2:
-                raise GraphParseError(f"label row {rec!r}: expected node_id,label")
+                raise GraphParseError(
+                    f"{path} line {reader.line_num}: expected node_id,label, got {rec!r}"
+                )
             if rec == ["node_id", "label"]:
                 continue
             rows.append((rec[0], rec[1]))
@@ -260,28 +266,44 @@ def degree(graph: Graph) -> NodeCovariate:
 def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
     """Reciprocal of each node's total hop distance to all other nodes.
 
-    Distances are unweighted shortest-path hop counts, so the graph must
-    be connected (run :func:`largest_connected_component` first). A
-    single-node graph gets the value 0 by convention. BFS runs from
-    ``chunk`` sources at a time to bound memory.
+    Hop counts come from a level-synchronous breadth-first search, in
+    which a stored zero-weight edge is still one hop. The graph must be
+    connected (run :func:`largest_connected_component` first). A
+    single-node graph gets the value 0 by convention. The search runs from
+    ``chunk`` sources at once, so memory is bounded by n x ``chunk``
+    booleans (plus one float32 frontier product of that shape).
     """
     n = graph.n_nodes
     if n == 0:
         raise ValueError("empty graph")
     if n == 1:
         return NodeCovariate("closeness_centrality", np.zeros(1))
-    n_comp, _ = connected_components(graph.adjacency(), directed=False)
-    if n_comp != 1:
-        raise ValueError(
-            "closeness centrality needs a connected graph "
-            "(reduce to the largest connected component first)"
-        )
-    adj = graph.adjacency()
+    # the stored-entry pattern: each product entry counts frontier
+    # neighbours, at most the degree < 2**24, so float32 is exact
+    ones = np.ones(len(graph._indices), dtype=np.float32)
+    adj = csr_matrix((ones, graph._indices, graph._indptr), shape=(n, n))
     totals = np.empty(n)
     for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        dist = shortest_path(adj, method="D", directed=False, unweighted=True, indices=idx)
-        totals[idx] = dist.sum(axis=1)
+        k = min(chunk, n - lo)
+        seen = np.zeros((n, k), dtype=bool)
+        seen[np.arange(lo, lo + k), np.arange(k)] = True
+        front = seen.copy()
+        total = np.zeros(k, dtype=np.int64)
+        hop, reached = 0, k
+        while reached < n * k:
+            hop += 1
+            front = (adj @ front.astype(np.float32)) > 0
+            front &= ~seen
+            seen |= front
+            counts = front.sum(axis=0)
+            if not counts.any():  # every source stalled short of n nodes
+                raise ValueError(
+                    "closeness centrality needs a connected graph "
+                    "(reduce to the largest connected component first)"
+                )
+            total += hop * counts
+            reached += int(counts.sum())
+        totals[lo : lo + k] = total
     return NodeCovariate("closeness_centrality", 1.0 / totals)
 
 

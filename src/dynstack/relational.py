@@ -93,8 +93,13 @@ def ica_run(
     point mass on the argmax of its neighbor average (ties to the lowest
     class index); updates are visible to later nodes in the same sweep.
     Observed nodes are never revisited. After the final sweep one extra
-    soft pass recomputes each unobserved node's neighbor average from the
+    soft pass reports each unobserved node's neighbor average from the
     terminal hard states, which is what feeds stacking.
+
+    A neighbor average depends only on the neighbors' states, so each
+    node's average is cached and recomputed only when it is stale: when a
+    neighbor became known or changed label since it was last computed.
+    The results equal those of recomputing every visited node.
     """
     labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
     c = graph.class_count
@@ -107,6 +112,15 @@ def ica_run(
     state = LabelState.from_labels(labels, c)
     probs, known = state.probs, state.known
     hard = np.where(labels >= 0, labels, -1)
+    est: list = [None] * len(labels)  # (average or None, its argmax or None)
+    stale = labels < 0
+
+    def estimate(i):
+        if stale[i]:
+            avg = _neighbor_average(graph, i, probs, known)
+            est[i] = (avg, None if avg is None else int(np.argmax(avg)))
+            stale[i] = False
+        return est[i]
 
     rng = np.random.default_rng(config.order_seed)
     sweeps = 0
@@ -115,16 +129,15 @@ def ica_run(
         sweeps += 1
         changed = False
         for i in rng.permutation(test_nodes):
-            est = _neighbor_average(graph, i, probs, known)
-            if est is None:
+            label = estimate(i)[1]
+            if label is None or label == hard[i]:
                 continue
-            label = int(np.argmax(est))
-            if label != hard[i]:
-                changed = True
+            changed = True
             hard[i] = label
             probs[i] = 0.0
             probs[i, label] = 1.0
             known[i] = True
+            stale[graph.neighbors(i)[0]] = True
         if not changed:
             converged = True
             break
@@ -132,11 +145,11 @@ def ica_run(
     out = probs.copy()
     was_null = np.zeros(len(labels), dtype=bool)
     for i in test_nodes:
-        est = _neighbor_average(graph, i, probs, known)
-        if est is None:
+        avg = estimate(i)[0]
+        if avg is None:
             out[i] = 1.0 / c
             was_null[i] = True
             hard[i] = 0
         else:
-            out[i] = est
+            out[i] = avg
     return IcaResult(out, hard, was_null, sweeps, converged)

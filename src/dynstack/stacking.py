@@ -79,11 +79,12 @@ class Level1Data:
     columns: list[str]
 
     def __post_init__(self):
+        # check before the cast, which would truncate 0.5 to class 0
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("y must be binary 0/1")
         y = np.asarray(self.y, dtype=np.int64)
         z = np.atleast_2d(np.asarray(self.z, dtype=float))
         u = np.asarray(self.u, dtype=float)
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("y must be binary 0/1")
         if z.shape[0] != len(y) or len(u) != len(y):
             raise ValueError("y, z, u must be aligned")
         if not np.all(np.isfinite(z)):
@@ -692,8 +693,9 @@ def write_level1(path, data: Level1Data) -> None:
             fh.write(f"z_{j + 1} = {name}\n")
 
 
-def _bad_level1_line(path, width: int) -> str:
-    """Name the first data line that does not hold ``width`` finite numbers."""
+def _bad_level1_line(path, width: int, has_y: bool) -> str:
+    """Name the first data line that does not hold ``width`` finite numbers
+    or, when ``has_y``, whose first field is not exactly 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -702,10 +704,13 @@ def _bad_level1_line(path, width: int) -> str:
             if len(rec) != width:
                 return f"{where}: expected {width} fields, got {len(rec)}"
             try:
-                if not np.isfinite(np.asarray(rec, dtype=float)).all():
-                    return f"{where}: non-finite value in {rec}"
+                row = np.asarray(rec, dtype=float)
             except ValueError as err:
                 return f"{where}: {err}"
+            if not np.isfinite(row).all():
+                return f"{where}: non-finite value in {rec}"
+            if has_y and row[0] not in (0.0, 1.0):
+                return f"{where}: y must be 0 or 1, got {rec[0]!r}"
     return f"{path}: no data rows"
 
 
@@ -726,10 +731,11 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
     try:
         body = np.asarray(rows, dtype=float)
         ok = body.ndim == 2 and body.shape[1] == len(header) and np.isfinite(body).all()
+        ok = ok and (not has_y or np.isin(body[:, 0], (0.0, 1.0)).all())
     except ValueError:
         ok = False
     if not ok:  # only a bad file pays for the line-by-line search
-        raise ValueError(_bad_level1_line(path, len(header)))
+        raise ValueError(_bad_level1_line(path, len(header), has_y))
     y = body[:, 0].astype(np.int64) if has_y else np.zeros(len(body), dtype=np.int64)
     z = body[:, int(has_y) : int(has_y) + zcols]
     u = body[:, -1]

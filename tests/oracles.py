@@ -6,7 +6,8 @@ fits go through explicit iteratively-reweighted least squares on
 ``numpy.linalg.lstsq``, AUC enumerates all positive/negative pairs, the
 curvature penalty integrates on a dense grid, and graph components come
 from plain set expansion. The lasso working problem is solved by trying
-every support and sign pattern.
+every support and sign pattern. Collective inference re-scores every
+visited node on every sweep.
 """
 
 from __future__ import annotations
@@ -161,3 +162,47 @@ def direct_wvrn(adjacency: dict, node: int, distributions: dict) -> np.ndarray |
     if acc is None or total == 0.0:
         return None
     return acc / total
+
+
+def ica_reference(graph, labels, max_iterations: int, order_seed: int):
+    """Collective inference by the literal sweep: every visit re-scores.
+
+    Each visited node gets a fresh ``wvrn_estimate`` (itself checked
+    against :func:`direct_wvrn`), so the result must equal ``ica_run``'s
+    bit for bit; what this checks is that no re-score is skipped wrongly.
+    Returns ``(probs, hard_labels, was_null, n_sweeps, converged)``.
+    """
+    from dynstack.relational import LabelState, wvrn_estimate
+
+    labels = np.asarray(labels, dtype=np.int64)
+    c = graph.class_count
+    state = LabelState.from_labels(labels, c)
+    hard = labels.copy()
+    test = np.flatnonzero(labels < 0)
+    rng = np.random.default_rng(order_seed)
+    sweeps, converged = 0, False
+    while sweeps < max_iterations:
+        sweeps += 1
+        changed = False
+        for i in rng.permutation(test):
+            est = wvrn_estimate(graph, i, state)
+            if est is None:
+                continue
+            label = int(np.argmax(est))
+            changed = changed or label != hard[i]
+            hard[i] = label
+            state.probs[i] = 0.0
+            state.probs[i, label] = 1.0
+            state.known[i] = True
+        if not changed:
+            converged = True
+            break
+    probs = state.probs.copy()
+    was_null = np.zeros(len(labels), dtype=bool)
+    for i in test:
+        est = wvrn_estimate(graph, i, state)
+        if est is None:
+            probs[i], was_null[i], hard[i] = 1.0 / c, True, 0
+        else:
+            probs[i] = est
+    return probs, hard, was_null, sweeps, converged

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,12 @@ class TestCentralityCommand:
     def test_missing_file_fails(self, tmp_path):
         assert main(["centrality", "--edges", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]) == 1
 
+    def test_bad_edge_line_names_file(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b\n# note\nb b\n")
+        assert main(["centrality", "--edges", str(edges), "--out", str(tmp_path / "o")]) == 1
+        assert f"{edges} line 3: self-loop on 'b'" in capsys.readouterr().err
+
 
 class TestGraphExperimentCommand:
     def test_full_run_artifacts(self, network_files, tmp_path):
@@ -143,6 +150,33 @@ class TestGraphExperimentCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,bad,message",
+        [
+            ("edges", "a b\nb c d e\n", r"edges.txt line 2: expected 'id1 id2 \[weight\]'"),
+            ("features", "a w:1\nb w:1\nc w:x\n", "features.txt line 3: non-numeric weight"),
+        ],
+        ids=["edges", "features"],
+    )
+    def test_bad_input_line_names_file(self, tmp_path, capsys, kind, bad, message):
+        files = {"edges": "a b\nb c\n", "labels": "a,p\nb,q\nc,p\n", "features": "a w:1\n"}
+        files[kind] = bad
+        names = {"edges": "edges.txt", "labels": "labels.csv", "features": "features.txt"}
+        for key, text in files.items():
+            (tmp_path / names[key]).write_text(text)
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(tmp_path / "edges.txt"),
+                "--labels", str(tmp_path / "labels.csv"),
+                "--features", str(tmp_path / "features.txt"),
+                "--positive-label", "p", "--out", str(tmp_path / "gx"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
 
     def test_disconnected_closeness_mentions_lcc_flag(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

@@ -10,6 +10,7 @@ from dynstack.graph import (
     degree,
     largest_connected_component,
     parse_edge_list,
+    read_label_file,
     split_nodes,
 )
 
@@ -144,6 +145,19 @@ class TestAttachLabels:
             attach_labels(g, [("z", "X")])
 
 
+class TestReadLabelFile:
+    def test_header_tolerated(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("node_id,label\na,X\n\nb,Y\n")
+        assert read_label_file(path) == [("a", "X"), ("b", "Y")]
+
+    def test_bad_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("a,X\n\nb,Y,extra\n")
+        with pytest.raises(GraphParseError, match=r"labels.csv line 3: expected node_id,label"):
+            read_label_file(path)
+
+
 class TestLargestConnectedComponent:
     def test_picks_larger(self):
         g = parse_edge_list(["a b", "b c", "d e"])
@@ -243,6 +257,58 @@ class TestCloseness:
         np.testing.assert_allclose(
             closeness_centrality(light).values, [1 / 3, 1 / 2, 1 / 3]
         )
+
+
+class TestClosenessAgainstNetworkx:
+    """``1 / values`` must be networkx's summed hop distances, exactly."""
+
+    @staticmethod
+    def hop_totals(graph):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_nodes_from(range(graph.n_nodes))
+        adj = graph.adjacency().tocoo()  # explicit zero-weight edges included
+        g.add_edges_from(zip(adj.row.tolist(), adj.col.tolist()))
+        return np.array(
+            [sum(nx.single_source_shortest_path_length(g, v).values()) for v in g],
+            dtype=float,
+        )
+
+    def check(self, graph, chunk=512):
+        totals = self.hop_totals(graph)
+        vals = closeness_centrality(graph, chunk=chunk).values
+        np.testing.assert_array_equal(vals, 1.0 / totals)
+        np.testing.assert_array_equal(np.rint(1.0 / vals), totals)
+
+    def test_random_connected_graphs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            g = largest_connected_component(
+                random_graph(rng, int(rng.integers(4, 40)), float(rng.uniform(0.05, 0.4)))
+            )
+            if g.n_nodes > 1:
+                self.check(g)
+
+    def test_zero_weight_bridge_is_one_hop(self):
+        g = parse_edge_list(["a b", "b c", "c a", "c x 0", "x y", "y z", "z x"])
+        assert g.n_edges == 7
+        self.check(g)
+
+    def test_hub_of_degree_300(self):
+        # the second hub's 200 leaves form one frontier, so the first hub
+        # sees 200 frontier neighbours at once: an 8-bit counter would wrap
+        lines = [f"h l{i}" for i in range(300)] + [f"g l{i}" for i in range(200)]
+        g = parse_edge_list(lines)
+        assert degree(g).values.max() == 300
+        self.check(g)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20, 64])
+    def test_chunk_boundaries(self, chunk):
+        rng = np.random.default_rng(43)
+        g = random_graph(rng, 20, 0.15)
+        while largest_connected_component(g).n_nodes < 20:
+            g = random_graph(rng, 20, 0.15)
+        self.check(g, chunk=chunk)
 
 
 class TestSplitNodes:

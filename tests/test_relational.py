@@ -7,7 +7,7 @@ from dynstack.graph import Graph, attach_labels, parse_edge_list
 from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate
 
 from conftest import random_graph
-from oracles import direct_wvrn
+from oracles import direct_wvrn, ica_reference
 
 
 def state_from(graph, dists: dict):
@@ -228,6 +228,44 @@ class TestIcaRun:
         assert res.hard_labels[i_b] == 0
         np.testing.assert_allclose(res.probs[i_t], [1.0, 0.0])
         np.testing.assert_allclose(res.probs[i_b], [0.5, 0.5])
+
+
+class TestIcaAgainstReference:
+    @staticmethod
+    def random_case(rng):
+        """Random graph with fractional and zero weights and isolated nodes."""
+        n = int(rng.integers(8, 40))
+        iso = rng.uniform(size=n) < 0.1
+        edges = [
+            (i, j, float(rng.choice([0.0, rng.uniform(0.1, 3.0), 1.0], p=[0.15, 0.7, 0.15])))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not (iso[i] or iso[j]) and rng.uniform() < 0.15
+        ]
+        c = int(rng.integers(2, 5))
+        truth = rng.integers(0, c, size=n)
+        g = Graph.build([f"v{i}" for i in range(n)], edges, truth, "WXYZ"[:c])
+        labels = truth.copy()
+        labels[rng.uniform(size=n) < rng.uniform(0.3, 0.9)] = -1
+        k = int(rng.integers(n))
+        labels[k] = truth[k]  # at least one observed node
+        return g, labels
+
+    def test_matches_literal_sweep_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        outcomes = set()
+        for trial in range(60):
+            g, labels = self.random_case(rng)
+            cap = (1, 2, 3, 100)[trial % 4]
+            res = ica_run(g, labels, IcaConfig(max_iterations=cap, order_seed=trial))
+            probs, hard, was_null, sweeps, converged = ica_reference(g, labels, cap, trial)
+            np.testing.assert_array_equal(res.probs, probs)
+            np.testing.assert_array_equal(res.hard_labels, hard)
+            np.testing.assert_array_equal(res.was_null, was_null)
+            assert (res.n_sweeps, res.converged) == (sweeps, converged)
+            outcomes.add((converged, bool(was_null.any())))
+        # the cases reached every combination of (converged, some null node)
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestIcaConfig:

@@ -48,6 +48,10 @@ class TestLevel1Data:
         with pytest.raises(ValueError, match="provenance"):
             Level1Data(np.array([0, 1]), np.zeros((2, 2)), np.zeros(2), ["a"])
 
+    def test_fractional_y_rejected_before_the_integer_cast(self):
+        with pytest.raises(ValueError, match="binary"):
+            Level1Data([0.5, 1, 0], np.zeros((3, 1)), np.zeros(3), ["a"])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_z_names_its_column(self, bad):
         z = np.full((3, 2), 0.5)
@@ -75,8 +79,12 @@ class TestLevel1Data:
             ("1,0.5,0.3\n\n\n0,0.5,inf\n", "level1.csv line 5: non-finite value"),
             ("1,0.5,0.3\n0,abc,0.2\n", "level1.csv line 3: could not convert .*'abc'"),
             ("", "level1.csv: no data rows"),
+            ("0.5,0.5,0.3\n1,0.5,0.2\n0,0.5,0.1\n", "level1.csv line 2: y must be 0 or 1, got '0.5'"),
         ],
-        ids=["short row", "every row short", "nan", "inf", "non-numeric", "header only"],
+        ids=[
+            "short row", "every row short", "nan", "inf", "non-numeric", "header only",
+            "fractional y",
+        ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "level1.csv"
