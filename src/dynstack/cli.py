@@ -52,8 +52,11 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_manifest(out: Path, command: str, params: dict) -> None:
-    lines = [f"command = {command}"]
+def _write_manifest(out: Path, args, **resolved) -> None:
+    """Record every parsed flag but ``--out``; ``resolved`` overrides values."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    params.update(resolved)
+    lines = [f"command = {args.command}"]
     lines += [f"{k} = {_fmt_value(v)}" for k, v in sorted(params.items())]
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -110,20 +113,7 @@ def cmd_simulate(args) -> int:
                 [case, method, r, repr(float(v))] for r, v in enumerate(vals)
             ]
         _write_csv(out / "simulation_raw.csv", ["case", "method", "rep", "auc"], rows)
-    _write_manifest(
-        out,
-        "simulate",
-        {
-            "case": args.case,
-            "n": args.n,
-            "reps": args.reps,
-            "methods": list(methods),
-            "folds": args.folds,
-            "seed": args.seed,
-            "threads": args.threads,
-            "raw": args.raw,
-        },
-    )
+    _write_manifest(out, args, methods=list(methods))
     return 0
 
 
@@ -206,26 +196,7 @@ def cmd_graph_experiment(args) -> int:
             for u, row in zip(report.curves_u, report.curves)
         ],
     )
-    _write_manifest(
-        out,
-        "graph-experiment",
-        {
-            "edges": args.edges,
-            "labels": args.labels,
-            "features": args.features,
-            "covariate": args.covariate,
-            "test_fraction": args.test_fraction,
-            "reps": args.reps,
-            "folds": args.folds,
-            "seed": args.seed,
-            "positive_label": args.positive_label,
-            "lcc": args.lcc,
-            "bins": args.bins,
-            "knots": args.knots,
-            "spline_degree": args.spline_degree,
-            "threads": args.threads,
-        },
-    )
+    _write_manifest(out, args)
     return 0
 
 
@@ -234,7 +205,7 @@ def cmd_centrality(args) -> int:
     graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
     cov = degree(graph) if args.kind == "degree" else closeness_centrality(graph)
     write_covariate(out / "covariate.csv", graph, cov)
-    _write_manifest(out, "centrality", {"edges": args.edges, "kind": args.kind})
+    _write_manifest(out, args)
     return 0
 
 
@@ -271,19 +242,10 @@ def cmd_stack_fit(args) -> int:
         )
     _write_manifest(
         out,
-        "stack-fit",
-        {
-            "level1": args.level1,
-            "model": args.model,
-            "penalty": args.penalty,
-            "lam": "cv" if args.lam is None else repr(args.lam),
-            "strength": "cv" if args.strength is None else repr(args.strength),
-            "chosen_strength": repr(float(chosen)),
-            "knots": args.knots,
-            "spline_degree": args.spline_degree,
-            "folds": args.folds,
-            "seed": args.seed,
-        },
+        args,
+        lam="cv" if args.lam is None else args.lam,
+        strength="cv" if args.strength is None else args.strength,
+        chosen_strength=float(chosen),
     )
     return 0
 
@@ -301,7 +263,7 @@ def cmd_stack_predict(args) -> int:
         ["row", "probability"],
         [[i, repr(float(p))] for i, p in enumerate(probs)],
     )
-    _write_manifest(out, "stack-predict", {"model": args.model, "data": args.data})
+    _write_manifest(out, args)
     return 0
 
 
@@ -320,7 +282,7 @@ def cmd_curves(args) -> int:
             for u, row in zip(grid, curves)
         ],
     )
-    _write_manifest(out, "curves", {"model": args.model, "points": args.points})
+    _write_manifest(out, args)
     return 0
 
 
@@ -334,10 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
+    def common(p, seed=False, threads=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel workers")
+        if threads:
+            p.add_argument("--threads", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("simulate", help="synthetic level-1 comparison of generalizers")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3))
@@ -346,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="", help="comma list; default = all methods")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--raw", action="store_true", help="also write per-repetition AUCs")
-    common(p)
+    common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -369,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--knots", type=int, default=6)
     p.add_argument("--spline-degree", type=int, default=3)
-    common(p)
+    common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_graph_experiment)
 
     p = sub.add_parser("centrality", help="export a topology covariate of the LCC")
@@ -387,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knots", type=int, default=6)
     p.add_argument("--spline-degree", type=int, default=3)
     p.add_argument("--folds", type=int, default=10)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_stack_fit)
 
     p = sub.add_parser("stack-predict", help="probabilities from a saved model")

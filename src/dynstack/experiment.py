@@ -12,7 +12,6 @@ accuracy differences across the covariate range.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +66,6 @@ class ExperimentConfig:
     reps: int = 10
     folds: int = 10
     seed: int = 0
-    nb_alpha: float = 1.0
-    ica_max_iterations: int = 100
     interior_knots: int = 6
     spline_degree: int = 3
     bins: int = 100
@@ -106,16 +103,13 @@ class LocalNaiveBayesClassifier:
 
     name = "local_nb"
 
-    def __init__(self, features, labels, n_classes: int, alpha: float = 1.0):
+    def __init__(self, features, labels, n_classes: int):
         self.features = features  # csr rows aligned with the instance indices
         self.labels = np.asarray(labels, dtype=np.int64)
         self.n_classes = n_classes
-        self.alpha = alpha
 
     def heldout_probs(self, fit_idx, heldout_idx):
-        model = fit_nb(
-            self.features[fit_idx], self.labels[fit_idx], self.n_classes, self.alpha
-        )
+        model = fit_nb(self.features[fit_idx], self.labels[fit_idx], self.n_classes)
         return predict_nb(model, self.features[heldout_idx])
 
 
@@ -146,13 +140,12 @@ class RelationalIcaClassifier:
 @dataclass
 class RepetitionResult:
     accuracies: dict[str, float]
-    hard: dict[str, np.ndarray]  # per-test-node hard predictions
+    hard: dict[str, np.ndarray]  # per-test-node hard predictions of the methods that fit
     y_test: np.ndarray
     test_u: np.ndarray
     curves_u: np.ndarray
     curves: np.ndarray
     curve_columns: list[str]
-    intercept: float
     lam: float
 
 
@@ -169,10 +162,8 @@ def run_graph_repetition(
     masked = graph.mask_labels(test)
     y = (graph.labels == 0).astype(np.int64)  # class 0 is the positive label
 
-    nb = LocalNaiveBayesClassifier(
-        features.matrix[train], graph.labels[train], graph.class_count, cfg.nb_alpha
-    )
-    ica_cfg = IcaConfig(cfg.ica_max_iterations, ica_seed)
+    nb = LocalNaiveBayesClassifier(features.matrix[train], graph.labels[train], graph.class_count)
+    ica_cfg = IcaConfig(order_seed=ica_seed)
     rel = RelationalIcaClassifier(masked, train, ica_cfg)
     level1 = build_level1(y[train], [nb, rel], cov.values[train], cfg.folds, fold_seed)
 
@@ -196,9 +187,7 @@ def run_graph_repetition(
             statics[name] = None
 
     # level-0 predictions for the test nodes from the full training set
-    nb_model = fit_nb(
-        features.matrix[train], graph.labels[train], graph.class_count, cfg.nb_alpha
-    )
+    nb_model = fit_nb(features.matrix[train], graph.labels[train], graph.class_count)
     nb_test = predict_nb(nb_model, features.matrix[test])
     rel_test = ica_run(masked, None, ica_cfg).probs[test]
     z_test = np.column_stack([nb_test[:, 0], rel_test[:, 0]])
@@ -211,7 +200,6 @@ def run_graph_repetition(
         preds[name] = None if model is None else predict_static(model, z_test, u_test)
     for name, p in preds.items():
         if p is None:
-            hard[name] = np.full(len(y_test), -1, dtype=np.int64)
             accuracies[name] = float("nan")
             continue
         hard[name] = (p > 0.5).astype(np.int64)
@@ -226,7 +214,6 @@ def run_graph_repetition(
         curves_u=curves_u,
         curves=coefficient_curves(dynamic, curves_u),
         curve_columns=list(level1.columns),
-        intercept=float(dynamic.coef[0]),
         lam=lam,
     )
 
@@ -243,10 +230,6 @@ class GraphExperimentReport:
     bin_hi: np.ndarray
     bin_counts: np.ndarray  # mean test count per bin
     bin_delta_correct: dict[str, np.ndarray]  # mean(dynamic - static) correct per bin
-    bin_accuracy: dict[str, np.ndarray]  # mean per-bin accuracy per method
-
-    def mean_accuracy(self, method: str) -> float:
-        return float(self.accuracies[method].mean())
 
 
 def run_graph_experiment(
@@ -302,14 +285,7 @@ def run_graph_experiment(
         counts.append(per_method_bins["dynamic"][-1].counts)
 
     first = per_method_bins["dynamic"][0]
-    n_bins = len(first.counts)
-    all_nan = np.full(n_bins, np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN (never hit) bins
-        bin_acc = {}
-        for m in methods:
-            stacks = [b.accuracies for b in per_method_bins[m] if b is not None]
-            bin_acc[m] = np.nanmean(np.vstack(stacks), axis=0) if stacks else all_nan
+    all_nan = np.full(len(first.counts), np.nan)
     delta = {}
     for m in STATIC_METHODS:
         diffs = [
@@ -330,5 +306,4 @@ def run_graph_experiment(
         bin_hi=first.bin_hi,
         bin_counts=np.mean(np.vstack(counts), axis=0),
         bin_delta_correct=delta,
-        bin_accuracy=bin_acc,
     )

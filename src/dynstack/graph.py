@@ -39,7 +39,6 @@ class GraphParseError(ValueError):
 class NodeCovariate:
     """Per-node scalar topology covariate."""
 
-    kind: str  # "degree" or "closeness_centrality"
     values: np.ndarray
 
     def __post_init__(self):
@@ -199,25 +198,40 @@ def parse_edge_list(lines) -> Graph:
     return Graph.build(list(ids), edges)
 
 
+class _LabelRows(list):
+    """``(id, label)`` pairs read from ``path``, row ``k`` on line ``lines[k]``."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.lines = path, []
+
+
+def _label_error(rows, k: int, message: str) -> GraphParseError:
+    if isinstance(rows, _LabelRows):
+        message = f"{rows.path} line {rows.lines[k]}: {message}"
+    return GraphParseError(message)
+
+
 def attach_labels(graph: Graph, rows) -> Graph:
     """Return a copy of ``graph`` with labels from ``(id, label)`` pairs.
 
     The class vocabulary is the distinct label strings in first-seen
     order; nodes not mentioned stay unobserved. Unknown ids and
-    conflicting duplicates are errors; consistent duplicates are fine.
+    conflicting duplicates are errors, which name the file and line of a
+    row read by :func:`read_label_file`; consistent duplicates are fine.
     """
     index = {nid: i for i, nid in enumerate(graph.node_ids)}
     classes: dict[str, int] = {}
     labels = np.full(graph.n_nodes, -1, dtype=np.int64)
-    for node_id, label in rows:
+    for k, (node_id, label) in enumerate(rows):
         if node_id not in index:
-            raise GraphParseError(f"label for unknown node id {node_id!r}")
+            raise _label_error(rows, k, f"label for unknown node id {node_id!r}")
         if label not in classes:
             classes[label] = len(classes)
         c = classes[label]
         i = index[node_id]
         if labels[i] != -1 and labels[i] != c:
-            raise GraphParseError(f"conflicting labels for node {node_id!r}")
+            raise _label_error(rows, k, f"conflicting labels for node {node_id!r}")
         labels[i] = c
     return graph.with_labels(labels, list(classes))
 
@@ -225,9 +239,10 @@ def attach_labels(graph: Graph, rows) -> Graph:
 def read_label_file(path) -> list[tuple[str, str]]:
     """Read a ``node_id,label`` CSV; a literal header row is tolerated.
 
-    A malformed row raises :class:`GraphParseError` naming the file and line.
+    A malformed row raises :class:`GraphParseError` naming the file and
+    line; the returned list keeps both for :func:`attach_labels`.
     """
-    rows = []
+    rows = _LabelRows(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for rec in reader:
@@ -240,6 +255,7 @@ def read_label_file(path) -> list[tuple[str, str]]:
             if rec == ["node_id", "label"]:
                 continue
             rows.append((rec[0], rec[1]))
+            rows.lines.append(reader.line_num)
     return rows
 
 
@@ -260,7 +276,7 @@ def largest_connected_component(graph: Graph) -> Graph:
 
 def degree(graph: Graph) -> NodeCovariate:
     """Unweighted neighbor count per node."""
-    return NodeCovariate("degree", np.diff(graph._indptr).astype(float))
+    return NodeCovariate(np.diff(graph._indptr).astype(float))
 
 
 def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
@@ -277,7 +293,7 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
     if n == 0:
         raise ValueError("empty graph")
     if n == 1:
-        return NodeCovariate("closeness_centrality", np.zeros(1))
+        return NodeCovariate(np.zeros(1))
     # the stored-entry pattern: each product entry counts frontier
     # neighbours, at most the degree < 2**24, so float32 is exact
     ones = np.ones(len(graph._indices), dtype=np.float32)
@@ -304,7 +320,7 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
             total += hop * counts
             reached += int(counts.sum())
         totals[lo : lo + k] = total
-    return NodeCovariate("closeness_centrality", 1.0 / totals)
+    return NodeCovariate(1.0 / totals)
 
 
 def split_nodes(graph: Graph, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

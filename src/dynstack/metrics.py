@@ -15,11 +15,11 @@ __all__ = [
 ]
 
 
-def accuracy(predicted: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -> float:
+def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of correct predictions.
 
     Float input is read as positive-class probabilities and thresholded
-    with a strict ``> threshold`` (so an exact 0.5 predicts class 0);
+    with a strict ``> 0.5`` (so an exact 0.5 predicts class 0);
     integer input is compared to ``truth`` directly, which also covers
     multi-class hard labels.
     """
@@ -30,7 +30,7 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray, threshold: float = 0.5) -
     if predicted.size == 0:
         raise ValueError("empty input")
     if np.issubdtype(predicted.dtype, np.floating):
-        predicted = (predicted > threshold).astype(np.int64)
+        predicted = (predicted > 0.5).astype(np.int64)
     return float(np.mean(predicted == truth))
 
 
@@ -51,7 +51,6 @@ def binned_accuracy(
     values: np.ndarray,
     bins: int = 100,
     integer_bins: bool = False,
-    threshold: float = 0.5,
     value_range: tuple[float, float] | None = None,
 ) -> BinnedAccuracy:
     """Classification accuracy inside equal-width covariate bins.
@@ -69,7 +68,7 @@ def binned_accuracy(
     if not (len(predicted) == len(truth) == len(values)):
         raise ValueError("inputs must be aligned")
     if np.issubdtype(predicted.dtype, np.floating):
-        predicted = (predicted > threshold).astype(np.int64)
+        predicted = (predicted > 0.5).astype(np.int64)
     correct = (predicted == truth).astype(float)
 
     if integer_bins:

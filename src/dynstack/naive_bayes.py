@@ -41,19 +41,14 @@ class NaiveBayesModel:
         return self.log_likelihoods.shape[1]
 
 
-def parse_feature_file(lines, node_ids, vocabulary: list[str] | None = None) -> SparseFeatures:
+def parse_feature_file(lines, node_ids) -> SparseFeatures:
     """Parse ``node_id term:weight term:weight ...`` lines.
 
     Rows align with ``node_ids``; nodes absent from the file get empty
-    feature vectors. Without a ``vocabulary``, terms are interned in
-    first-seen order; with one, unknown terms are dropped (they carry no
-    evidence for a model fitted on that vocabulary).
+    feature vectors. Terms are interned in first-seen order.
     """
     index = {nid: i for i, nid in enumerate(node_ids)}
-    vocab: dict[str, int] = (
-        {t: i for i, t in enumerate(vocabulary)} if vocabulary is not None else {}
-    )
-    extend = vocabulary is None
+    vocab: dict[str, int] = {}
     rows, cols, vals = [], [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -73,12 +68,8 @@ def parse_feature_file(lines, node_ids, vocabulary: list[str] | None = None) -> 
                 raise GraphParseError(f"line {lineno}: non-numeric weight in {tok!r}") from None
             if w < 0 or not np.isfinite(w):
                 raise GraphParseError(f"line {lineno}: invalid weight in {tok!r}")
-            if term not in vocab:
-                if not extend:
-                    continue
-                vocab[term] = len(vocab)
             rows.append(index[node_id])
-            cols.append(vocab[term])
+            cols.append(vocab.setdefault(term, len(vocab)))
             vals.append(w)
     matrix = csr_matrix(
         (np.asarray(vals, dtype=float), (rows, cols)), shape=(len(node_ids), len(vocab))

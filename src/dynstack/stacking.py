@@ -211,33 +211,19 @@ def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
     return x / d
 
 
-def _newton_penalized(
-    x: np.ndarray,
-    y: np.ndarray,
-    penalty: np.ndarray | None,
-    config: FitConfig,
-    coef0: np.ndarray | None = None,
-):
-    """Minimize ``-loglik(X beta) + beta' P beta`` by damped Newton.
+def _penalty_eigenbasis(basis: BSplineBasis, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, rot)`` with the block curvature penalty equal to ``rot diag(s) rot'``.
 
-    Returns ``(coef, objective_path, converged)``. Step halving enforces
-    a non-increasing objective; convergence is a relative objective
-    change below ``config.newton_tol``.
-
-    The quadratic penalty is applied in its own eigenbasis. That keeps
-    the Hessian's penalty null space (intercept and, for curvature
-    penalties, the linear weight curves) numerically clean even when the
-    penalty scale dwarfs the likelihood curvature, e.g. in the
-    lambda -> infinity linearization limit.
+    The dynamic model is fitted on the rotated design ``X rot``, where the
+    penalty is diagonal. That keeps the Hessian's penalty null space
+    (intercept and the linear weight curves) numerically clean even when
+    the penalty scale dwarfs the likelihood curvature, e.g. in the
+    lambda -> infinity linearization limit. The basis does not depend on
+    lambda, so one decomposition serves every fit.
     """
-    if penalty is None:
-        return _newton_diag(x, y, None, config, coef0)
-    s, rot = np.linalg.eigh((penalty + penalty.T) / 2.0)
+    s, rot = np.linalg.eigh(assemble_block_penalty(curvature_penalty(basis), p))
     # snap the null space to exactly zero so no penalty round-off bleeds in
-    s = np.where(s > 1e-9 * max(float(s[-1]), 0.0), s, 0.0)
-    start = None if coef0 is None else rot.T @ np.asarray(coef0, dtype=float)
-    gamma, path, converged = _newton_diag(x @ rot, y, s, config, start)
-    return rot @ gamma, path, converged
+    return np.where(s > 1e-9 * max(float(s[-1]), 0.0), s, 0.0), rot
 
 
 def _newton_diag(
@@ -247,7 +233,12 @@ def _newton_diag(
     config: FitConfig,
     coef0: np.ndarray | None = None,
 ):
-    """Damped Newton for ``-loglik + sum_k pen_diag[k] * beta_k^2``."""
+    """Minimize ``-loglik(X beta) + sum_k pen_diag[k] * beta_k^2`` by damped Newton.
+
+    Returns ``(coef, objective_path, converged)``. Step halving enforces
+    a non-increasing objective; convergence is a relative objective
+    change below ``config.newton_tol``.
+    """
     d = x.shape[1]
     beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
 
@@ -302,20 +293,20 @@ def _newton_diag(
 
 
 def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None):
-    """Logistic fit with penalty ``strength * b'(pen)b``, or ``strength * |b|_1``
-    on the coordinates ``pen`` penalizes when ``lasso``; ``pen`` None is plain
-    logistic. Returns ``(coef, objective_path, converged)``."""
+    """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
+    ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
+    ``pen`` None is plain logistic. Returns ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
         return _lasso_logistic(x, y, strength, config, coef0)
-    penalty = strength * pen if pen is not None and strength > 0 else None
-    return _newton_penalized(x, y, penalty, config, coef0)
+    pen_diag = strength * pen if pen is not None and strength > 0 else None
+    return _newton_diag(x, y, pen_diag, config, coef0)
 
 
-def _fit_checked(x, y, pen, strength, lasso, config: FitConfig, coef0=None):
+def _fit_checked(x, y, pen, strength, lasso, config: FitConfig):
     """:func:`_fit` for a final model. Without an effective penalty (strength 0,
     or ``pen`` None or all zero as for a degree <= 1 basis) separable classes
     send the coefficients to infinity, so such a fit raises instead."""
-    coef, path, converged = _fit(x, y, pen, strength, lasso, config, coef0)
+    coef, path, converged = _fit(x, y, pen, strength, lasso, config)
     unpenalized = strength == 0 or pen is None or not pen.any()
     if unpenalized and (not converged or np.abs(coef).max() > 1e2):
         raise ConvergenceError(
@@ -409,20 +400,26 @@ def fit_dynamic(
     lam: float,
     basis: BSplineBasis,
     config: FitConfig = FitConfig(),
-    coef0: np.ndarray | None = None,
 ) -> DynamicStackModel:
     """Fit the varying-coefficient model at a fixed penalty strength."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    x = dynamic_design(data.z, data.u, basis)
-    if data.n < x.shape[1]:
+    width = 1 + data.p * basis.size
+    if data.n < width:
         warnings.warn(
-            f"{data.n} observations for {x.shape[1]} coefficients; "
+            f"{data.n} observations for {width} coefficients; "
             "expect an unstable fit",
             stacklevel=2,
         )
-    pen = assemble_block_penalty(curvature_penalty(basis), data.p) if lam > 0 else None
-    coef, path, converged = _fit_checked(x, data.y, pen, lam, False, config, coef0)
+    if lam > 0:
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        gamma, path, converged = _fit_checked(
+            dynamic_design(data.z, data.u, basis) @ rot, data.y, pen, lam, False, config
+        )
+        coef = rot @ gamma
+    else:
+        x = dynamic_design(data.z, data.u, basis)
+        coef, path, converged = _fit_checked(x, data.y, None, 0.0, False, config)
     return DynamicStackModel(
         coef=coef,
         basis=basis,
@@ -473,8 +470,9 @@ def select_lambda(
     """
     if basis is None:
         basis = default_basis(data.u)
-    x = dynamic_design(data.z, data.u, basis)
-    pen = assemble_block_penalty(curvature_penalty(basis), data.p)
+    pen, rot = _penalty_eigenbasis(basis, data.p)
+    # held-out scores need only X beta, so the fits stay in the rotated basis
+    x = dynamic_design(data.z, data.u, basis) @ rot
     return _cv_profile(x, data.y, pen, False, config, seed)
 
 
@@ -637,10 +635,10 @@ def fit_static(
 
 
 def _static_penalty(width: int, penalty: str) -> np.ndarray | None:
-    """Ridge and lasso act on every coefficient but the intercept."""
+    """Per-coefficient weights: ridge and lasso act on all but the intercept."""
     if penalty not in STATIC_PENALTIES:
         raise ValueError(f"unknown penalty {penalty!r}; expected one of {STATIC_PENALTIES}")
-    return None if penalty == "none" else np.diag(np.r_[0.0, np.ones(width - 1)])
+    return None if penalty == "none" else np.r_[0.0, np.ones(width - 1)]
 
 
 def select_strength(

@@ -21,6 +21,9 @@ from .graph import Graph, attach_labels, parse_edge_list
 __all__ = ["SyntheticNetwork", "planted_homophily_network"]
 
 POSITIVE, NEGATIVE = "topic/positive", "topic/negative"
+# the network's shape; planted_homophily_network says what each one does
+STUBS_LO, STUBS_HI, HOMOPHILY_HI = 2, 8, 0.92
+FEATURE_FIDELITY, N_NOISE_TERMS = 0.75, 10
 
 
 @dataclass(frozen=True)
@@ -42,24 +45,16 @@ class SyntheticNetwork:
             fh.write("\n".join(self.feature_lines) + "\n")
 
 
-def planted_homophily_network(
-    n_nodes: int = 800,
-    seed: int = 0,
-    stubs_lo: int = 2,
-    stubs_hi: int = 8,
-    homophily_hi: float = 0.92,
-    feature_fidelity: float = 0.75,
-    n_noise_terms: int = 10,
-) -> SyntheticNetwork:
+def planted_homophily_network(n_nodes: int = 800, seed: int = 0) -> SyntheticNetwork:
     """Generate a binary-labeled network plus bag-of-words features.
 
-    Half the nodes are high-budget: they draw ``stubs_hi`` edge stubs and
-    attach, with probability ``homophily_hi``, to a same-label partner
+    Half the nodes are high-budget: they draw ``STUBS_HI`` edge stubs and
+    attach, with probability ``HOMOPHILY_HI``, to a same-label partner
     inside the high-budget core (uniformly anywhere otherwise). The
-    other half draw ``stubs_lo`` stubs attached uniformly at random, so
+    other half draw ``STUBS_LO`` stubs attached uniformly at random, so
     their neighborhoods carry no label signal of their own. Every node
     emits one class-signal token that is correct with probability
-    ``feature_fidelity`` plus two noise tokens, so local-classifier
+    ``FEATURE_FIDELITY`` plus two noise tokens, so local-classifier
     accuracy stays flat across degrees while relational accuracy climbs
     steeply with degree.
     """
@@ -72,9 +67,9 @@ def planted_homophily_network(
     everyone = np.arange(n_nodes)
     pairs: set[tuple[int, int]] = set()
     for i in range(n_nodes):
-        stubs = stubs_hi if high[i] else stubs_lo
+        stubs = STUBS_HI if high[i] else STUBS_LO
         for _ in range(stubs):
-            if high[i] and rng.uniform() < homophily_hi:
+            if high[i] and rng.uniform() < HOMOPHILY_HI:
                 pool = core_by_label[labels[i]]
             else:
                 pool = everyone
@@ -91,10 +86,10 @@ def planted_homophily_network(
 
     feature_lines = []
     for i in range(n_nodes):
-        correct = rng.uniform() < feature_fidelity
+        correct = rng.uniform() < FEATURE_FIDELITY
         shown = labels[i] if correct else 1 - labels[i]
         toks = [f"sig{shown}:1"]
-        for t in rng.integers(0, n_noise_terms, 2):
+        for t in rng.integers(0, N_NOISE_TERMS, 2):
             toks.append(f"noise{t}:1")
         feature_lines.append(f"{ids[i]} " + " ".join(toks))
 

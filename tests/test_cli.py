@@ -1,11 +1,12 @@
+import argparse
 import csv
 import re
 
 import numpy as np
 import pytest
 
-from dynstack.cli import main
-from dynstack.simulation import generate_case
+from dynstack.cli import build_parser, main
+from dynstack.simulation import METHODS, generate_case
 from dynstack.stacking import load_model, write_level1
 from dynstack.synth import planted_homophily_network
 
@@ -178,6 +179,30 @@ class TestGraphExperimentCommand:
         err = capsys.readouterr().err
         assert re.search(message, err), err
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ("a,p\nzz,q\n", "labels.csv line 2: label for unknown node id 'zz'"),
+            ("a,p\n\na,q\n", "labels.csv line 3: conflicting labels for node 'a'"),
+        ],
+        ids=["unknown", "conflicting"],
+    )
+    def test_bad_label_names_file_and_line(self, tmp_path, capsys, labels, message):
+        (tmp_path / "edges.txt").write_text("a b\nb c\n")
+        (tmp_path / "labels.csv").write_text(labels)
+        (tmp_path / "features.txt").write_text("a w:1\n")
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(tmp_path / "edges.txt"),
+                "--labels", str(tmp_path / "labels.csv"),
+                "--features", str(tmp_path / "features.txt"),
+                "--positive-label", "p", "--out", str(tmp_path / "gx"),
+            ]
+        )
+        assert code == 1
+        assert f"error: {tmp_path / message}" in capsys.readouterr().err
+
     def test_disconnected_closeness_mentions_lcc_flag(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("a b\nb c\nx y\n")
@@ -255,3 +280,73 @@ class TestStackCommands:
         ) == 0
         with pytest.raises(SystemExit, match="dynamic"):
             main(["curves", "--model", str(out / "model.txt"), "--out", str(tmp_path / "c")])
+
+
+def parsed_flags(command):
+    """Destinations of the options ``command`` accepts, without ``--out``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest
+        for a in sub.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "out")
+    }
+
+
+def manifest_keys(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return {line.split(" = ", 1)[0] for line in lines} - {"command"}
+
+
+class TestManifest:
+    @pytest.fixture(scope="class")
+    def runs(self, network_files, level1_file, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest")
+        edges = str(network_files / "edges.txt")
+        model = str(root / "stack-fit" / "model.txt")
+        argv = {
+            "simulate": ["--case", "1", "--n", "150", "--reps", "2", "--folds", "3"],
+            "graph-experiment": [
+                "--edges", edges,
+                "--labels", str(network_files / "labels.csv"),
+                "--features", str(network_files / "features.txt"),
+                "--covariate", "degree", "--test-fraction", "0.5",
+                "--reps", "1", "--folds", "3", "--positive-label", "topic/positive",
+            ],
+            "centrality": ["--edges", edges, "--kind", "degree"],
+            "stack-fit": ["--level1", str(level1_file), "--lam", "1.0"],
+            "stack-predict": ["--model", model, "--data", str(level1_file)],
+            "curves": ["--model", model, "--points", "5"],
+        }
+        for command, flags in argv.items():
+            assert main([command, *flags, "--out", str(root / command)]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "graph-experiment", "centrality", "stack-fit", "stack-predict", "curves"],
+    )
+    def test_keys_are_the_parsed_flags(self, runs, command):
+        extra = {"chosen_strength"} if command == "stack-fit" else set()
+        assert manifest_keys(runs / command) == parsed_flags(command) | extra
+        assert (runs / command / "manifest.txt").read_text().startswith(f"command = {command}\n")
+
+    def test_resolved_values(self, runs):
+        sim = (runs / "simulate" / "manifest.txt").read_text()
+        assert "methods = " + ",".join(METHODS) + "\n" in sim
+        fit = (runs / "stack-fit" / "manifest.txt").read_text()
+        assert "lam = 1.0\n" in fit and "strength = cv\n" in fit
+        assert "chosen_strength = 1.0\n" in fit
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["centrality", "--edges", "e.txt", "--threads", "2"],
+            ["curves", "--model", "m.txt", "--seed", "1"],
+        ],
+        ids=["centrality-threads", "curves-seed"],
+    )
+    def test_unread_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

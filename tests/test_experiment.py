@@ -145,7 +145,6 @@ class TestExperimentDriver:
         # everything else is untouched
         assert not np.isnan(rep.accuracies["dynamic"]).any()
         assert not np.isnan(rep.accuracies["ridge_m3"]).any()
-        assert np.isnan(rep.bin_accuracy["logistic_m3"]).all()
 
     def test_threads_match_sequential(self, planted_network, planted_features):
         seq = run_graph_experiment(

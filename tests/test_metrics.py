@@ -10,7 +10,7 @@ class TestAccuracy:
         assert accuracy(np.array([1, 0, 1]), np.array([1, 0, 1])) == 1.0
 
     def test_exact_half_probability_predicts_class_zero(self):
-        # strict > threshold: 0.5 maps to 0, so all-ones truth scores 0
+        # strict > 0.5: 0.5 maps to 0, so all-ones truth scores 0
         assert accuracy(np.array([0.5, 0.5]), np.array([1, 1])) == 0.0
 
     def test_hand_count(self):

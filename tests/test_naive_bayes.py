@@ -28,11 +28,6 @@ class TestParseFeatureFile:
         with pytest.raises(GraphParseError, match="unknown node"):
             parse_feature_file(["z w:1"], ["a"])
 
-    def test_fixed_vocabulary_drops_oov(self):
-        f = parse_feature_file(["a w1:1 new:5"], ["a"], vocabulary=["w1", "w2"])
-        assert f.vocabulary == ["w1", "w2"]
-        np.testing.assert_array_equal(f.matrix.toarray(), [[1, 0]])
-
     def test_bad_weight_rejected(self):
         with pytest.raises(GraphParseError):
             parse_feature_file(["a w:x"], ["a"])
