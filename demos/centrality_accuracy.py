@@ -54,8 +54,9 @@ for k in range(len(deg_bins[0].counts)):
     counts = np.array([b.counts[k] for b in deg_bins])
     if counts.sum() < reps:  # skip nearly-empty bins
         continue
-    accs = np.array([b.accuracies[k] for b in deg_bins])
-    mean = np.nanmean(accs)
+    correct = np.array([b.correct[k] for b in deg_bins])
+    seen = counts > 0
+    mean = np.mean(correct[seen] / counts[seen])
     print(f"  degree {int(deg_bins[0].bin_lo[k]):2d}   n~{counts.mean():6.1f}   acc {mean:.3f}   "
           + "#" * int(round(mean * 40)))
 
@@ -64,8 +65,9 @@ for k in range(len(clo_bins[0].counts)):
     counts = np.array([b.counts[k] for b in clo_bins])
     if counts.sum() < reps:
         continue
-    accs = np.array([b.accuracies[k] for b in clo_bins])
-    mean = np.nanmean(accs)
+    correct = np.array([b.correct[k] for b in clo_bins])
+    seen = counts > 0
+    mean = np.mean(correct[seen] / counts[seen])
     lo, hi = clo_bins[0].bin_lo[k], clo_bins[0].bin_hi[k]
     print(f"  [{lo:.5f}, {hi:.5f})   n~{counts.mean():6.1f}   acc {mean:.3f}   "
           + "#" * int(round(mean * 40)))

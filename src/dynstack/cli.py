@@ -74,6 +74,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _write_curves(path: Path, columns: list[str], grid, curves) -> None:
+    """One row per grid point: ``u`` then every weight curve's value there."""
+    rows = [[repr(float(u))] + [repr(float(v)) for v in row] for u, row in zip(grid, curves)]
+    _write_csv(path, ["u"] + list(columns), rows)
+
+
 def _parse_file(parse, path, *args):
     """Run a ``line N: ...`` line parser on a file; errors name the file."""
     try:
@@ -188,14 +194,7 @@ def cmd_graph_experiment(args) -> int:
         ["method", "bin_lo", "bin_hi", "mean_count", "mean_delta_correct"],
         delta_rows,
     )
-    _write_csv(
-        out / "coefficient_curves.csv",
-        ["u"] + report.curve_columns,
-        [
-            [repr(float(u))] + [repr(float(v)) for v in row]
-            for u, row in zip(report.curves_u, report.curves)
-        ],
-    )
+    _write_curves(out / "coefficient_curves.csv", report.curve_columns, report.curves_u, report.curves)
     _write_manifest(out, args)
     return 0
 
@@ -273,15 +272,7 @@ def cmd_curves(args) -> int:
     if not isinstance(model, DynamicStackModel):
         raise SystemExit("error: coefficient curves require a dynamic model file")
     grid = np.linspace(model.basis.u_lo, model.basis.u_hi, args.points)
-    curves = coefficient_curves(model, grid)
-    _write_csv(
-        out / "curves.csv",
-        ["u"] + list(model.columns),
-        [
-            [repr(float(u))] + [repr(float(v)) for v in row]
-            for u, row in zip(grid, curves)
-        ],
-    )
+    _write_curves(out / "curves.csv", model.columns, grid, coefficient_curves(model, grid))
     _write_manifest(out, args)
     return 0
 

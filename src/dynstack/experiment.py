@@ -30,6 +30,7 @@ from .relational import IcaConfig, ica_run
 from .simulation import child_seeds, map_reps
 from .stacking import (
     ConvergenceError,
+    DynamicStackModel,
     FitConfig,
     build_level1,
     default_basis,
@@ -143,10 +144,7 @@ class RepetitionResult:
     hard: dict[str, np.ndarray]  # per-test-node hard predictions of the methods that fit
     y_test: np.ndarray
     test_u: np.ndarray
-    curves_u: np.ndarray
-    curves: np.ndarray
-    curve_columns: list[str]
-    lam: float
+    model: DynamicStackModel
 
 
 def run_graph_repetition(
@@ -205,16 +203,8 @@ def run_graph_repetition(
         hard[name] = (p > 0.5).astype(np.int64)
         accuracies[name] = accuracy(hard[name], y_test)
 
-    curves_u = np.linspace(basis.u_lo, basis.u_hi, 200)
     return RepetitionResult(
-        accuracies=accuracies,
-        hard=hard,
-        y_test=y_test,
-        test_u=u_test,
-        curves_u=curves_u,
-        curves=coefficient_curves(dynamic, curves_u),
-        curve_columns=list(level1.columns),
-        lam=lam,
+        accuracies=accuracies, hard=hard, y_test=y_test, test_u=u_test, model=dynamic
     )
 
 
@@ -295,13 +285,16 @@ def run_graph_experiment(
         ]
         delta[m] = np.mean(np.vstack(diffs), axis=0) if diffs else all_nan
 
+    # only the first repetition's weight curves are reported
+    model = results[0].model
+    curves_u = np.linspace(model.basis.u_lo, model.basis.u_hi, 200)
     return GraphExperimentReport(
         methods=methods,
         accuracies=accuracies,
         comparisons=comparisons,
-        curves_u=results[0].curves_u,
-        curves=results[0].curves,
-        curve_columns=results[0].curve_columns,
+        curves_u=curves_u,
+        curves=coefficient_curves(model, curves_u),
+        curve_columns=model.columns,
         bin_lo=first.bin_lo,
         bin_hi=first.bin_hi,
         bin_counts=np.mean(np.vstack(counts), axis=0),

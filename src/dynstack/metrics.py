@@ -36,12 +36,11 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BinnedAccuracy:
-    """Per-bin correctness over a covariate; empty bins have NaN accuracy."""
+    """Per-bin test counts and correct predictions over a covariate."""
 
     bin_lo: np.ndarray
     bin_hi: np.ndarray
     counts: np.ndarray
-    accuracies: np.ndarray
     correct: np.ndarray
 
 
@@ -53,7 +52,8 @@ def binned_accuracy(
     integer_bins: bool = False,
     value_range: tuple[float, float] | None = None,
 ) -> BinnedAccuracy:
-    """Classification accuracy inside equal-width covariate bins.
+    """Test counts and correct predictions inside equal-width covariate bins;
+    a bin's accuracy is ``correct / counts``.
 
     Bins are half-open with the last one closed, and a value landing
     exactly on an interior edge goes to the right-hand bin. With
@@ -100,9 +100,7 @@ def binned_accuracy(
 
     counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
     hits = np.bincount(idx, weights=correct, minlength=n_bins)
-    with np.errstate(invalid="ignore"):
-        accs = np.where(counts > 0, hits / np.maximum(counts, 1), np.nan)
-    return BinnedAccuracy(lo, hi, counts, accs, hits)
+    return BinnedAccuracy(lo, hi, counts, hits)
 
 
 @dataclass(frozen=True)

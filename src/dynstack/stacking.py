@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .splines import BSplineBasis, assemble_block_penalty, basis_matrix, curvature_penalty, make_basis
 
@@ -60,7 +60,7 @@ def sigmoid(x):
 
 def _neg_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     # log(1 + exp(eta)) - y*eta, stable for large |eta|
-    return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+    return float((np.logaddexp(0.0, eta) - y * eta).sum())
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,25 @@ def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
 
     Jacobi-equilibrated Cholesky keeps huge penalty scales solvable; on
     failure the diagonal jitter escalates before falling back to lstsq.
+    LAPACK is called directly: the scipy wrappers cost several times the
+    factorization at the sizes fitted here.
     """
     d = np.sqrt(np.clip(np.diag(a), 1e-300, None))
     scaled = a / d[:, None] / d[None, :]
     rhs = g / d
+    if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
+        raise ValueError("cannot solve a system holding infs or NaNs")
     bump = jitter
-    eye = np.eye(len(g))
     for _ in range(6):
-        try:
-            c = cho_factor(scaled + bump * eye, lower=True)
-            return cho_solve(c, rhs) / d
-        except np.linalg.LinAlgError:
-            bump = max(bump * 100.0, 1e-14)
-    x, *_ = np.linalg.lstsq(scaled + bump * eye, rhs, rcond=None)
+        c, info = dpotrf(scaled + bump * np.eye(len(g)) if bump else scaled, lower=1, clean=0)
+        if info == 0:
+            x, info = dpotrs(c, rhs, lower=1)
+            if info == 0:
+                return x / d
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info} of the Cholesky solve")
+        bump = max(bump * 100.0, 1e-14)
+    x, *_ = np.linalg.lstsq(scaled + bump * np.eye(len(g)), rhs, rcond=None)
     return x / d
 
 
@@ -248,6 +254,7 @@ def _newton_diag(
             val += float(pen_diag @ (b * b))
         return val
 
+    pen2 = None if pen_diag is None else 2.0 * pen_diag
     eta = x @ beta
     f = objective(beta, eta)
     if not np.isfinite(f):
@@ -260,8 +267,8 @@ def _newton_diag(
         w = mu * (1.0 - mu)
         hess = (x * w[:, None]).T @ x
         if pen_diag is not None:
-            grad += 2.0 * pen_diag * beta
-            hess = hess + np.diag(2.0 * pen_diag)
+            grad += pen2 * beta
+            hess.flat[:: d + 1] += pen2
         step = _solve_spd(hess, -grad, HESSIAN_JITTER)
 
         t = 1.0
@@ -292,12 +299,13 @@ def _newton_diag(
 # one level-1 fit and one cross-validation driver for every generalizer
 
 
-def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None):
+def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None):
     """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
     ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
-    ``pen`` None is plain logistic. Returns ``(coef, objective_path, converged)``."""
+    ``pen`` None is plain logistic. ``null_fit`` may pass in
+    :func:`_lasso_null_fit` of ``(x, y)``. Returns ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
-        return _lasso_logistic(x, y, strength, config, coef0)
+        return _lasso_logistic(x, y, strength, coef0, null_fit)
     pen_diag = strength * pen if pen is not None and strength > 0 else None
     return _newton_diag(x, y, pen_diag, config, coef0)
 
@@ -340,9 +348,10 @@ def _cv_profile(x, y, pen, lasso, config: FitConfig, seed: int):
     for heldout in fold_idx:
         fit_rows = np.setdiff1d(all_rows, heldout)
         x_fit, y_fit, x_out, y_out = x[fit_rows], y[fit_rows], x[heldout], y[heldout]
+        null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
         coef = None
         for gi, s in enumerate(config.lambda_grid):
-            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef)
+            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit)
             scores[gi] += _neg_loglik(x_out @ coef, y_out)
 
     best = 0
@@ -520,10 +529,10 @@ def _lasso_working_solve(gram, c, strength, b0):
     KKT violator once the set is optimal; the step cap only stops round-off cycles.
     """
     b = np.asarray(b0, dtype=float).copy()
-    sign = np.r_[0.0, np.sign(b[1:])]
+    sign = np.concatenate(([0.0], np.sign(b[1:])))
     for _ in range(100 * len(c)):
-        idx = np.r_[0, np.flatnonzero(sign)]
-        sol = _solve_spd(gram[np.ix_(idx, idx)], c[idx] - strength * sign[idx], 0.0)
+        idx = np.concatenate(([0], np.flatnonzero(sign)))
+        sol = _solve_spd(gram[idx[:, None], idx], c[idx] - strength * sign[idx], 0.0)
         flip = np.flatnonzero(sol * sign[idx] < 0.0)
         if flip.size:
             t = b[idx[flip]] / (b[idx[flip]] - sol[flip])
@@ -541,7 +550,16 @@ def _lasso_working_solve(gram, c, strength, b0):
     return b
 
 
-def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
+def _lasso_null_fit(x, y):
+    """``(intercept_only, critical)``: the intercept-only fit, and the strength
+    at and above which it is the lasso optimum (it depends on no strength)."""
+    ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
+    intercept_only = np.r_[np.log(ybar / (1 - ybar)), np.zeros(x.shape[1] - 1)]
+    mu0 = sigmoid(x @ intercept_only)
+    return intercept_only, np.abs(x[:, 1:].T @ (y - mu0)).max(initial=0.0)
+
+
+def _lasso_logistic(x, y, strength, coef0=None, null_fit=None):
     """L1-penalized logistic fit (intercept free).
 
     Proximal Newton: each outer step solves the weighted least-squares
@@ -549,16 +567,13 @@ def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
     direction until the true objective does not increase, and stops when
     the exact subgradient optimality conditions hold.
     """
-    ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
-    intercept_only = np.r_[np.log(ybar / (1 - ybar)), np.zeros(x.shape[1] - 1)]
+    intercept_only, critical = _lasso_null_fit(x, y) if null_fit is None else null_fit
     kkt_tol = 1e-8
 
     def objective(b):
         return _neg_loglik(x @ b, y) + strength * np.abs(b[1:]).sum()
 
-    # above the critical strength the intercept-only fit is already optimal
-    mu0 = sigmoid(x @ intercept_only)
-    if np.abs(x[:, 1:].T @ (y - mu0)).max(initial=0.0) <= strength + kkt_tol:
+    if critical <= strength + kkt_tol:
         return intercept_only, [objective(intercept_only)], True
 
     beta = intercept_only if coef0 is None else np.asarray(coef0, dtype=float).copy()
@@ -593,8 +608,11 @@ def _lasso_logistic(x, y, strength, config: FitConfig, coef0=None):
             if np.isfinite(f_cand) and f_cand <= f_prev + 1e-12 * (1 + abs(f_prev)):
                 break
             t *= 0.5
-        beta = beta + t * direction
-        path.append(objective(beta))
+        else:
+            cand = beta + t * direction
+            f_cand = objective(cand)
+        beta = cand
+        path.append(f_cand)
     return beta, path, converged
 
 

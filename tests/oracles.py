@@ -6,8 +6,9 @@ fits go through explicit iteratively-reweighted least squares on
 ``numpy.linalg.lstsq``, AUC enumerates all positive/negative pairs, the
 curvature penalty integrates on a dense grid, and graph components come
 from plain set expansion. The lasso working problem is solved by trying
-every support and sign pattern. Collective inference re-scores every
-visited node on every sweep.
+every support and sign pattern. The Newton-step linear solve goes
+through scipy's ``cho_factor``/``cho_solve`` wrappers, not LAPACK directly.
+Collective inference re-scores every visited node on every sweep.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg import cho_factor, cho_solve
 
 
 def irls_logistic(x: np.ndarray, y: np.ndarray, max_iter: int = 200, tol: float = 1e-12):
@@ -65,6 +67,28 @@ def lasso_quadratic_bruteforce(gram, c, strength: float) -> np.ndarray:
         if val < best_val:
             best, best_val = b, val
     return best
+
+
+def cholesky_solve_reference(a, g, jitter: float) -> np.ndarray:
+    """The Newton-step solve of ``a x = g`` through scipy's Cholesky wrappers.
+
+    Same algorithm as the library's: Jacobi equilibration, a diagonal
+    jitter that escalates while the factorization fails, then lstsq. The
+    same LAPACK routines run underneath, so results agree bit for bit.
+    """
+    d = np.sqrt(np.clip(np.diag(a), 1e-300, None))
+    scaled = a / d[:, None] / d[None, :]
+    rhs = g / d
+    bump = jitter
+    eye = np.eye(len(g))
+    for _ in range(6):
+        try:
+            c = cho_factor(scaled + bump * eye, lower=True)
+            return cho_solve(c, rhs) / d
+        except np.linalg.LinAlgError:
+            bump = max(bump * 100.0, 1e-14)
+    x, *_ = np.linalg.lstsq(scaled + bump * eye, rhs, rcond=None)
+    return x / d
 
 
 def brute_force_auc(scores, labels) -> float:

@@ -330,7 +330,7 @@ class TestCriterion7MetricsConsistency:
             vals = rng.normal(0, 3, n)
             b = binned_accuracy(pred, truth, vals, bins=int(rng.integers(1, 50)))
             ok = b.counts > 0
-            weighted = float((b.accuracies[ok] * b.counts[ok]).sum() / b.counts.sum())
+            weighted = float((b.correct[ok] / b.counts[ok] * b.counts[ok]).sum() / b.counts.sum())
             worst = max(worst, abs(weighted - accuracy(pred, truth)))
         report(7, "binned accuracy consistency", worst < 1e-12, f"max diff {worst:.1e}")
 

@@ -96,8 +96,8 @@ class TestRepetition:
         )}
         for v in res.accuracies.values():
             assert 0.0 <= v <= 1.0
-        assert res.curves.shape == (200, 2)
-        assert res.curve_columns == ["local_nb:class0", "wvrn_ica:class0"]
+        assert res.model.p == 2
+        assert res.model.columns == ["local_nb:class0", "wvrn_ica:class0"]
 
     def test_repetition_deterministic(self, planted_network, planted_features):
         g = binarize_labels(planted_network.graph, "topic/positive")
@@ -105,7 +105,7 @@ class TestRepetition:
         a = run_graph_repetition(g, planted_features, cov, 99, small_cfg())
         b = run_graph_repetition(g, planted_features, cov, 99, small_cfg())
         assert a.accuracies == b.accuracies
-        np.testing.assert_array_equal(a.curves, b.curves)
+        np.testing.assert_array_equal(a.model.coef, b.model.coef)
 
 
 class TestExperimentDriver:
@@ -123,6 +123,8 @@ class TestExperimentDriver:
         assert rep.bin_lo[0] == node_covariate(
             binarize_labels(planted_network.graph, "topic/positive"), "degree"
         ).values.min()
+        assert rep.curves.shape == (200, 2)
+        assert rep.curve_columns == ["local_nb:class0", "wvrn_ica:class0"]
 
     def test_failed_static_fit_drops_method_not_run(
         self, planted_network, planted_features, monkeypatch

@@ -311,6 +311,70 @@ class TestClosenessAgainstNetworkx:
         self.check(g, chunk=chunk)
 
 
+class TestDegreeAndComponentsAgainstNetworkx:
+    """``degree`` and ``largest_connected_component`` match networkx on graphs
+    with isolated nodes, zero-weight edges and equal-size components."""
+
+    @staticmethod
+    def random_edges(rng, n):
+        """Graph.build triples over ``n`` nodes; about a third weigh 0."""
+        edges = []
+        for _ in range(int(rng.integers(0, 2 * n))):
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            edges.append((i, j, float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))))
+        return edges
+
+    def cases(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            k = int(rng.integers(2, 12))
+            edges = self.random_edges(rng, k)
+            if rng.uniform() < 0.5:
+                # a shifted copy ties every component size, and the node
+                # shuffle below moves which copy holds the smallest index
+                edges += [(i + k, j + k, w) for i, j, w in edges]
+                k *= 2
+            n = k + int(rng.integers(0, 4))  # trailing isolated nodes
+            perm = rng.permutation(n)
+            edges = [(int(perm[i]), int(perm[j]), w) for i, j, w in edges]
+            yield n, edges, Graph.build([f"v{i}" for i in range(n)], edges)
+
+    @staticmethod
+    def networkx_graph(n, edges):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((i, j) for i, j, _ in edges)
+        return nx, g
+
+    def test_degree(self):
+        isolated = zero_weight = 0
+        for n, edges, graph in self.cases():
+            _, g = self.networkx_graph(n, edges)
+            want = [g.degree(v) for v in range(n)]
+            np.testing.assert_array_equal(degree(graph).values, want)
+            isolated += want.count(0)
+            zero_weight += sum(w == 0.0 for _, _, w in edges)
+        assert isolated > 0 and zero_weight > 0
+
+    def test_largest_connected_component(self):
+        ties = 0
+        for n, edges, graph in self.cases():
+            nx, g = self.networkx_graph(n, edges)
+            comps = list(nx.connected_components(g))
+            size = max(len(c) for c in comps)
+            tied = [c for c in comps if len(c) == size]
+            ties += len(tied) > 1
+            want = sorted(min(tied, key=min))
+            lcc = largest_connected_component(graph)
+            assert lcc.node_ids == [graph.node_ids[i] for i in want]
+            # the induced edges, zero-weight ones included
+            sub = g.subgraph(want)
+            assert lcc.n_edges == sub.number_of_edges()
+            np.testing.assert_array_equal(degree(lcc).values, [sub.degree(v) for v in want])
+        assert ties > 5
+
+
 class TestSplitNodes:
     def _labeled(self, n, seed=0):
         rng = np.random.default_rng(seed)

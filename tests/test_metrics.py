@@ -36,7 +36,7 @@ class TestBinnedAccuracy:
         vals = rng.normal(0, 1, 50)
         b = binned_accuracy(pred, truth, vals, bins=1)
         assert len(b.counts) == 1
-        assert b.accuracies[0] == pytest.approx(accuracy(pred, truth))
+        assert b.correct[0] / b.counts[0] == pytest.approx(accuracy(pred, truth))
 
     def test_integer_bins_by_degree(self):
         # degree-1 nodes all correct, degree-2 nodes half correct
@@ -45,7 +45,7 @@ class TestBinnedAccuracy:
         deg = np.array([1.0, 1.0, 2.0, 2.0])
         b = binned_accuracy(pred, truth, deg, integer_bins=True)
         assert len(b.counts) == 2
-        np.testing.assert_allclose(b.accuracies, [1.0, 0.5])
+        np.testing.assert_allclose(b.correct / b.counts, [1.0, 0.5])
         np.testing.assert_array_equal(b.counts, [2, 2])
 
     def test_interior_edge_goes_right(self):
@@ -55,14 +55,14 @@ class TestBinnedAccuracy:
         vals = np.array([0.0, 1.0, 2.0])
         b = binned_accuracy(pred, truth, vals, bins=2)
         np.testing.assert_array_equal(b.counts, [1, 2])
-        np.testing.assert_allclose(b.accuracies, [1.0, 0.5])
+        np.testing.assert_allclose(b.correct / b.counts, [1.0, 0.5])
 
-    def test_empty_bins_flagged_nan(self):
+    def test_empty_bins_have_zero_count(self):
         pred = np.array([1, 1])
         truth = np.array([1, 1])
         vals = np.array([0.0, 10.0])
         b = binned_accuracy(pred, truth, vals, bins=5)
-        assert np.isnan(b.accuracies[1:4]).all()
+        assert (b.counts[1:4] == 0).all() and (b.correct[1:4] == 0).all()
         assert b.counts.sum() == 2
 
     def test_weighted_mean_equals_overall(self):
@@ -74,7 +74,7 @@ class TestBinnedAccuracy:
             vals = rng.normal(0, 2, n)
             b = binned_accuracy(pred, truth, vals, bins=int(rng.integers(1, 30)))
             ok = b.counts > 0
-            weighted = (b.accuracies[ok] * b.counts[ok]).sum() / b.counts.sum()
+            weighted = (b.correct[ok] / b.counts[ok] * b.counts[ok]).sum() / b.counts.sum()
             assert weighted == pytest.approx(accuracy(pred, truth), abs=1e-12)
 
     def test_every_value_lands_in_one_bin(self):

@@ -4,6 +4,7 @@ import pytest
 from dynstack.simulation import auc, generate_case, sigmoid
 from dynstack.splines import assemble_block_penalty, curvature_penalty, make_basis
 from dynstack.stacking import (
+    STATIC_DESIGNS,
     ConvergenceError,
     FitConfig,
     Level1Data,
@@ -24,7 +25,7 @@ from dynstack.stacking import (
     write_level1,
 )
 
-from oracles import irls_logistic, lasso_quadratic_bruteforce
+from oracles import cholesky_solve_reference, irls_logistic, lasso_quadratic_bruteforce
 
 
 def make_data(case=3, n=600, seed=0):
@@ -522,6 +523,129 @@ class TestLassoWorkingSolve:
         grad = gram @ b - gram @ np.array([0.5, 1.0, 1.0])
         assert np.all(np.isfinite(b))
         assert abs(grad[0]) < 1e-8 and np.all(np.abs(grad[1:]) <= 0.5 + 1e-8)
+
+
+class TestSolveSpd:
+    """The direct LAPACK solve against the scipy-wrapper oracle, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 6, 21])
+    def test_matches_oracle_on_spd(self, d):
+        from dynstack.stacking import HESSIAN_JITTER, _solve_spd
+
+        rng = np.random.default_rng(70 + d)
+        for _ in range(20):
+            # column scales over six decades, as penalty and covariate units give
+            x = rng.normal(size=(3 * d, d)) * 10.0 ** rng.uniform(-3, 3, d)
+            a = (x * rng.uniform(0.01, 0.25, 3 * d)[:, None]).T @ x
+            g = rng.normal(size=d)
+            for jitter in (0.0, HESSIAN_JITTER):
+                np.testing.assert_array_equal(
+                    _solve_spd(a, g, jitter), cholesky_solve_reference(a, g, jitter)
+                )
+
+    def test_matches_oracle_on_rank_deficient_psd(self):
+        from scipy.linalg import cho_factor
+
+        from dynstack.stacking import _solve_spd
+
+        # a duplicated column, as a collinear lasso working set gives, and an
+        # all-ones matrix whose second pivot is exactly zero
+        cases = [(np.ones((4, 4)), np.arange(1.0, 5.0))]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            z = rng.uniform(0, 1, (300, 1))
+            x = np.hstack([np.ones((300, 1)), z, z, rng.uniform(0, 1, (300, 1))])
+            cases.append(((x * rng.uniform(0.05, 0.25, 300)[:, None]).T @ x, rng.normal(size=4)))
+        escalated = 0
+        for a, g in cases:
+            np.testing.assert_array_equal(_solve_spd(a, g, 0.0), cholesky_solve_reference(a, g, 0.0))
+            d = np.sqrt(np.diag(a))
+            try:
+                cho_factor(a / d[:, None] / d[None, :], lower=True)
+            except np.linalg.LinAlgError:
+                escalated += 1
+        assert escalated >= 5  # the jitter escalation path really ran
+
+    def test_matches_oracle_through_repeated_escalation_and_lstsq(self):
+        from dynstack.stacking import HESSIAN_JITTER, _solve_spd
+
+        g = np.array([1.0, -2.0, 0.5, 3.0])
+        # eigenvalues near -1e-9 need the fourth jitter; -1 outlasts all six
+        for a in (np.ones((4, 4)) - 1e-9 * np.eye(4), np.eye(4) - 2.0 * np.eye(4)[::-1]):
+            for jitter in (0.0, HESSIAN_JITTER):
+                np.testing.assert_array_equal(
+                    _solve_spd(a, g, jitter), cholesky_solve_reference(a, g, jitter)
+                )
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        from dynstack.stacking import _solve_spd
+
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        g = np.array([1.0, -2.0, 0.5])
+        if where == "matrix":
+            a[2, 1] = a[1, 2] = bad
+        else:
+            g[1] = bad
+        for jitter in (0.0, 1e-10):
+            with pytest.raises(ValueError):
+                _solve_spd(a, g, jitter)
+
+
+class TestObjectivePath:
+    """``objective_path[-1]`` is the objective at the returned coefficients,
+    bit for bit: a fit's last path entry is reused, never recomputed."""
+
+    @staticmethod
+    def objective(x, y, coef, ridge=None, l1=0.0):
+        eta = x @ coef
+        val = float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+        if ridge is not None:
+            val += float(ridge @ (coef * coef))
+        return val + l1 * np.abs(coef[1:]).sum() if l1 else val
+
+    def test_static_fits(self):
+        from dynstack.stacking import static_design
+
+        data = make_data(n=500, seed=21)
+        for design in STATIC_DESIGNS:
+            x = static_design(data.z, data.u, design)
+            ones = np.r_[0.0, np.ones(x.shape[1] - 1)]
+            crit = float(np.abs(x[:, 1:].T @ (data.y - data.y.mean())).max())
+            m = fit_static(data, design, "none")
+            assert m.objective_path[-1] == self.objective(x, data.y, m.coef)
+            m = fit_static(data, design, "ridge", strength=2.0)
+            assert m.objective_path[-1] == self.objective(x, data.y, m.coef, ridge=2.0 * ones)
+            for strength in (0.05 * crit, 0.3 * crit, 3.0 * crit):
+                m = fit_static(data, design, "lasso", strength=strength)
+                assert (m.coef[1:] == 0.0).all() == (strength > crit)
+                assert m.objective_path[-1] == self.objective(x, data.y, m.coef, l1=strength)
+
+    def test_lasso_warm_start_path(self):
+        from dynstack.stacking import _fit, static_design
+
+        data = make_data(n=400, seed=22)
+        x = static_design(data.z, data.u, "m3")
+        pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
+        coef = None
+        for strength in np.logspace(-3, 2, 11):
+            coef, path, _ = _fit(x, data.y, pen, strength, True, FitConfig(), coef)
+            assert path[-1] == self.objective(x, data.y, coef, l1=strength)
+
+    def test_dynamic_fit(self):
+        from dynstack.stacking import _fit, _penalty_eigenbasis
+
+        # the dynamic model is fitted in the penalty's eigenbasis; its
+        # objective is evaluated there
+        data = make_data(n=500, seed=23)
+        basis = default_basis(data.u)
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        x = dynamic_design(data.z, data.u, basis) @ rot
+        for lam in (0.0, 1e-2, 10.0):
+            gamma, path, _ = _fit(x, data.y, pen, lam, False, FitConfig())
+            ridge = lam * pen if lam > 0 else None
+            assert path[-1] == self.objective(x, data.y, gamma, ridge=ridge)
 
 
 class TestPredictStatic:
