@@ -26,7 +26,7 @@ from .graph import (
     write_covariate,
 )
 from .naive_bayes import parse_feature_file
-from .simulation import METHODS, run_simulation
+from .simulation import METHODS, run_simulation, summarize
 from .stacking import (
     DynamicStackModel,
     FitConfig,
@@ -35,8 +35,7 @@ from .stacking import (
     fit_dynamic,
     fit_static,
     load_model,
-    predict_dynamic,
-    predict_static,
+    predict,
     read_level1,
     save_model,
     select_lambda,
@@ -162,16 +161,8 @@ def cmd_graph_experiment(args) -> int:
 
     acc_rows = []
     for m in report.methods:
-        vals = report.accuracies[m]
-        ok = vals[~np.isnan(vals)]
-        acc_rows.append(
-            [
-                m,
-                repr(float(ok.mean())) if len(ok) else "",
-                repr(float(ok.std(ddof=1))) if len(ok) > 1 else "",
-                len(ok),
-            ]
-        )
+        mean, sd, n_reps = summarize(report.accuracies[m])
+        acc_rows.append([m, *("" if np.isnan(v) else repr(v) for v in (mean, sd)), n_reps])
     _write_csv(
         out / "accuracy_report.csv",
         ["method", "mean_accuracy", "sd_accuracy", "n_reps"],
@@ -253,10 +244,7 @@ def cmd_stack_predict(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
     data = read_level1(args.data, require_y=False)
-    if isinstance(model, DynamicStackModel):
-        probs = predict_dynamic(model, data.z, data.u)
-    else:
-        probs = predict_static(model, data.z, data.u)
+    probs = predict(model, data.z, data.u)
     _write_csv(
         out / "predictions.csv",
         ["row", "probability"],

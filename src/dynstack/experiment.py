@@ -7,11 +7,14 @@ dynamic generalizer and the static baselines, and scores everything on
 the masked test nodes. The driver repeats this, then aggregates mean
 accuracies, paired comparisons against the dynamic model, and per-bin
 accuracy differences across the covariate range.
+
+The dynamic model and the nine static baselines are fitted through
+:func:`dynstack.simulation.fit_method`: a fit that does not converge
+scores NaN in its repetition, and any other error stops the run.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +30,7 @@ from .graph import (
 from .metrics import ComparisonResult, accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import SparseFeatures, fit_nb, predict_nb
 from .relational import IcaConfig, ica_run
-from .simulation import child_seeds, map_reps
+from .simulation import child_seeds, fit_method, map_reps
 from .stacking import (
     ConvergenceError,
     DynamicStackModel,
@@ -35,12 +38,10 @@ from .stacking import (
     build_level1,
     default_basis,
     coefficient_curves,
-    fit_dynamic,
-    fit_static,
-    predict_dynamic,
-    predict_static,
-    select_lambda,
+    predict,
 )
+# not called here: perfbench/tracing.py wraps these names on this module too
+from .stacking import fit_dynamic, fit_static, select_lambda  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -51,13 +52,12 @@ __all__ = [
     "STATIC_METHODS",
 ]
 
-log = logging.getLogger(__name__)
-
 STATIC_METHODS = tuple(
     f"{kind}_{design}"
     for kind in ("logistic", "lasso", "ridge")
     for design in ("m1", "m2", "m3")
 )
+METHODS = ("dynamic", *STATIC_METHODS)
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,10 @@ class ExperimentConfig:
     bins: int = 100
     threads: int = 1
     fit: FitConfig = field(default_factory=FitConfig)
+
+    def __post_init__(self):
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins}")
 
 
 def binarize_labels(graph: Graph, positive_prefix: str) -> Graph:
@@ -144,7 +148,7 @@ class RepetitionResult:
     hard: dict[str, np.ndarray]  # per-test-node hard predictions of the methods that fit
     y_test: np.ndarray
     test_u: np.ndarray
-    model: DynamicStackModel
+    model: DynamicStackModel | None  # None when the dynamic fit diverged
 
 
 def run_graph_repetition(
@@ -166,23 +170,8 @@ def run_graph_repetition(
     level1 = build_level1(y[train], [nb, rel], cov.values[train], cfg.folds, fold_seed)
 
     basis = default_basis(level1.u, cfg.interior_knots, cfg.spline_degree)
-    lam, _ = select_lambda(level1, cfg.fit, basis, seed=cv_seed)
-    dynamic = fit_dynamic(level1, lam, basis, cfg.fit)
-    statics = {}
-    for name in STATIC_METHODS:
-        kind, design = name.split("_")
-        try:
-            statics[name] = fit_static(
-                level1,
-                design=design,
-                penalty="none" if kind == "logistic" else kind,
-                config=cfg.fit,
-                cv_seed=cv_seed,
-            )
-        except ConvergenceError as err:
-            # a separable unpenalized fit loses its repetition, not the run
-            log.warning("repetition seed %d: %s failed (%s)", rep_seed, name, err)
-            statics[name] = None
+    where = f"repetition seed {rep_seed}"
+    models = {m: fit_method(m, level1, cfg.fit, cv_seed, where, basis) for m in METHODS}
 
     # level-0 predictions for the test nodes from the full training set
     nb_model = fit_nb(features.matrix[train], graph.labels[train], graph.class_count)
@@ -192,19 +181,14 @@ def run_graph_repetition(
     u_test = cov.values[test]
     y_test = y[test]
 
-    accuracies, hard = {}, {}
-    preds = {"dynamic": predict_dynamic(dynamic, z_test, u_test)}
-    for name, model in statics.items():
-        preds[name] = None if model is None else predict_static(model, z_test, u_test)
-    for name, p in preds.items():
-        if p is None:
-            accuracies[name] = float("nan")
-            continue
-        hard[name] = (p > 0.5).astype(np.int64)
-        accuracies[name] = accuracy(hard[name], y_test)
-
+    hard = {
+        m: (predict(model, z_test, u_test) > 0.5).astype(np.int64)
+        for m, model in models.items()
+        if model is not None
+    }
+    accuracies = {m: accuracy(hard[m], y_test) if m in hard else float("nan") for m in METHODS}
     return RepetitionResult(
-        accuracies=accuracies, hard=hard, y_test=y_test, test_u=u_test, model=dynamic
+        accuracies=accuracies, hard=hard, y_test=y_test, test_u=u_test, model=models["dynamic"]
     )
 
 
@@ -239,14 +223,11 @@ def run_graph_experiment(
     jobs = [(bin_graph, features, cov, s, cfg) for s in child_seeds(cfg.seed, cfg.reps)]
     results = map_reps(run_graph_repetition, jobs, cfg.threads)
 
-    methods = ["dynamic", *STATIC_METHODS]
-    accuracies = {
-        m: np.array([r.accuracies[m] for r in results]) for m in methods
-    }
+    accuracies = {m: np.array([r.accuracies[m] for r in results]) for m in METHODS}
     # pair each comparison on the repetitions where both methods completed
     comparisons = {}
     for m in STATIC_METHODS:
-        ok = ~np.isnan(accuracies[m])
+        ok = ~np.isnan(accuracies[m]) & ~np.isnan(accuracies["dynamic"])
         if ok.sum() >= 2:
             comparisons[m] = paired_comparison(
                 accuracies["dynamic"][ok], accuracies[m][ok]
@@ -254,49 +235,40 @@ def run_graph_experiment(
         else:
             comparisons[m] = ComparisonResult(float("nan"), float("nan"), True)
 
-    integer_bins = cfg.covariate == "degree"
+    # bins and curves need the dynamic model; bin edges depend only on the range
+    fitted = [r for r in results if r.model is not None]
+    if not fitted:
+        raise ConvergenceError("the dynamic fit diverged in every repetition")
     vr = (float(cov.values.min()), float(cov.values.max()))
-    per_method_bins: dict[str, list] = {m: [] for m in methods}
-    counts = []
-    for r in results:
-        for m in methods:
-            if np.isnan(r.accuracies[m]):
-                per_method_bins[m].append(None)
-                continue
-            b = binned_accuracy(
-                r.hard[m],
-                r.y_test,
-                r.test_u,
-                bins=cfg.bins,
-                integer_bins=integer_bins,
-                value_range=vr,
-            )
-            per_method_bins[m].append(b)
-        counts.append(per_method_bins["dynamic"][-1].counts)
+    integer_bins = cfg.covariate == "degree"
+    counts, diffs = [], {m: [] for m in STATIC_METHODS}
+    for r in fitted:
+        binned = {
+            m: binned_accuracy(r.hard[m], r.y_test, r.test_u, cfg.bins, integer_bins, vr)
+            for m in r.hard
+        }
+        counts.append(binned["dynamic"].counts)
+        for m in STATIC_METHODS:
+            if m in binned:
+                diffs[m].append(binned["dynamic"].correct - binned[m].correct)
+    edges = binned["dynamic"]
+    delta = {
+        m: np.mean(d, axis=0) if d else np.full(len(edges.counts), np.nan)
+        for m, d in diffs.items()
+    }
 
-    first = per_method_bins["dynamic"][0]
-    all_nan = np.full(len(first.counts), np.nan)
-    delta = {}
-    for m in STATIC_METHODS:
-        diffs = [
-            d.correct - s.correct
-            for d, s in zip(per_method_bins["dynamic"], per_method_bins[m])
-            if s is not None
-        ]
-        delta[m] = np.mean(np.vstack(diffs), axis=0) if diffs else all_nan
-
-    # only the first repetition's weight curves are reported
-    model = results[0].model
+    # only the first fitted repetition's weight curves are reported
+    model = fitted[0].model
     curves_u = np.linspace(model.basis.u_lo, model.basis.u_hi, 200)
     return GraphExperimentReport(
-        methods=methods,
+        methods=list(METHODS),
         accuracies=accuracies,
         comparisons=comparisons,
         curves_u=curves_u,
         curves=coefficient_curves(model, curves_u),
         curve_columns=model.columns,
-        bin_lo=first.bin_lo,
-        bin_hi=first.bin_hi,
+        bin_lo=edges.bin_lo,
+        bin_hi=edges.bin_hi,
         bin_counts=np.mean(np.vstack(counts), axis=0),
         bin_delta_correct=delta,
     )

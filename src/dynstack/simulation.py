@@ -7,6 +7,9 @@ covariate, case 2 scales the first score's weight linearly in it, and
 case 3 uses a sine-shaped weight the static stackers cannot represent.
 The runner repeats fresh-data experiments, scoring every method by test
 AUC, and aggregates means and standard deviations across repetitions.
+Both experiment drivers fit their level-1 methods through
+:func:`fit_method`: a fit that does not converge scores NaN in its
+repetition (``n_reps`` counts the others), and any other error stops the run.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stacking import (
+    STATIC_DESIGNS,
+    ConvergenceError,
     FitConfig,
     Level1Data,
     default_basis,
     fit_dynamic,
     fit_static,
-    predict_dynamic,
-    predict_static,
+    predict,
     select_lambda,
     sigmoid,
 )
@@ -134,6 +138,8 @@ class SimReport:
 
 def child_seeds(seed: int, count: int) -> list[int]:
     """``count`` 64-bit seeds expanded from ``numpy.random.SeedSequence(seed)``."""
+    if count < 1:  # both drivers draw their repetition seeds here
+        raise ValueError("reps must be >= 1")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
 
 
@@ -146,24 +152,32 @@ def map_reps(fn, jobs, threads: int = 1) -> list:
     return [fn(*job) for job in jobs]
 
 
-def _method_scores(name, train, test, config, method_seed, cv_seed):
-    if name == "random":
-        return np.random.default_rng(method_seed).uniform(0.0, 1.0, test.n)
-    if name == "z1_only":
-        return test.z[:, 0]
-    if name == "z2_only":
-        return test.z[:, 1]
-    if name == "dynamic":
-        basis = default_basis(train.u)
-        lam, _ = select_lambda(train, config, basis, seed=cv_seed)
-        model = fit_dynamic(train, lam, basis, config)
-        return predict_dynamic(model, test.z, test.u)
+def fit_method(name, train, config, cv_seed, where, basis=None):
+    """Fit level-1 method ``"dynamic"`` (CV lambda on ``basis``, default
+    :func:`default_basis`) or ``"<logistic|lasso|ridge>_<m1|m2|m3>"`` on
+    ``train``. A :class:`ConvergenceError` logs one warning naming ``where``
+    and returns None; any other error propagates."""
     kind, _, design = name.partition("_")
-    if kind in ("logistic", "lasso", "ridge") and design in ("m1", "m2", "m3"):
-        penalty = "none" if kind == "logistic" else kind
-        model = fit_static(train, design, penalty, config=config, cv_seed=cv_seed)
-        return predict_static(model, test.z, test.u)
+    try:
+        if name == "dynamic":
+            basis = default_basis(train.u) if basis is None else basis
+            lam, _ = select_lambda(train, config, basis, seed=cv_seed)
+            return fit_dynamic(train, lam, basis, config)
+        if kind in ("logistic", "lasso", "ridge") and design in STATIC_DESIGNS:
+            penalty = "none" if kind == "logistic" else kind
+            return fit_static(train, design, penalty, config=config, cv_seed=cv_seed)
+    except ConvergenceError as err:
+        log.warning("%s: %s failed (%s)", where, name, err)
+        return None
     raise ValueError(f"unknown method {name!r}")
+
+
+def summarize(vals: np.ndarray) -> tuple[float, float, int]:
+    """Mean, sample sd and count of the non-NaN (completed) repetitions."""
+    ok = vals[~np.isnan(vals)]
+    mean = float(ok.mean()) if len(ok) else float("nan")
+    sd = float(ok.std(ddof=1)) if len(ok) > 1 else float("nan")
+    return mean, sd, len(ok)
 
 
 def _run_repetition(case, n, rep_seed, methods, config):
@@ -176,12 +190,16 @@ def _run_repetition(case, n, rep_seed, methods, config):
 
     out = {}
     for name in methods:
-        try:
-            scores = _method_scores(name, train, test, config, rand_seed, cv_seed)
-            out[name] = auc(scores, test.y)
-        except Exception as err:  # keep the repetition alive for other methods
-            log.warning("case %d seed %d method %s failed: %s", case, rep_seed, name, err)
-            out[name] = float("nan")
+        if name == "random":
+            scores = np.random.default_rng(rand_seed).uniform(0.0, 1.0, test.n)
+        elif name == "z1_only":
+            scores = test.z[:, 0]
+        elif name == "z2_only":
+            scores = test.z[:, 1]
+        else:
+            model = fit_method(name, train, config, cv_seed, f"case {case} seed {rep_seed}")
+            scores = None if model is None else predict(model, test.z, test.u)
+        out[name] = float("nan") if scores is None else auc(scores, test.y)
     return out
 
 
@@ -219,10 +237,6 @@ def run_simulation(
     for ci, case in enumerate(cases):
         per_rep = results[ci * reps : (ci + 1) * reps]
         for m in methods:
-            vals = np.array([rep[m] for rep in per_rep])
-            ok = vals[~np.isnan(vals)]
-            mean = float(ok.mean()) if len(ok) else float("nan")
-            sd = float(ok.std(ddof=1)) if len(ok) > 1 else float("nan")
-            cells.append(SimCell(case, m, mean, sd, len(ok)))
-            raw[(case, m)] = vals
+            raw[(case, m)] = np.array([rep[m] for rep in per_rep])
+            cells.append(SimCell(case, m, *summarize(raw[(case, m)])))
     return SimReport(cells, raw)

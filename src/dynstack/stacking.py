@@ -31,6 +31,7 @@ __all__ = [
     "build_level1",
     "fit_dynamic",
     "predict_dynamic",
+    "predict",
     "coefficient_curves",
     "select_lambda",
     "fit_static",
@@ -203,9 +204,11 @@ def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
     rhs = g / d
     if not (np.isfinite(scaled).all() and np.isfinite(rhs).all()):
         raise ValueError("cannot solve a system holding infs or NaNs")
+    diag = scaled.diagonal().copy()
     bump = jitter
     for _ in range(6):
-        c, info = dpotrf(scaled + bump * np.eye(len(g)) if bump else scaled, lower=1, clean=0)
+        np.fill_diagonal(scaled, diag + bump)  # scaled is a private copy
+        c, info = dpotrf(scaled, lower=1, clean=0)
         if info == 0:
             x, info = dpotrs(c, rhs, lower=1)
             if info == 0:
@@ -213,7 +216,8 @@ def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info} of the Cholesky solve")
         bump = max(bump * 100.0, 1e-14)
-    x, *_ = np.linalg.lstsq(scaled + bump * np.eye(len(g)), rhs, rcond=None)
+    np.fill_diagonal(scaled, diag + bump)
+    x, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
     return x / d
 
 
@@ -456,6 +460,13 @@ def predict_dynamic(model: DynamicStackModel, z, u) -> np.ndarray:
     z = _checked_z(model, z, u)
     x = dynamic_design(z, u, model.basis)
     return sigmoid(x @ model.coef)
+
+
+def predict(model: DynamicStackModel | StaticStackModel, z, u) -> np.ndarray:
+    """Positive-class probability for rows ``(Z, u)`` under either kind of model."""
+    if isinstance(model, DynamicStackModel):
+        return predict_dynamic(model, z, u)
+    return predict_static(model, z, u)
 
 
 def coefficient_curves(model: DynamicStackModel, u_grid) -> np.ndarray:

@@ -63,6 +63,26 @@ class TestSimulateCommand:
             main(["simulate", "--case", "9", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_zero_reps_is_one_line_error(self, tmp_path, capsys):
+        assert main(["simulate", "--case", "1", "--reps", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: reps must be >= 1\n"
+
+    def test_threads_do_not_change_outputs(self, tmp_path):
+        args = [
+            "simulate", "--case", "2", "--n", "160", "--reps", "3",
+            "--folds", "3", "--seed", "11", "--raw",
+        ]
+        one, two = tmp_path / "t1", tmp_path / "t2"
+        assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+        assert main(args + ["--threads", "2", "--out", str(two)]) == 0
+        names = sorted(f.name for f in one.iterdir())
+        assert names == sorted(f.name for f in two.iterdir())
+        for name in names:
+            a, b = (one / name).read_text(), (two / name).read_text()
+            if name == "manifest.txt":  # records the flag itself
+                a, b = a.replace("threads = 1\n", ""), b.replace("threads = 2\n", "")
+            assert a == b, name
+
 
 class TestCentralityCommand:
     def test_path_closeness_values(self, tmp_path):
@@ -137,6 +157,26 @@ class TestGraphExperimentCommand:
         assert len(curves) == 1 + 200
         assert (out / "binned_deltas.csv").exists()
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flag,message", [("--reps", "reps must be >= 1"), ("--bins", "bins must be >= 1, got 0")]
+    )
+    def test_zero_reps_or_bins_is_one_line_error(
+        self, network_files, tmp_path, capsys, flag, message
+    ):
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(network_files / "edges.txt"),
+                "--labels", str(network_files / "labels.csv"),
+                "--features", str(network_files / "features.txt"),
+                "--covariate", "degree", flag, "0",
+                "--positive-label", "topic/positive",
+                "--out", str(tmp_path / "gx"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_feature_file_fails_cleanly(self, network_files, tmp_path, capsys):
         code = main(

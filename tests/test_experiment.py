@@ -129,7 +129,7 @@ class TestExperimentDriver:
     def test_failed_static_fit_drops_method_not_run(
         self, planted_network, planted_features, monkeypatch
     ):
-        import dynstack.experiment as exp_mod
+        import dynstack.simulation as sim_mod  # the method table looks fits up here
         from dynstack.stacking import ConvergenceError, fit_static as real_fit_static
 
         def flaky_fit_static(data, design="m1", penalty="none", **kw):
@@ -137,7 +137,7 @@ class TestExperimentDriver:
                 raise ConvergenceError("separable")
             return real_fit_static(data, design, penalty, **kw)
 
-        monkeypatch.setattr(exp_mod, "fit_static", flaky_fit_static)
+        monkeypatch.setattr(sim_mod, "fit_static", flaky_fit_static)
         rep = run_graph_experiment(
             planted_network.graph, planted_features, "topic/positive", small_cfg()
         )
@@ -147,6 +147,43 @@ class TestExperimentDriver:
         # everything else is untouched
         assert not np.isnan(rep.accuracies["dynamic"]).any()
         assert not np.isnan(rep.accuracies["ridge_m3"]).any()
+
+    def test_diverged_dynamic_fit_drops_its_repetition(
+        self, planted_network, planted_features, monkeypatch
+    ):
+        import dynstack.simulation as sim_mod
+        from dynstack.stacking import ConvergenceError, fit_dynamic as real_fit_dynamic
+
+        clean = run_graph_experiment(
+            planted_network.graph, planted_features, "topic/positive", small_cfg()
+        )
+        calls = []
+
+        def first_fit_diverges(*args, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ConvergenceError("separable")
+            return real_fit_dynamic(*args, **kw)
+
+        monkeypatch.setattr(sim_mod, "fit_dynamic", first_fit_diverges)
+        rep = run_graph_experiment(
+            planted_network.graph, planted_features, "topic/positive", small_cfg()
+        )
+        assert np.isnan(rep.accuracies["dynamic"][0])
+        assert rep.accuracies["dynamic"][1] == clean.accuracies["dynamic"][1]
+        np.testing.assert_array_equal(rep.accuracies["ridge_m3"], clean.accuracies["ridge_m3"])
+        # one paired repetition left: every comparison is degenerate
+        assert all(c.degenerate for c in rep.comparisons.values())
+        assert rep.curves.shape == (200, 2)
+
+        def every_fit_diverges(*args, **kw):
+            raise ConvergenceError("separable")
+
+        monkeypatch.setattr(sim_mod, "fit_dynamic", every_fit_diverges)
+        with pytest.raises(ConvergenceError, match="every repetition"):
+            run_graph_experiment(
+                planted_network.graph, planted_features, "topic/positive", small_cfg()
+            )
 
     def test_threads_match_sequential(self, planted_network, planted_features):
         seq = run_graph_experiment(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -29,4 +30,28 @@ def test_every_exported_name_resolves(module):
     # a stale entry in __all__ breaks `from module import *`
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracing.py wraps functions at the module attributes their
+    # callers look them up in; a binding that disappears (say, an import
+    # that looks unused) makes the tracer fail to install. Read WRAPS
+    # without importing perfbench, whose import reconfigures logging.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    wraps = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPS"]
+    )
+    pairs = [
+        (owner.id, entry.elts[1].value) for entry in wraps.elts for owner in entry.elts[0].elts
+    ]
+    assert len(pairs) >= 20
+    missing = [
+        (mod, attr)
+        for mod, attr in pairs
+        if not hasattr(importlib.import_module(f"dynstack.{mod}"), attr)
+    ]
     assert missing == []

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dynstack.simulation as sim_mod
 from dynstack.simulation import METHODS, auc, generate_case, run_simulation
-from dynstack.stacking import FitConfig, sigmoid
+from dynstack.stacking import ConvergenceError, FitConfig, sigmoid
+from dynstack.stacking import fit_static as real_fit_static
 
 from oracles import brute_force_auc
 
@@ -149,3 +151,50 @@ class TestRunSimulation:
         assert cell.sd_auc == pytest.approx(vals.std(ddof=1))
         assert cell.mean_auc == pytest.approx(vals.mean())
         assert rep.complete
+
+
+class TestFailurePolicy:
+    KWARGS = dict(
+        cases=(2,), methods=("z1_only", "logistic_m2", "ridge_m2", "lasso_m3", "dynamic"),
+        n=200, reps=3, seed=4, config=FitConfig(lambda_grid=np.logspace(-2, 2, 3), cv_folds=3),
+    )
+
+    def test_diverged_fit_loses_only_its_cell(self, monkeypatch, caplog):
+        clean = run_simulation(**self.KWARGS)
+        calls = []
+
+        def first_logistic_m2_diverges(data, design="m1", penalty="none", **kw):
+            if (design, penalty) == ("m2", "none"):
+                calls.append(design)
+                if len(calls) == 1:
+                    raise ConvergenceError("separable")
+            return real_fit_static(data, design, penalty, **kw)
+
+        monkeypatch.setattr(sim_mod, "fit_static", first_logistic_m2_diverges)
+        with caplog.at_level("WARNING", logger="dynstack.simulation"):
+            flaky = run_simulation(**self.KWARGS)
+        assert len(calls) == 3
+        assert [r.getMessage().count("logistic_m2 failed") for r in caplog.records] == [1]
+        raw = flaky.raw[(2, "logistic_m2")]
+        assert np.isnan(raw[0]) and not np.isnan(raw[1:]).any()
+        np.testing.assert_array_equal(raw[1:], clean.raw[(2, "logistic_m2")][1:])
+        assert flaky.cell(2, "logistic_m2").n_reps == 2
+        assert flaky.cell(2, "logistic_m2").mean_auc == pytest.approx(raw[1:].mean())
+        for m in self.KWARGS["methods"]:
+            if m != "logistic_m2":
+                np.testing.assert_array_equal(flaky.raw[(2, m)], clean.raw[(2, m)])
+                assert flaky.cell(2, m) == clean.cell(2, m)
+
+    def test_other_errors_stop_the_run(self, monkeypatch):
+        def broken_fit_static(*args, **kw):
+            raise TypeError("a programming error, not a diverged fit")
+
+        monkeypatch.setattr(sim_mod, "fit_static", broken_fit_static)
+        with pytest.raises(TypeError, match="programming error"):
+            run_simulation(**self.KWARGS)
+
+    def test_fit_method_rejects_unknown_names(self):
+        train = generate_case(1, 100, 0).to_level1()
+        for name in ("logistic_m4", "elastic_m1", "dynamic_m1", "z1_only"):
+            with pytest.raises(ValueError, match="unknown method"):
+                sim_mod.fit_method(name, train, FitConfig(), 0, "test")
