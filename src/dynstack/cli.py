@@ -123,6 +123,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_graph_experiment(args) -> int:
+    cfg = exp.ExperimentConfig(
+        covariate=args.covariate,
+        test_fraction=args.test_fraction,
+        reps=args.reps,
+        folds=args.folds,
+        seed=args.seed,
+        interior_knots=args.knots,
+        spline_degree=args.spline_degree,
+        bins=exp.ExperimentConfig.bins if args.bins is None else args.bins,
+        threads=args.threads,
+        fit=FitConfig(cv_folds=args.folds),
+    )
+    if args.covariate == "degree" and args.bins is not None:
+        print(
+            "error: --bins does not apply to --covariate degree, "
+            "which is binned one integer per bin",
+            file=sys.stderr,
+        )
+        return 2
     out = _out_dir(args)
     graph = attach_labels(_parse_file(parse_edge_list, args.edges), read_label_file(args.labels))
     features = _parse_file(parse_feature_file, args.features, graph.node_ids)
@@ -137,18 +156,6 @@ def cmd_graph_experiment(args) -> int:
         keep = np.array([original_index[nid] for nid in graph.node_ids])
         features = type(features)(features.matrix[keep], features.vocabulary)
 
-    cfg = exp.ExperimentConfig(
-        covariate=args.covariate,
-        test_fraction=args.test_fraction,
-        reps=args.reps,
-        folds=args.folds,
-        seed=args.seed,
-        interior_knots=args.knots,
-        spline_degree=args.spline_degree,
-        bins=args.bins,
-        threads=args.threads,
-        fit=FitConfig(cv_folds=args.folds),
-    )
     try:
         report = exp.run_graph_experiment(graph, features, args.positive_label, cfg)
     except ValueError as err:
@@ -186,7 +193,7 @@ def cmd_graph_experiment(args) -> int:
         delta_rows,
     )
     _write_curves(out / "coefficient_curves.csv", report.curve_columns, report.curves_u, report.curves)
-    _write_manifest(out, args)
+    _write_manifest(out, args, bins=cfg.bins)
     return 0
 
 
@@ -309,7 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="label prefix mapped to the positive class (unlabeled nodes are dropped)",
     )
     p.add_argument("--lcc", action="store_true", help="keep only the largest connected component")
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument(
+        "--bins",
+        type=int,
+        default=None,
+        help="closeness bins (default 100); degree is binned one integer per bin",
+    )
     p.add_argument("--knots", type=int, default=6)
     p.add_argument("--spline-degree", type=int, default=3)
     common(p, seed=True, threads=True)

@@ -279,6 +279,12 @@ def degree(graph: Graph) -> NodeCovariate:
     return NodeCovariate(np.diff(graph._indptr).astype(float))
 
 
+_DISCONNECTED = (
+    "closeness centrality needs a connected graph "
+    "(reduce to the largest connected component first)"
+)
+
+
 def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
     """Reciprocal of each node's total hop distance to all other nodes.
 
@@ -286,37 +292,38 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
     which a stored zero-weight edge is still one hop. The graph must be
     connected (run :func:`largest_connected_component` first). A
     single-node graph gets the value 0 by convention. The search runs from
-    ``chunk`` sources at once, so memory is bounded by n x ``chunk``
-    booleans (plus one float32 frontier product of that shape).
+    ``chunk`` sources at once and keeps one bit per source: the seen and
+    frontier sets are n x ceil(``chunk``/64) words each, and a level
+    gathers one (stored entries) x ceil(``chunk``/64) word array.
     """
     n = graph.n_nodes
     if n == 0:
         raise ValueError("empty graph")
     if n == 1:
         return NodeCovariate(np.zeros(1))
-    # the stored-entry pattern: each product entry counts frontier
-    # neighbours, at most the degree < 2**24, so float32 is exact
-    ones = np.ones(len(graph._indices), dtype=np.float32)
-    adj = csr_matrix((ones, graph._indices, graph._indptr), shape=(n, n))
+    indptr, indices = graph._indptr, graph._indices
+    if not np.diff(indptr).all():  # an isolated node; reduceat needs no empty rows
+        raise ValueError(_DISCONNECTED)
     totals = np.empty(n)
     for lo in range(0, n, chunk):
         k = min(chunk, n - lo)
-        seen = np.zeros((n, k), dtype=bool)
-        seen[np.arange(lo, lo + k), np.arange(k)] = True
+        src = np.arange(k)
+        # bit s of row lo + s: source s has seen itself; little-endian
+        # words put bit s at bit s % 8 of byte s // 8 of the uint8 view
+        seen = np.zeros((n, (k + 63) // 64), dtype="<u8")
+        seen[lo + src, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
         front = seen.copy()
         total = np.zeros(k, dtype=np.int64)
         hop, reached = 0, k
         while reached < n * k:
             hop += 1
-            front = (adj @ front.astype(np.float32)) > 0
+            front = np.bitwise_or.reduceat(front[indices], indptr[:-1], axis=0)
             front &= ~seen
+            if not front.any():  # every source stalled short of n nodes
+                raise ValueError(_DISCONNECTED)
             seen |= front
-            counts = front.sum(axis=0)
-            if not counts.any():  # every source stalled short of n nodes
-                raise ValueError(
-                    "closeness centrality needs a connected graph "
-                    "(reduce to the largest connected component first)"
-                )
+            bits = np.unpackbits(front.view(np.uint8), axis=1, count=k, bitorder="little")
+            counts = bits.sum(axis=0, dtype=np.int64)
             total += hop * counts
             reached += int(counts.sum())
         totals[lo : lo + k] = total

@@ -82,34 +82,76 @@ def wvrn_estimate(graph: Graph, node: int, state: LabelState) -> np.ndarray | No
     return _neighbor_average(graph, node, state.probs, state.known)
 
 
-def ica_run(
-    graph: Graph, labels: np.ndarray | None = None, config: IcaConfig = IcaConfig()
-) -> IcaResult:
-    """Iterative classification over the unobserved nodes of ``graph``.
+def _has_exact_sums(graph: Graph) -> bool:
+    """Whether every sum of edge weights is exact in float64, in any order.
 
-    ``labels`` (default ``graph.labels``) marks observed nodes with their
-    class index and unobserved ones with -1. Each sweep visits the
-    unobserved nodes in a fresh seeded random order and commits each to a
-    point mass on the argmax of its neighbor average (ties to the lowest
-    class index); updates are visible to later nodes in the same sweep.
-    Observed nodes are never revisited. After the final sweep one extra
-    soft pass reports each unobserved node's neighbor average from the
-    terminal hard states, which is what feeds stacking.
-
-    A neighbor average depends only on the neighbors' states, so each
-    node's average is cached and recomputed only when it is stale: when a
-    neighbor became known or changed label since it was last computed.
-    The results equal those of recomputing every visited node.
+    True when every weight is an integer and all of them together stay
+    below 2**53; an infinite or NaN weight fails the second test.
     """
-    labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
-    c = graph.class_count
-    if c < 1:
-        raise ValueError("graph has no label classes")
-    test_nodes = np.flatnonzero(labels < 0)
-    if len(test_nodes) == len(labels):
-        raise ValueError("collective inference needs at least one observed node")
+    w = graph._weights
+    return bool(np.all(w == np.floor(w))) and float(w.sum()) < 2.0**53
 
-    state = LabelState.from_labels(labels, c)
+
+def _sweep_by_sums(graph, labels, test_nodes, rng, max_iterations):
+    """ICA on running per-class sums of the known neighbours' edge weights.
+
+    Every known node holds a point mass, so a node's neighbour average is
+    its per-class known weight over its total known weight. A commit adds
+    to (and, on a relabel, subtracts from) only its neighbours' sums.
+    """
+    n, c = len(labels), graph.class_count
+    indptr, indices, weights = graph._indptr, graph._indices, graph._weights
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    nbr_label = labels[indices]
+    m = nbr_label >= 0
+    sums = np.bincount(rows[m] * c + nbr_label[m], weights[m], n * c).reshape(n, c).tolist()
+    total = np.bincount(rows[m], weights[m], n).tolist()
+    ptr, idx, wts = indptr.tolist(), indices.tolist(), weights.tolist()
+    nbrs = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+    nwts = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
+    hard = np.where(labels >= 0, labels, -1).tolist()
+
+    sweeps = 0
+    converged = False
+    while sweeps < max_iterations:
+        sweeps += 1
+        changed = False
+        for i in rng.permutation(test_nodes).tolist():
+            if not total[i]:  # no classified neighbour, or only zero weights
+                continue
+            row = sums[i]
+            label = row.index(max(row))
+            old = hard[i]
+            if label == old:
+                continue
+            changed = True
+            hard[i] = label
+            if old < 0:
+                for j, w in zip(nbrs[i], nwts[i]):
+                    sums[j][label] += w
+                    total[j] += w
+            else:
+                for j, w in zip(nbrs[i], nwts[i]):
+                    s = sums[j]
+                    s[label] += w
+                    s[old] -= w
+        if not changed:
+            converged = True
+            break
+
+    tot = np.array(total)[test_nodes]
+    null = tot == 0.0
+    soft = np.array(sums)[test_nodes] / np.where(null, 1.0, tot)[:, None]
+    return np.array(hard, dtype=np.int64), soft, null, sweeps, converged
+
+
+def _sweep_by_cache(graph, labels, test_nodes, rng, max_iterations):
+    """ICA that caches each neighbour average until a neighbour changes.
+
+    An average is recomputed only when it is stale: when a neighbour
+    became known or changed label since it was last computed.
+    """
+    state = LabelState.from_labels(labels, graph.class_count)
     probs, known = state.probs, state.known
     hard = np.where(labels >= 0, labels, -1)
     est: list = [None] * len(labels)  # (average or None, its argmax or None)
@@ -122,10 +164,9 @@ def ica_run(
             stale[i] = False
         return est[i]
 
-    rng = np.random.default_rng(config.order_seed)
     sweeps = 0
     converged = False
-    while sweeps < config.max_iterations:
+    while sweeps < max_iterations:
         sweeps += 1
         changed = False
         for i in rng.permutation(test_nodes):
@@ -142,14 +183,59 @@ def ica_run(
             converged = True
             break
 
-    out = probs.copy()
-    was_null = np.zeros(len(labels), dtype=bool)
-    for i in test_nodes:
+    soft = np.zeros((len(test_nodes), graph.class_count))
+    null = np.zeros(len(test_nodes), dtype=bool)
+    for k, i in enumerate(test_nodes):
         avg = estimate(i)[0]
         if avg is None:
-            out[i] = 1.0 / c
-            was_null[i] = True
-            hard[i] = 0
+            null[k] = True
         else:
-            out[i] = avg
+            soft[k] = avg
+    return hard, soft, null, sweeps, converged
+
+
+def ica_run(
+    graph: Graph, labels: np.ndarray | None = None, config: IcaConfig = IcaConfig()
+) -> IcaResult:
+    """Iterative classification over the unobserved nodes of ``graph``.
+
+    ``labels`` (default ``graph.labels``) marks observed nodes with their
+    class index and unobserved ones with -1. Each sweep visits the
+    unobserved nodes in a fresh seeded random order and commits each to a
+    point mass on the argmax of its neighbor average (ties to the lowest
+    class index); updates are visible to later nodes in the same sweep.
+    Observed nodes are never revisited. After the final sweep one extra
+    soft pass reports each unobserved node's neighbor average from the
+    terminal hard states, which is what feeds stacking.
+
+    Two implementations give the same result bit for bit, chosen from
+    the edge weights alone. When every weight is an integer and all of
+    them sum to less than 2**53 (unit-weight networks such as Cora), each
+    node keeps running per-class sums of its known neighbours' weights;
+    integer sums below 2**53 are exact in float64 in any order, so they
+    equal the neighbour average's numerator and denominator, and dividing
+    by the same positive total keeps their argmax. Any other weights keep
+    each node's average cached and recompute it only when a neighbour
+    became known or changed label since it was last computed.
+    """
+    labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
+    c = graph.class_count
+    if c < 1:
+        raise ValueError("graph has no label classes")
+    test_nodes = np.flatnonzero(labels < 0)
+    if len(test_nodes) == len(labels):
+        raise ValueError("collective inference needs at least one observed node")
+
+    out = LabelState.from_labels(labels, c).probs
+    sweep = _sweep_by_sums if _has_exact_sums(graph) else _sweep_by_cache
+    rng = np.random.default_rng(config.order_seed)
+    hard, soft, null, sweeps, converged = sweep(
+        graph, labels, test_nodes, rng, config.max_iterations
+    )
+    out[test_nodes] = soft
+    nulls = test_nodes[null]
+    out[nulls] = 1.0 / c
+    hard[nulls] = 0
+    was_null = np.zeros(len(labels), dtype=bool)
+    was_null[nulls] = True
     return IcaResult(out, hard, was_null, sweeps, converged)

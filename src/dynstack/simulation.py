@@ -61,7 +61,6 @@ class SimDataset:
     z2: np.ndarray
     u: np.ndarray
     case: int
-    seed: int
     n: int
 
     def to_level1(self) -> Level1Data:
@@ -90,8 +89,7 @@ def generate_case(case: int, n: int, seed) -> SimDataset:
     else:
         logit = -3.0 + 3.0 * np.sin(6.0 * u) * z1 + 3.0 * z2 + w
     y = (rng.uniform(0.0, 1.0, n) < sigmoid(logit)).astype(np.int64)
-    seed_int = int(seed) if np.isscalar(seed) and not isinstance(seed, np.random.Generator) else -1
-    return SimDataset(y, z1, z2, u, case, seed_int, n)
+    return SimDataset(y, z1, z2, u, case, n)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -178,6 +178,26 @@ class TestGraphExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_bins_with_degree_is_usage_error(self, network_files, tmp_path, capsys):
+        # degree is binned one integer per bin, so --bins would do nothing
+        out = tmp_path / "gx"
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(network_files / "edges.txt"),
+                "--labels", str(network_files / "labels.csv"),
+                "--features", str(network_files / "features.txt"),
+                "--covariate", "degree", "--bins", "20",
+                "--positive-label", "topic/positive",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "one integer per bin" in err
+        assert not out.exists()
+
     def test_missing_feature_file_fails_cleanly(self, network_files, tmp_path, capsys):
         code = main(
             [
@@ -377,6 +397,10 @@ class TestManifest:
         fit = (runs / "stack-fit" / "manifest.txt").read_text()
         assert "lam = 1.0\n" in fit and "strength = cv\n" in fit
         assert "chosen_strength = 1.0\n" in fit
+
+    def test_default_bins_recorded(self, runs):
+        # the degree run passes no --bins; its manifest names the value used
+        assert "bins = 100\n" in (runs / "graph-experiment" / "manifest.txt").read_text()
 
     @pytest.mark.parametrize(
         "argv",

@@ -233,6 +233,22 @@ class TestCloseness:
         with pytest.raises(ValueError, match="connected"):
             closeness_centrality(g)
 
+    @pytest.mark.parametrize("chunk", [1, 64, 65, 130])
+    def test_disconnected_stall_behind_running_sources(self, chunk):
+        # a 150-node path and a 50-node cycle with interleaved indices: in
+        # every chunk the cycle's sources stall while the path's still run
+        lines = [f"p{i} p{i + 1}" for i in range(149)] + [f"c{i} c{(i + 1) % 50}" for i in range(50)]
+        order = sorted(lines, key=lambda line: int(line.split()[0][1:]))
+        g = parse_edge_list(order)
+        assert g.node_ids[:4] == ["p0", "p1", "c0", "c1"]
+        with pytest.raises(ValueError, match="connected graph"):
+            closeness_centrality(g, chunk=chunk)
+
+    def test_isolated_node_rejected(self):
+        g = Graph.build(list("abcd"), [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="connected graph"):
+            closeness_centrality(g)
+
     def test_bounds_and_star_equality(self, star5):
         vals = closeness_centrality(star5).values
         n = star5.n_nodes
@@ -309,6 +325,22 @@ class TestClosenessAgainstNetworkx:
         while largest_connected_component(g).n_nodes < 20:
             g = random_graph(rng, 20, 0.15)
         self.check(g, chunk=chunk)
+
+    @pytest.fixture(scope="class")
+    def connected_200(self):
+        # a random tree on 200 nodes (connected by construction) plus 100 chords
+        rng = np.random.default_rng(44)
+        lines = [f"v{i} v{rng.integers(i)}" for i in range(1, 200)]
+        lines += [f"v{a} v{b}" for a, b in rng.integers(200, size=(100, 2)) if a != b]
+        g = parse_edge_list(lines)
+        assert g.n_nodes == 200
+        return g
+
+    @pytest.mark.parametrize("chunk", [63, 64, 65, 130, 512])
+    def test_word_and_chunk_edges(self, connected_200, chunk):
+        # one bit per source: chunks that end inside, on and just past a
+        # 64-bit word, a partial last chunk, and one chunk for all nodes
+        self.check(connected_200, chunk=chunk)
 
 
 class TestDegreeAndComponentsAgainstNetworkx:

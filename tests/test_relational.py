@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynstack.graph import Graph, attach_labels, parse_edge_list
-from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate
+from dynstack.relational import IcaConfig, LabelState, _has_exact_sums, ica_run, wvrn_estimate
 
 from conftest import random_graph
 from oracles import direct_wvrn, ica_reference
@@ -230,14 +230,21 @@ class TestIcaRun:
         np.testing.assert_allclose(res.probs[i_b], [0.5, 0.5])
 
 
+ALL_OUTCOMES = {(False, False), (False, True), (True, False), (True, True)}
+
+
+def fractional_weight(rng):
+    return float(rng.choice([0.0, rng.uniform(0.1, 3.0), 1.0], p=[0.15, 0.7, 0.15]))
+
+
 class TestIcaAgainstReference:
     @staticmethod
-    def random_case(rng):
-        """Random graph with fractional and zero weights and isolated nodes."""
+    def random_case(rng, weight=fractional_weight):
+        """Random graph with ``weight(rng)`` edge weights and isolated nodes."""
         n = int(rng.integers(8, 40))
         iso = rng.uniform(size=n) < 0.1
         edges = [
-            (i, j, float(rng.choice([0.0, rng.uniform(0.1, 3.0), 1.0], p=[0.15, 0.7, 0.15])))
+            (i, j, weight(rng))
             for i in range(n)
             for j in range(i + 1, n)
             if not (iso[i] or iso[j]) and rng.uniform() < 0.15
@@ -251,21 +258,52 @@ class TestIcaAgainstReference:
         labels[k] = truth[k]  # at least one observed node
         return g, labels
 
+    @staticmethod
+    def check(g, labels, cap, order_seed):
+        """Assert ``ica_run`` equals the literal sweep; return its outcome."""
+        res = ica_run(g, labels, IcaConfig(max_iterations=cap, order_seed=order_seed))
+        probs, hard, was_null, sweeps, converged = ica_reference(g, labels, cap, order_seed)
+        np.testing.assert_array_equal(res.probs, probs)
+        np.testing.assert_array_equal(res.hard_labels, hard)
+        np.testing.assert_array_equal(res.was_null, was_null)
+        assert (res.n_sweeps, res.converged) == (sweeps, converged)
+        return converged, bool(was_null.any())
+
     def test_matches_literal_sweep_bit_for_bit(self):
         rng = np.random.default_rng(47)
         outcomes = set()
         for trial in range(60):
             g, labels = self.random_case(rng)
-            cap = (1, 2, 3, 100)[trial % 4]
-            res = ica_run(g, labels, IcaConfig(max_iterations=cap, order_seed=trial))
-            probs, hard, was_null, sweeps, converged = ica_reference(g, labels, cap, trial)
-            np.testing.assert_array_equal(res.probs, probs)
-            np.testing.assert_array_equal(res.hard_labels, hard)
-            np.testing.assert_array_equal(res.was_null, was_null)
-            assert (res.n_sweeps, res.converged) == (sweeps, converged)
-            outcomes.add((converged, bool(was_null.any())))
+            outcomes.add(self.check(g, labels, (1, 2, 3, 100)[trial % 4], trial))
         # the cases reached every combination of (converged, some null node)
-        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+        assert outcomes == ALL_OUTCOMES
+
+    @pytest.mark.parametrize("weights", [(1.0,), (0.0, 1.0, 2.0, 3.0)], ids=["unit", "0-3"])
+    def test_integral_weights_match_literal_sweep_bit_for_bit(self, weights):
+        # these take the running-sums path, which never re-reads neighbours
+        rng = np.random.default_rng(53)
+        outcomes = set()
+        for trial in range(80):
+            g, labels = self.random_case(rng, lambda r: float(r.choice(weights)))
+            assert _has_exact_sums(g)
+            outcomes.add(self.check(g, labels, (1, 2, 3, 100)[trial % 4], trial))
+        assert outcomes == ALL_OUTCOMES
+
+    def test_weights_summing_past_2_53_take_the_cached_path(self):
+        # t sees x and y (weight 1 each; both turn X through p), a (X,
+        # 2**53) and b (Y, 2**53 + 2). Summed in neighbour order, X gets
+        # 1 + 1 + 2**53 exactly and ties Y; added one commit at a time,
+        # each +1 to 2**53 rounds away, so running sums would pick Y.
+        big = 2.0**53
+        edges = [(4, 0, 1.0), (4, 1, 1.0), (4, 2, big), (4, 3, big + 2), (0, 5, 1.0), (1, 5, 1.0)]
+        labels = np.array([-1, -1, 0, 1, -1, 0])
+        g = Graph.build(list("xyabtp"), edges, labels, "XY")
+        assert not _has_exact_sums(g)
+        for seed in range(6):
+            self.check(g, labels, 100, seed)
+        res = ica_run(g, labels, IcaConfig(order_seed=0))
+        assert res.hard_labels[4] == 0
+        np.testing.assert_array_equal(res.probs[4], [0.5, 0.5])
 
 
 class TestIcaConfig:
