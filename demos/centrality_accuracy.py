@@ -35,8 +35,9 @@ deg_bins = None
 clo_bins = None
 for r in range(reps):
     train, test = split_nodes(graph, SplitSpec(0.8, seed=100 + r))
-    masked = graph.mask_labels(test)
-    res = ica_run(masked, None, IcaConfig(order_seed=r))
+    labels = graph.labels.copy()
+    labels[test] = -1  # unobserved
+    res = ica_run(graph, labels, IcaConfig(order_seed=r))
     correct = res.hard_labels[test]
     truth = graph.labels[test]
     db = binned_accuracy(correct, truth, deg.values[test], integer_bins=True,

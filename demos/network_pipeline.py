@@ -16,6 +16,7 @@ import numpy as np
 
 from dynstack.experiment import ExperimentConfig, run_graph_experiment
 from dynstack.naive_bayes import parse_feature_file
+from dynstack.stacking import coefficient_curves
 from dynstack.synth import planted_homophily_network
 
 net = planted_homophily_network(n_nodes=600, seed=3)
@@ -48,9 +49,9 @@ for lo, cnt, d in zip(report.bin_lo, report.bin_counts, deltas):
 
 print("\nFitted weight curves (first repetition): the relational classifier")
 print("earns weight only where degree makes it trustworthy.")
-idx = np.linspace(0, len(report.curves_u) - 1, 8).astype(int)
-print(f"  {'degree':>7s}  {report.curve_columns[0]:>16s}  {report.curve_columns[1]:>16s}")
-for k in idx:
-    print(
-        f"  {report.curves_u[k]:7.1f}  {report.curves[k, 0]:16.3f}  {report.curves[k, 1]:16.3f}"
-    )
+model = report.model
+grid = np.linspace(model.basis.u_lo, model.basis.u_hi, 8)
+curves = coefficient_curves(model, grid)
+print(f"  {'degree':>7s}  {model.columns[0]:>16s}  {model.columns[1]:>16s}")
+for u, (nb, rel) in zip(grid, curves):
+    print(f"  {u:7.1f}  {nb:16.3f}  {rel:16.3f}")

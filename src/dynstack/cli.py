@@ -73,10 +73,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_curves(path: Path, columns: list[str], grid, curves) -> None:
-    """One row per grid point: ``u`` then every weight curve's value there."""
+def _write_curves(path: Path, model: DynamicStackModel, points: int) -> None:
+    """``points`` rows over the model's domain: ``u``, then each weight curve there."""
+    grid = np.linspace(model.basis.u_lo, model.basis.u_hi, points)
+    curves = coefficient_curves(model, grid)
     rows = [[repr(float(u))] + [repr(float(v)) for v in row] for u, row in zip(grid, curves)]
-    _write_csv(path, ["u"] + list(columns), rows)
+    _write_csv(path, ["u"] + list(model.columns), rows)
 
 
 def _parse_file(parse, path, *args):
@@ -192,7 +194,7 @@ def cmd_graph_experiment(args) -> int:
         ["method", "bin_lo", "bin_hi", "mean_count", "mean_delta_correct"],
         delta_rows,
     )
-    _write_curves(out / "coefficient_curves.csv", report.curve_columns, report.curves_u, report.curves)
+    _write_curves(out / "coefficient_curves.csv", report.model, 200)
     _write_manifest(out, args, bins=cfg.bins)
     return 0
 
@@ -207,6 +209,18 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_stack_fit(args) -> int:
+    # a flag the chosen model never reads would still be written to the manifest
+    static = args.model != "dynamic"
+    unread = {
+        "--penalty": not static and args.penalty != "none",
+        "--lam": static and args.lam is not None,
+        "--strength": args.strength is not None and (not static or args.penalty == "none"),
+    }
+    flag = next((f for f, bad in unread.items() if bad), None)
+    if flag is not None:
+        given = f"--model {args.model}" + (f" --penalty {args.penalty}" if static else "")
+        print(f"error: {flag} does not apply to {given}", file=sys.stderr)
+        return 2
     out = _out_dir(args)
     data = read_level1(args.level1)
     config = FitConfig(cv_folds=args.folds)
@@ -266,8 +280,7 @@ def cmd_curves(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, DynamicStackModel):
         raise SystemExit("error: coefficient curves require a dynamic model file")
-    grid = np.linspace(model.basis.u_lo, model.basis.u_hi, args.points)
-    _write_curves(out / "curves.csv", model.columns, grid, coefficient_curves(model, grid))
+    _write_curves(out / "curves.csv", model, args.points)
     _write_manifest(out, args)
     return 0
 

@@ -37,7 +37,6 @@ from .stacking import (
     FitConfig,
     build_level1,
     default_basis,
-    coefficient_curves,
     predict,
 )
 # not called here: perfbench/tracing.py wraps these names on this module too
@@ -47,6 +46,7 @@ __all__ = [
     "ExperimentConfig",
     "GraphExperimentReport",
     "binarize_labels",
+    "level0_predictors",
     "node_covariate",
     "run_graph_experiment",
     "STATIC_METHODS",
@@ -103,43 +103,26 @@ def node_covariate(graph: Graph, kind: str) -> NodeCovariate:
     raise ValueError(f"unknown covariate {kind!r}; expected 'degree' or 'closeness'")
 
 
-class LocalNaiveBayesClassifier:
-    """Level-0 adapter: multinomial NB over the training nodes' features."""
+def level0_predictors(graph: Graph, features: SparseFeatures, ica_cfg: IcaConfig) -> dict:
+    """The level-0 classifiers as ``predict(fit_nodes, pred_nodes)`` functions.
 
-    name = "local_nb"
-
-    def __init__(self, features, labels, n_classes: int):
-        self.features = features  # csr rows aligned with the instance indices
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.n_classes = n_classes
-
-    def heldout_probs(self, fit_idx, heldout_idx):
-        model = fit_nb(self.features[fit_idx], self.labels[fit_idx], self.n_classes)
-        return predict_nb(model, self.features[heldout_idx])
-
-
-class RelationalIcaClassifier:
-    """Level-0 adapter: wvRN + collective inference with fold labels masked.
-
-    Training on a fold's complement means running inference with that
-    fold's labels nulled out (on top of the already-masked test nodes)
-    and reading off the fold nodes' terminal soft distributions.
+    Each one trains on the labels of ``fit_nodes`` alone and returns class
+    probabilities for ``pred_nodes``, one row per node. ``local_nb`` is
+    multinomial naive Bayes on the nodes' own features; ``wvrn_ica`` is
+    wvRN with collective inference in which every node outside
+    ``fit_nodes`` is unobserved.
     """
 
-    name = "wvrn_ica"
+    def local_nb(fit, pred):
+        model = fit_nb(features.matrix[fit], graph.labels[fit], graph.class_count)
+        return predict_nb(model, features.matrix[pred])
 
-    def __init__(self, masked_graph: Graph, train_nodes, config: IcaConfig):
-        self.graph = masked_graph
-        self.train_nodes = np.asarray(train_nodes, dtype=np.int64)
-        self.config = config
-        self.n_classes = masked_graph.class_count
+    def wvrn_ica(fit, pred):
+        labels = np.full(graph.n_nodes, -1, dtype=np.int64)
+        labels[fit] = graph.labels[fit]
+        return ica_run(graph, labels, ica_cfg).probs[pred]
 
-    def heldout_probs(self, fit_idx, heldout_idx):
-        labels = np.full(self.graph.n_nodes, -1, dtype=np.int64)
-        keep = self.train_nodes[fit_idx]
-        labels[keep] = self.graph.labels[keep]
-        result = ica_run(self.graph, labels, self.config)
-        return result.probs[self.train_nodes[heldout_idx]]
+    return {"local_nb": local_nb, "wvrn_ica": wvrn_ica}
 
 
 @dataclass
@@ -161,23 +144,19 @@ def run_graph_repetition(
     """One seeded split -> level-0 fits -> stacking fits -> test accuracy."""
     split_seed, fold_seed, ica_seed, cv_seed = child_seeds(rep_seed, 4)
     train, test = split_nodes(graph, SplitSpec(cfg.test_fraction, split_seed))
-    masked = graph.mask_labels(test)
     y = (graph.labels == 0).astype(np.int64)  # class 0 is the positive label
 
-    nb = LocalNaiveBayesClassifier(features.matrix[train], graph.labels[train], graph.class_count)
-    ica_cfg = IcaConfig(order_seed=ica_seed)
-    rel = RelationalIcaClassifier(masked, train, ica_cfg)
-    level1 = build_level1(y[train], [nb, rel], cov.values[train], cfg.folds, fold_seed)
+    level0 = level0_predictors(graph, features, IcaConfig(order_seed=ica_seed))
+    # fold rows: instance indices into ``train``
+    folded = {name: lambda f, h, fn=fn: fn(train[f], train[h]) for name, fn in level0.items()}
+    level1 = build_level1(y[train], folded, cov.values[train], cfg.folds, fold_seed)
 
     basis = default_basis(level1.u, cfg.interior_knots, cfg.spline_degree)
     where = f"repetition seed {rep_seed}"
     models = {m: fit_method(m, level1, cfg.fit, cv_seed, where, basis) for m in METHODS}
 
-    # level-0 predictions for the test nodes from the full training set
-    nb_model = fit_nb(features.matrix[train], graph.labels[train], graph.class_count)
-    nb_test = predict_nb(nb_model, features.matrix[test])
-    rel_test = ica_run(masked, None, ica_cfg).probs[test]
-    z_test = np.column_stack([nb_test[:, 0], rel_test[:, 0]])
+    # test rows: every classifier trained on the full training set
+    z_test = np.column_stack([fn(train, test)[:, 0] for fn in level0.values()])
     u_test = cov.values[test]
     y_test = y[test]
 
@@ -197,9 +176,7 @@ class GraphExperimentReport:
     methods: list[str]
     accuracies: dict[str, np.ndarray]  # per repetition
     comparisons: dict[str, ComparisonResult]  # dynamic vs each static
-    curves_u: np.ndarray
-    curves: np.ndarray
-    curve_columns: list[str]
+    model: DynamicStackModel  # the first fitted repetition's, for its weight curves
     bin_lo: np.ndarray
     bin_hi: np.ndarray
     bin_counts: np.ndarray  # mean test count per bin
@@ -256,17 +233,11 @@ def run_graph_experiment(
         m: np.mean(d, axis=0) if d else np.full(len(edges.counts), np.nan)
         for m, d in diffs.items()
     }
-
-    # only the first fitted repetition's weight curves are reported
-    model = fitted[0].model
-    curves_u = np.linspace(model.basis.u_lo, model.basis.u_hi, 200)
     return GraphExperimentReport(
         methods=list(METHODS),
         accuracies=accuracies,
         comparisons=comparisons,
-        curves_u=curves_u,
-        curves=coefficient_curves(model, curves_u),
-        curve_columns=model.columns,
+        model=fitted[0].model,
         bin_lo=edges.bin_lo,
         bin_hi=edges.bin_hi,
         bin_counts=np.mean(np.vstack(counts), axis=0),

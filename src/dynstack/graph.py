@@ -148,12 +148,6 @@ class Graph:
             class_names,
         )
 
-    def mask_labels(self, node_indices) -> "Graph":
-        """Copy with the given nodes' labels set to unobserved."""
-        lab = self.labels.copy()
-        lab[np.asarray(node_indices, dtype=np.int64)] = -1
-        return self.with_labels(lab, self.class_names)
-
     def subgraph(self, node_indices) -> "Graph":
         """Induced subgraph; indices recompacted, external ids preserved."""
         keep = np.sort(np.asarray(node_indices, dtype=np.int64))
@@ -304,16 +298,16 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
     indptr, indices = graph._indptr, graph._indices
     if not np.diff(indptr).all():  # an isolated node; reduceat needs no empty rows
         raise ValueError(_DISCONNECTED)
-    totals = np.empty(n)
+    # hop distance is symmetric, so a node's total over every source is
+    # its own total distance: count each node's newly reached sources
+    totals = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, chunk):
         k = min(chunk, n - lo)
         src = np.arange(k)
-        # bit s of row lo + s: source s has seen itself; little-endian
-        # words put bit s at bit s % 8 of byte s // 8 of the uint8 view
-        seen = np.zeros((n, (k + 63) // 64), dtype="<u8")
+        # bit s of row lo + s: source s has seen itself
+        seen = np.zeros((n, (k + 63) // 64), dtype=np.uint64)
         seen[lo + src, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
         front = seen.copy()
-        total = np.zeros(k, dtype=np.int64)
         hop, reached = 0, k
         while reached < n * k:
             hop += 1
@@ -322,11 +316,9 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
             if not front.any():  # every source stalled short of n nodes
                 raise ValueError(_DISCONNECTED)
             seen |= front
-            bits = np.unpackbits(front.view(np.uint8), axis=1, count=k, bitorder="little")
-            counts = bits.sum(axis=0, dtype=np.int64)
-            total += hop * counts
+            counts = np.bitwise_count(front).sum(axis=1, dtype=np.int64)
+            totals += hop * counts
             reached += int(counts.sum())
-        totals[lo : lo + k] = total
     return NodeCovariate(1.0 / totals)
 
 

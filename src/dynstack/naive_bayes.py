@@ -34,11 +34,6 @@ class SparseFeatures:
 class NaiveBayesModel:
     log_priors: np.ndarray  # (C,)
     log_likelihoods: np.ndarray  # (C, V)
-    alpha: float
-
-    @property
-    def vocab_size(self) -> int:
-        return self.log_likelihoods.shape[1]
 
 
 def parse_feature_file(lines, node_ids) -> SparseFeatures:
@@ -108,15 +103,16 @@ def fit_nb(
         term_counts[c] = np.asarray(rows.sum(axis=0)).ravel()
     smoothed = term_counts + alpha
     log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
-    return NaiveBayesModel(log_priors, log_lik, alpha)
+    return NaiveBayesModel(log_priors, log_lik)
 
 
 def predict_nb(model: NaiveBayesModel, features: csr_matrix) -> np.ndarray:
     """Per-row class probabilities; empty rows fall back to the priors."""
-    if features.shape[1] != model.vocab_size:
+    vocab_size = model.log_likelihoods.shape[1]
+    if features.shape[1] != vocab_size:
         raise ValueError(
             f"feature width {features.shape[1]} does not match vocabulary "
-            f"size {model.vocab_size}"
+            f"size {vocab_size}"
         )
     scores = model.log_priors[None, :] + (features @ model.log_likelihoods.T)
     return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))

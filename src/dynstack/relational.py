@@ -194,19 +194,17 @@ def _sweep_by_cache(graph, labels, test_nodes, rng, max_iterations):
     return hard, soft, null, sweeps, converged
 
 
-def ica_run(
-    graph: Graph, labels: np.ndarray | None = None, config: IcaConfig = IcaConfig()
-) -> IcaResult:
+def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -> IcaResult:
     """Iterative classification over the unobserved nodes of ``graph``.
 
-    ``labels`` (default ``graph.labels``) marks observed nodes with their
-    class index and unobserved ones with -1. Each sweep visits the
-    unobserved nodes in a fresh seeded random order and commits each to a
-    point mass on the argmax of its neighbor average (ties to the lowest
-    class index); updates are visible to later nodes in the same sweep.
-    Observed nodes are never revisited. After the final sweep one extra
-    soft pass reports each unobserved node's neighbor average from the
-    terminal hard states, which is what feeds stacking.
+    ``labels`` marks observed nodes with their class index and unobserved
+    ones with -1. Each sweep visits the unobserved nodes in a fresh seeded
+    random order and commits each to a point mass on the argmax of its
+    neighbor average (ties to the lowest class index); updates are visible
+    to later nodes in the same sweep. Observed nodes are never revisited.
+    After the final sweep one extra soft pass reports each unobserved
+    node's neighbor average from the terminal hard states, which is what
+    feeds stacking.
 
     Two implementations give the same result bit for bit, chosen from
     the edge weights alone. When every weight is an integer and all of
@@ -218,7 +216,7 @@ def ica_run(
     each node's average cached and recompute it only when a neighbour
     became known or changed label since it was last computed.
     """
-    labels = graph.labels if labels is None else np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     c = graph.class_count
     if c < 1:
         raise ValueError("graph has no label classes")

@@ -146,15 +146,17 @@ def _cv_fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def build_level1(y, classifiers, u, folds: int = 10, seed: int = 0) -> Level1Data:
+def build_level1(y, predictors, u, folds: int = 10, seed: int = 0) -> Level1Data:
     """Assemble held-out level-0 probabilities into level-1 rows.
 
-    Each classifier is an object with ``name``, ``n_classes`` and
-    ``heldout_probs(fit_idx, heldout_idx) -> (len(heldout), n_classes)``
-    giving predictions for the held-out instances after training without
-    them. Instance indices run 0..n-1 in the order of ``y`` and ``u``.
-    Every row's Z block is the classifier's prediction from the fold that
-    held that row out, minus the last class column.
+    ``predictors`` maps each level-0 classifier's name to a function
+    ``predict(fit_idx, heldout_idx)`` that trains on the ``fit_idx``
+    instances and returns class probabilities for the ``heldout_idx``
+    ones, one row per instance and one column per class. Instance indices
+    run 0..n-1 in the order of ``y`` and ``u``. Every row's Z block is
+    the classifier's prediction from the fold that held that row out,
+    minus the last class column. Every fold must return the first fold's
+    number of classes.
     """
     y = np.asarray(y, dtype=np.int64)
     u = np.asarray(u, dtype=float)
@@ -167,22 +169,27 @@ def build_level1(y, classifiers, u, folds: int = 10, seed: int = 0) -> Level1Dat
 
     blocks = []
     columns: list[str] = []
-    for clf in classifiers:
-        width = clf.n_classes - 1
-        out = np.full((n, width), np.nan)
+    for name, fn in predictors.items():
         for j, heldout in enumerate(fold_idx):
             fit_idx = np.setdiff1d(np.arange(n), heldout)
             try:
-                probs = clf.heldout_probs(fit_idx, heldout)
+                probs = np.asarray(fn(fit_idx, heldout))
             except ValueError as err:
                 raise ValueError(
-                    f"fold {j + 1} cannot train classifier {clf.name!r} ({err}); "
+                    f"fold {j + 1} cannot train classifier {name!r} ({err}); "
                     "use larger training folds (a higher fold count) so no "
                     "held-out block swallows a whole class"
                 ) from err
-            out[heldout] = np.asarray(probs)[:, :width]
+            if j == 0:  # the first fold sets the class count
+                out = np.full((n, probs.shape[-1] - 1), np.nan)
+            if probs.shape != (len(heldout), out.shape[1] + 1):
+                raise ValueError(
+                    f"classifier {name!r} returned probabilities of shape {probs.shape} "
+                    f"in fold {j + 1}; expected ({len(heldout)}, {out.shape[1] + 1})"
+                )
+            out[heldout] = probs[:, :-1]
         blocks.append(out)
-        columns += [f"{clf.name}:class{c}" for c in range(width)]
+        columns += [f"{name}:class{c}" for c in range(out.shape[1])]
     z = np.hstack(blocks) if blocks else np.empty((n, 0))
     return Level1Data(y, z, u, columns)
 
@@ -841,14 +848,17 @@ def _parse_model(text: list[str]) -> DynamicStackModel | StaticStackModel:
 
     kind = get("kind")
     coef = np.array([float(v) for v in get("coef").split()])
+    if not np.isfinite(coef).all():
+        raise ValueError("'coef' holds a non-finite value")
     p = int(get("p"))
     if kind == "dynamic":
-        basis = BSplineBasis(
-            degree=int(get("degree")),
-            knots=np.array([float(v) for v in get("knots").split()]),
-            u_lo=float(get("u_lo")),
-            u_hi=float(get("u_hi")),
-        )
+        # every basis comes from make_basis, so the file's knots must be its knots
+        degree = int(get("degree"))
+        knots = np.array([float(v) for v in get("knots").split()])
+        interior = max(len(knots) - 2 * degree - 2, 0)
+        basis = make_basis(float(get("u_lo")), float(get("u_hi")), interior, degree)
+        if not np.array_equal(knots, basis.knots):
+            raise ValueError("'knots' are not the clamped uniform knots of [u_lo, u_hi]")
         model = DynamicStackModel(
             coef=coef, basis=basis, lam=float(get("lambda")), p=p, columns=columns
         )

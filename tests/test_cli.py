@@ -341,6 +341,44 @@ class TestStackCommands:
         with pytest.raises(SystemExit, match="dynamic"):
             main(["curves", "--model", str(out / "model.txt"), "--out", str(tmp_path / "c")])
 
+    @pytest.mark.parametrize(
+        "flags,unread",
+        [
+            (["--model", "dynamic", "--penalty", "lasso", "--strength", "3"], "--penalty"),
+            (["--model", "dynamic", "--strength", "3"], "--strength"),
+            (["--model", "m2", "--penalty", "ridge", "--lam", "1.0"], "--lam"),
+            (["--model", "m3", "--lam", "1.0"], "--lam"),
+            (["--model", "m1", "--strength", "0.5"], "--strength"),
+        ],
+        ids=["dynamic-penalty", "dynamic-strength", "ridge-lam", "logistic-lam", "logistic-strength"],
+    )
+    def test_unread_fit_flag_is_usage_error(self, level1_file, tmp_path, capsys, flags, unread):
+        # the model would ignore the flag, yet the manifest would record it
+        out = tmp_path / "fit"
+        code = main(["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {unread} does not apply to --model ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_predict_with_damaged_model_fails(self, level1_file, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0", "--out", str(fit_out)]
+        assert main(argv) == 0
+        path = fit_out / "model.txt"
+        lines = path.read_text().splitlines()
+        lines = [
+            "knots = " + " ".join(reversed(line[8:].split())) if line.startswith("knots = ") else line
+            for line in lines
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        pred_out = tmp_path / "pred"
+        argv = ["stack-predict", "--model", str(path), "--data", str(level1_file)]
+        assert main([*argv, "--out", str(pred_out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'knots' are not")
+        assert not (pred_out / "predictions.csv").exists()
+
 
 def parsed_flags(command):
     """Destinations of the options ``command`` accepts, without ``--out``."""

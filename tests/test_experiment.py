@@ -3,9 +3,8 @@ import pytest
 
 from dynstack.experiment import (
     ExperimentConfig,
-    LocalNaiveBayesClassifier,
-    RelationalIcaClassifier,
     binarize_labels,
+    level0_predictors,
     node_covariate,
     run_graph_experiment,
     run_graph_repetition,
@@ -67,22 +66,20 @@ class TestNodeCovariate:
             node_covariate(g, "closeness")
 
 
-class TestLevel0Adapters:
-    def test_relational_adapter_masks_fold_labels(self, planted_network):
+class TestLevel0Predictors:
+    def test_relational_predictor_masks_fold_labels(self, planted_network, planted_features):
         g = binarize_labels(planted_network.graph, "topic/positive")
         train, test = split_nodes(g, SplitSpec(0.5, 3))
-        masked = g.mask_labels(test)
-        clf = RelationalIcaClassifier(masked, train, IcaConfig(order_seed=0))
-        fit_idx = np.arange(len(train) // 2)
-        held_idx = np.arange(len(train) // 2, len(train))
-        probs = clf.heldout_probs(fit_idx, held_idx)
-        assert probs.shape == (len(held_idx), 2)
+        wvrn_ica = level0_predictors(g, planted_features, IcaConfig(order_seed=0))["wvrn_ica"]
+        fit, held = train[: len(train) // 2], train[len(train) // 2 :]
+        probs = wvrn_ica(fit, held)
+        assert probs.shape == (len(held), 2)
         assert np.all(probs >= 0) and np.all(probs <= 1)
 
-    def test_nb_adapter_round_trip(self, planted_network, planted_features):
+    def test_nb_predictor_round_trip(self, planted_network, planted_features):
         g = binarize_labels(planted_network.graph, "topic/positive")
-        clf = LocalNaiveBayesClassifier(planted_features.matrix, g.labels, 2)
-        probs = clf.heldout_probs(np.arange(0, 500), np.arange(500, 600))
+        local_nb = level0_predictors(g, planted_features, IcaConfig())["local_nb"]
+        probs = local_nb(np.arange(0, 500), np.arange(500, 600))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -123,8 +120,8 @@ class TestExperimentDriver:
         assert rep.bin_lo[0] == node_covariate(
             binarize_labels(planted_network.graph, "topic/positive"), "degree"
         ).values.min()
-        assert rep.curves.shape == (200, 2)
-        assert rep.curve_columns == ["local_nb:class0", "wvrn_ica:class0"]
+        assert rep.model.p == 2
+        assert rep.model.columns == ["local_nb:class0", "wvrn_ica:class0"]
 
     def test_failed_static_fit_drops_method_not_run(
         self, planted_network, planted_features, monkeypatch
@@ -174,7 +171,7 @@ class TestExperimentDriver:
         np.testing.assert_array_equal(rep.accuracies["ridge_m3"], clean.accuracies["ridge_m3"])
         # one paired repetition left: every comparison is degenerate
         assert all(c.degenerate for c in rep.comparisons.values())
-        assert rep.curves.shape == (200, 2)
+        assert rep.model.p == 2
 
         def every_fit_diverges(*args, **kw):
             raise ConvergenceError("separable")

@@ -443,11 +443,3 @@ class TestSplitNodes:
     def test_requires_labels(self, path3):
         with pytest.raises(ValueError, match="labeled"):
             split_nodes(path3, SplitSpec(0.5, 0))
-
-    def test_mask_labels_copy(self):
-        g = self._labeled(8, seed=4)
-        train, test = split_nodes(g, SplitSpec(0.5, 7))
-        masked = g.mask_labels(test)
-        assert np.all(masked.labels[test] == -1)
-        np.testing.assert_array_equal(masked.labels[train], g.labels[train])
-        assert np.all(g.labels >= 0)  # original untouched

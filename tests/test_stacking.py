@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynstack.simulation import auc, generate_case, sigmoid
 from dynstack.splines import assemble_block_penalty, curvature_penalty, make_basis
 from dynstack.stacking import (
     STATIC_DESIGNS,
     ConvergenceError,
+    DynamicStackModel,
     FitConfig,
     Level1Data,
     StaticStackModel,
@@ -100,27 +103,13 @@ class TestLevel1Data:
             read_level1(path)
 
 
-class _StubClassifier:
-    """Deterministic stand-in level-0 model for dataset-assembly tests."""
-
-    def __init__(self, name, n_classes, probs_fn):
-        self.name = name
-        self.n_classes = n_classes
-        self._fn = probs_fn
-
-    def heldout_probs(self, fit_idx, heldout_idx):
-        return self._fn(fit_idx, heldout_idx)
-
-
 class TestBuildLevel1:
     def test_column_arithmetic_two_binary(self):
         n = 20
         y = np.arange(n) % 2
         u = np.linspace(0, 1, n)
-        mk = lambda c: _StubClassifier(
-            f"clf{c}", 2, lambda fit, held: np.full((len(held), 2), 0.5)
-        )
-        data = build_level1(y, [mk(0), mk(1)], u, folds=4, seed=0)
+        half = lambda fit, held: np.full((len(held), 2), 0.5)
+        data = build_level1(y, {"clf0": half, "clf1": half}, u, folds=4, seed=0)
         assert data.p == 2
         assert data.columns == ["clf0:class0", "clf1:class0"]
 
@@ -128,11 +117,9 @@ class TestBuildLevel1:
         n = 18
         y = np.arange(n) % 2
         u = np.zeros(n)
-        three = _StubClassifier(
-            "three", 3, lambda fit, held: np.full((len(held), 3), 1 / 3)
-        )
-        two = _StubClassifier("two", 2, lambda fit, held: np.full((len(held), 2), 0.5))
-        data = build_level1(y, [three, two], u, folds=3, seed=0)
+        three = lambda fit, held: np.full((len(held), 3), 1 / 3)
+        two = lambda fit, held: np.full((len(held), 2), 0.5)
+        data = build_level1(y, {"three": three, "two": two}, u, folds=3, seed=0)
         assert data.p == 3
         assert data.columns == ["three:class0", "three:class1", "two:class0"]
 
@@ -147,8 +134,7 @@ class TestBuildLevel1:
             out[np.arange(len(heldout_idx)), np.where(y[heldout_idx] == 1, 0, 1)] = 1.0
             return out
 
-        clf = _StubClassifier("perfect", 2, perfect)
-        data = build_level1(y, [clf], np.zeros(n), folds=5, seed=1)
+        data = build_level1(y, {"perfect": perfect}, np.zeros(n), folds=5, seed=1)
         np.testing.assert_array_equal(data.z[:, 0], y)
 
     def test_rows_come_from_the_holding_fold(self):
@@ -162,7 +148,7 @@ class TestBuildLevel1:
             seen.append((set(fit_idx.tolist()), set(heldout_idx.tolist())))
             return np.full((len(heldout_idx), 2), 0.5)
 
-        build_level1(y, [_StubClassifier("c", 2, fn)], np.zeros(n), folds=4, seed=3)
+        build_level1(y, {"c": fn}, np.zeros(n), folds=4, seed=3)
         assert len(seen) == 4
         union = set()
         for fit, held in seen:
@@ -176,13 +162,26 @@ class TestBuildLevel1:
             raise ValueError("no training node for class(es) [1]")
 
         with pytest.raises(ValueError, match="larger training folds"):
-            build_level1(
-                np.arange(10) % 2,
-                [_StubClassifier("c", 2, failing)],
-                np.zeros(10),
-                folds=5,
-                seed=0,
-            )
+            build_level1(np.arange(10) % 2, {"c": failing}, np.zeros(10), folds=5, seed=0)
+
+    @pytest.mark.parametrize(
+        "shape_of,fold",
+        [
+            (lambda j, k: (k, 3 if j == 2 else 2), 2),  # a later fold adds a class column
+            (lambda j, k: (k - 1, 2), 1),  # one row short
+            (lambda j, k: (k,), 1),  # not a matrix
+        ],
+        ids=["width", "rows", "flat"],
+    )
+    def test_wrong_shape_names_classifier_and_fold(self, shape_of, fold):
+        calls = []
+
+        def fn(fit_idx, heldout_idx):
+            calls.append(1)
+            return np.full(shape_of(len(calls), len(heldout_idx)), 0.5)
+
+        with pytest.raises(ValueError, match=rf"classifier 'odd' .* in fold {fold};"):
+            build_level1(np.arange(12) % 2, {"odd": fn}, np.zeros(12), folds=4, seed=0)
 
 
 class TestFitDynamic:
@@ -747,3 +746,86 @@ class TestModelFiles:
         path.write_text("hello\n")
         with pytest.raises(ValueError, match="model file"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key,edit,message",
+        [
+            ("dynamic", "knots", lambda v: " ".join(reversed(v.split())), "'knots' are not"),
+            ("dynamic", "knots", lambda v: v.replace(v.split()[5], "nan", 1), "'knots' are not"),
+            ("dynamic", "knots", lambda v: v.rsplit(" ", 1)[0], "'knots' are not"),
+            ("dynamic", "u_lo", lambda v: "2.5", r"invalid domain \[2.5, "),
+            ("dynamic", "coef", lambda v: "nan " + v.split(" ", 1)[1], "'coef' holds a non-finite"),
+            ("static", "coef", lambda v: v.rsplit(" ", 1)[0] + " inf", "'coef' holds a non-finite"),
+        ],
+        ids=["reversed-knots", "nan-knot", "short-knots", "lo-above-hi", "nan-coef", "inf-coef"],
+    )
+    def test_inconsistent_model_rejected(self, tmp_path, kind, key, edit, message):
+        # each of these used to load and then predict wrong numbers or NaN
+        data = make_data(n=150, seed=19)
+        if kind == "dynamic":
+            model = fit_dynamic(data, 1.0, default_basis(data.u))
+        else:
+            model = fit_static(data, "m2", "none")
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        lines = [
+            f"{key} = {edit(line.split(' = ', 1)[1])}" if line.startswith(key + " = ") else line
+            for line in lines
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="model.txt: " + message):
+            load_model(path)
+
+
+_floats = st.floats(-1e6, 1e6, allow_nan=False)
+_names = st.text("abcxyz019:_", min_size=1, max_size=8)
+
+
+@st.composite
+def _dynamic_models(draw):
+    lo, width = draw(_floats), draw(st.floats(1e-3, 1e6))
+    basis = make_basis(lo, lo + width, draw(st.integers(0, 8)), draw(st.integers(0, 4)))
+    p = draw(st.integers(1, 3))
+    coef = draw(st.lists(_floats, min_size=1 + p * basis.size, max_size=1 + p * basis.size))
+    lam = draw(st.floats(0, 1e8))
+    columns = draw(st.lists(_names, min_size=p, max_size=p))
+    return DynamicStackModel(np.array(coef), basis, lam, p, columns)
+
+
+@st.composite
+def _static_models(draw):
+    design = draw(st.sampled_from(STATIC_DESIGNS))
+    p = draw(st.integers(1, 3))
+    width = {"m1": 1 + p, "m2": 2 + p, "m3": 2 + 2 * p}[design]
+    return StaticStackModel(
+        design=design,
+        penalty=draw(st.sampled_from(("none", "ridge", "lasso"))),
+        strength=draw(st.floats(0, 1e8)),
+        coef=np.array(draw(st.lists(_floats, min_size=width, max_size=width))),
+        p=p,
+        columns=draw(st.lists(_names, min_size=p, max_size=p)),
+    )
+
+
+class TestModelFileRoundTrip:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(model=st.one_of(_dynamic_models(), _static_models()))
+    def test_save_then_load_is_bit_equal(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        back = load_model(path)
+        assert type(back) is type(model)
+        assert back.coef.tobytes() == model.coef.tobytes()
+        assert (back.p, back.columns) == (model.p, model.columns)
+        if isinstance(model, DynamicStackModel):
+            assert np.float64(back.lam).tobytes() == np.float64(model.lam).tobytes()
+            assert back.basis.degree == model.basis.degree
+            assert back.basis.knots.tobytes() == model.basis.knots.tobytes()
+            for end in ("u_lo", "u_hi"):
+                assert np.float64(getattr(back.basis, end)).tobytes() == np.float64(
+                    getattr(model.basis, end)
+                ).tobytes()
+        else:
+            assert (back.design, back.penalty) == (model.design, model.penalty)
+            assert np.float64(back.strength).tobytes() == np.float64(model.strength).tobytes()
