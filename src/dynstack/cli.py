@@ -51,9 +51,9 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_manifest(out: Path, args, **resolved) -> None:
-    """Record every parsed flag but ``--out``; ``resolved`` overrides values."""
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+def _write_manifest(out: Path, args, omit=(), **resolved) -> None:
+    """Record every parsed flag but ``--out`` and ``omit``; ``resolved`` overrides values."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", *omit)}
     params.update(resolved)
     lines = [f"command = {args.command}"]
     lines += [f"{k} = {_fmt_value(v)}" for k, v in sorted(params.items())]
@@ -215,6 +215,8 @@ def cmd_stack_fit(args) -> int:
         "--penalty": not static and args.penalty != "none",
         "--lam": static and args.lam is not None,
         "--strength": args.strength is not None and (not static or args.penalty == "none"),
+        "--knots": static and args.knots is not None,
+        "--spline-degree": static and args.spline_degree is not None,
     }
     flag = next((f for f, bad in unread.items() if bad), None)
     if flag is not None:
@@ -226,13 +228,18 @@ def cmd_stack_fit(args) -> int:
     config = FitConfig(cv_folds=args.folds)
     cv_report = None
     if args.model == "dynamic":
-        basis = default_basis(data.u, args.knots, args.spline_degree)
+        knots = 6 if args.knots is None else args.knots
+        degree = 3 if args.spline_degree is None else args.spline_degree
+        basis = default_basis(data.u, knots, degree)
         if args.lam is None:
             lam, cv_report = select_lambda(data, config, basis, seed=args.seed)
         else:
             lam = args.lam
         model = fit_dynamic(data, lam, basis, config)
         chosen = lam
+        # the manifest records only the flags the chosen model reads
+        omit = ("penalty", "strength")
+        resolved = dict(lam="cv" if args.lam is None else args.lam, knots=knots, spline_degree=degree)
     else:
         strength = args.strength
         if args.penalty != "none" and strength is None:
@@ -244,6 +251,9 @@ def cmd_stack_fit(args) -> int:
             cv_seed=args.seed,
         )
         chosen = model.strength
+        omit, resolved = ("lam", "knots", "spline_degree", "strength"), {}
+        if args.penalty != "none":
+            resolved["strength"] = "cv" if args.strength is None else args.strength
     save_model(out / "model.txt", model)
     if cv_report is not None:
         _write_csv(
@@ -251,13 +261,7 @@ def cmd_stack_fit(args) -> int:
             ["penalty_strength", "heldout_nll"],
             [[repr(lam_), repr(score)] for lam_, score in cv_report],
         )
-    _write_manifest(
-        out,
-        args,
-        lam="cv" if args.lam is None else args.lam,
-        strength="cv" if args.strength is None else args.strength,
-        chosen_strength=float(chosen),
-    )
+    _write_manifest(out, args, omit, chosen_strength=float(chosen), **resolved)
     return 0
 
 
@@ -352,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", choices=("none", "ridge", "lasso"), default="none")
     p.add_argument("--lam", type=float, default=None, help="fixed penalty; default CV")
     p.add_argument("--strength", type=float, default=None, help="fixed penalty; default CV")
-    p.add_argument("--knots", type=int, default=6)
-    p.add_argument("--spline-degree", type=int, default=3)
+    p.add_argument("--knots", type=int, default=None, help="dynamic model only; default 6")
+    p.add_argument("--spline-degree", type=int, default=None, help="dynamic model only; default 3")
     p.add_argument("--folds", type=int, default=10)
     common(p, seed=True)
     p.set_defaults(func=cmd_stack_fit)

@@ -20,11 +20,25 @@ from scipy.integrate import simpson
 from scipy.linalg import cho_factor, cho_solve
 
 
-def irls_logistic(x: np.ndarray, y: np.ndarray, max_iter: int = 200, tol: float = 1e-12):
-    """Unpenalized logistic MLE by iteratively-reweighted least squares."""
+def neg_loglik_reference(eta, y) -> float:
+    """``sum(log(1 + exp(eta)) - y * eta)`` through ``np.logaddexp``."""
+    eta = np.asarray(eta, dtype=float)
+    return float(np.sum(np.logaddexp(0.0, eta) - np.asarray(y) * eta))
+
+
+def irls_logistic(
+    x: np.ndarray, y: np.ndarray, max_iter: int = 200, tol: float = 1e-12, pen=None
+):
+    """Logistic MLE by iteratively-reweighted least squares, from zero.
+
+    ``pen`` adds ``sum_k pen[k] * b_k^2`` to the negative log-likelihood,
+    as rows ``sqrt(2 pen[k]) e_k`` with a zero response appended to each
+    weighted least-squares problem.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     beta = np.zeros(x.shape[1])
+    prior = np.empty((0, x.shape[1])) if pen is None else np.diag(np.sqrt(2.0 * np.asarray(pen)))
     for _ in range(max_iter):
         eta = x @ beta
         mu = 1.0 / (1.0 + np.exp(-eta))
@@ -32,7 +46,9 @@ def irls_logistic(x: np.ndarray, y: np.ndarray, max_iter: int = 200, tol: float 
         # weighted least squares on the working response
         z = eta + (y - mu) / w
         sw = np.sqrt(w)
-        new, *_ = np.linalg.lstsq(x * sw[:, None], z * sw, rcond=None)
+        new, *_ = np.linalg.lstsq(
+            np.vstack([x * sw[:, None], prior]), np.r_[z * sw, np.zeros(len(prior))], rcond=None
+        )
         if np.abs(new - beta).max() < tol:
             return new
         beta = new

@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+_path = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _path)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _result(**values):
+    return {"metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_summary_gives_median_and_quartiles():
+    runs = [_result(a=v) for v in (5.0, 1.0, 3.0, 2.0, 4.0)]
+    got = bench_record._summary(runs, spread=True)["a"]
+    assert (got["median"], got["q1"], got["q3"], got["iqr"]) == (3.0, 2.0, 4.0, 2.0)
+    assert got["values"] == [5.0, 1.0, 3.0, 2.0, 4.0]
+    assert bench_record._summary(runs, spread=False)["a"] == {"unit": "s", "median": 3.0}
+
+
+def test_moved_lists_only_changes_beyond_ten_percent():
+    def doc(**medians):
+        layers = {k: {"unit": "s", "median": v} for k, v in medians.items()}
+        return {"workloads": {"w": {"end_to_end": {}, "per_layer": layers}}}
+
+    old = doc(same=1.0, small=1.0, faster=1.0, zero=0.0, gone=1.0)
+    new = doc(same=1.0, small=1.09, faster=0.7, zero=2.0, added=5.0)
+    moved = bench_record._moved(old, new)
+    assert [line.split()[1] for line in moved] == ["faster", "zero"]
+    assert moved[0].endswith("(-30%)") and moved[1].endswith("(new)")

@@ -349,8 +349,13 @@ class TestStackCommands:
             (["--model", "m2", "--penalty", "ridge", "--lam", "1.0"], "--lam"),
             (["--model", "m3", "--lam", "1.0"], "--lam"),
             (["--model", "m1", "--strength", "0.5"], "--strength"),
+            (["--model", "m3", "--penalty", "lasso", "--knots", "4"], "--knots"),
+            (["--model", "m1", "--spline-degree", "2"], "--spline-degree"),
         ],
-        ids=["dynamic-penalty", "dynamic-strength", "ridge-lam", "logistic-lam", "logistic-strength"],
+        ids=[
+            "dynamic-penalty", "dynamic-strength", "ridge-lam", "logistic-lam",
+            "logistic-strength", "lasso-knots", "logistic-spline-degree",
+        ],
     )
     def test_unread_fit_flag_is_usage_error(self, level1_file, tmp_path, capsys, flags, unread):
         # the model would ignore the flag, yet the manifest would record it
@@ -361,6 +366,54 @@ class TestStackCommands:
         assert err.startswith(f"error: {unread} does not apply to --model ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,recorded,dropped",
+        [
+            (
+                ["--model", "m3", "--penalty", "lasso"],
+                {"penalty": "lasso", "strength": "cv"},
+                {"lam", "knots", "spline_degree"},
+            ),
+            (["--model", "m1"], {"penalty": "none"}, {"lam", "knots", "spline_degree", "strength"}),
+            (
+                ["--model", "dynamic", "--lam", "1.0"],
+                {"lam": "1.0", "knots": "6", "spline_degree": "3"},
+                {"penalty", "strength"},
+            ),
+        ],
+        ids=["lasso", "logistic", "dynamic"],
+    )
+    def test_manifest_records_only_read_flags(self, level1_file, tmp_path, flags, recorded, dropped):
+        out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--folds", "3", *flags]
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = dict(
+            line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        assert {k: manifest.get(k) for k in recorded} == recorded
+        assert not dropped & manifest.keys()
+
+    def test_dynamic_basis_defaults_are_six_knots_cubic(self, level1_file, tmp_path):
+        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        explicit = ["--knots", "6", "--spline-degree", "3", "--out", str(tmp_path / "b")]
+        assert main([*argv, *explicit]) == 0
+        model = (tmp_path / "a" / "model.txt").read_bytes()
+        assert model == (tmp_path / "b" / "model.txt").read_bytes()
+
+    def test_curves_with_missing_column_line_fails(self, level1_file, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0", "--out", str(fit_out)]
+        assert main(argv) == 0
+        path = fit_out / "model.txt"
+        lines = [line for line in path.read_text().splitlines() if line != "column = z2"]
+        path.write_text("\n".join(lines) + "\n")
+        cur_out = tmp_path / "cur"
+        assert main(["curves", "--model", str(path), "--points", "3", "--out", str(cur_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 1 'column' lines for p = 2") and err.count("\n") == 1
+        assert not (cur_out / "curves.csv").exists()
 
     def test_predict_with_damaged_model_fails(self, level1_file, tmp_path, capsys):
         fit_out = tmp_path / "fit"
@@ -425,15 +478,17 @@ class TestManifest:
         ["simulate", "graph-experiment", "centrality", "stack-fit", "stack-predict", "curves"],
     )
     def test_keys_are_the_parsed_flags(self, runs, command):
-        extra = {"chosen_strength"} if command == "stack-fit" else set()
-        assert manifest_keys(runs / command) == parsed_flags(command) | extra
+        expected = parsed_flags(command)
+        if command == "stack-fit":  # a dynamic fit reads neither static flag
+            expected = expected - {"penalty", "strength"} | {"chosen_strength"}
+        assert manifest_keys(runs / command) == expected
         assert (runs / command / "manifest.txt").read_text().startswith(f"command = {command}\n")
 
     def test_resolved_values(self, runs):
         sim = (runs / "simulate" / "manifest.txt").read_text()
         assert "methods = " + ",".join(METHODS) + "\n" in sim
         fit = (runs / "stack-fit" / "manifest.txt").read_text()
-        assert "lam = 1.0\n" in fit and "strength = cv\n" in fit
+        assert "lam = 1.0\n" in fit and "knots = 6\n" in fit and "spline_degree = 3\n" in fit
         assert "chosen_strength = 1.0\n" in fit
 
     def test_default_bins_recorded(self, runs):

@@ -28,7 +28,12 @@ from dynstack.stacking import (
     write_level1,
 )
 
-from oracles import cholesky_solve_reference, irls_logistic, lasso_quadratic_bruteforce
+from oracles import (
+    cholesky_solve_reference,
+    irls_logistic,
+    lasso_quadratic_bruteforce,
+    neg_loglik_reference,
+)
 
 
 def make_data(case=3, n=600, seed=0):
@@ -403,6 +408,48 @@ class TestSelectLambda:
         with pytest.raises(ValueError, match="degenerate folds"):
             select_lambda(bad, cfg)
 
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_matches_cold_started_oracle_cv(self, seed):
+        from dynstack.stacking import _cv_fold_indices, _penalty_eigenbasis
+
+        # warm-started damped Newton against IRLS from zero on every fold and lambda
+        data = make_data(case=3, n=2000, seed=seed)
+        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
+        basis = default_basis(data.u)
+        lam, report = select_lambda(data, cfg, basis, seed=seed)
+
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        x = dynamic_design(data.z, data.u, basis) @ rot
+        folds = _cv_fold_indices(data.n, cfg.cv_folds, seed)
+        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(data.n))
+        scores = np.zeros(len(cfg.lambda_grid))
+        for heldout in folds:
+            fit = np.setdiff1d(np.arange(data.n), heldout)
+            for gi, s in enumerate(cfg.lambda_grid):
+                coef = irls_logistic(x[fit], data.y[fit], pen=s * pen)
+                scores[gi] += neg_loglik_reference(x[heldout] @ coef, data.y[heldout])
+        best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger lambda
+        assert lam == cfg.lambda_grid[best]
+        np.testing.assert_allclose([v for _, v in report], scores, rtol=1e-8, atol=0)
+
+    def test_peak_memory_bounded_by_the_design(self):
+        import tracemalloc
+
+        from dynstack.stacking import _penalty_eigenbasis
+
+        # one fold copy at a time: two coexisting copies would read about 4.0
+        data = make_data(case=3, n=4000, seed=34)
+        basis = default_basis(data.u)
+        design_bytes = data.n * (1 + data.p * basis.size) * 8
+        _penalty_eigenbasis(basis, data.p)  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            select_lambda(data, FitConfig(), basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * design_bytes
+
 
 class TestFitStatic:
     def test_designs_have_expected_width(self):
@@ -592,14 +639,38 @@ class TestSolveSpd:
                 _solve_spd(a, g, jitter)
 
 
+class TestNegLoglik:
+    """The closed-form log-likelihood kernel against ``np.logaddexp``."""
+
+    def test_matches_logaddexp_reference(self):
+        from dynstack.stacking import _neg_loglik
+
+        for e in (0.0, 1e-300, 1.0, 36.0, 710.0, 745.0, 1e3):
+            for eta in (e, -e):
+                for y in (0, 1):
+                    got = _neg_loglik(np.array([eta]), np.array([y]))
+                    want = neg_loglik_reference([eta], [y])
+                    np.testing.assert_allclose(got, want, rtol=1e-14, err_msg=f"eta={eta}, y={y}")
+
+    def test_non_finite_eta_gives_non_finite_value(self):
+        from dynstack.stacking import _neg_loglik
+
+        for eta in (np.inf, -np.inf, np.nan):
+            for y in (0, 1):
+                with np.errstate(invalid="ignore"):
+                    assert not np.isfinite(_neg_loglik(np.array([0.5, eta]), np.array([1, y])))
+                    assert not np.isfinite(neg_loglik_reference([0.5, eta], [1, y]))
+
+
 class TestObjectivePath:
     """``objective_path[-1]`` is the objective at the returned coefficients,
     bit for bit: a fit's last path entry is reused, never recomputed."""
 
     @staticmethod
     def objective(x, y, coef, ridge=None, l1=0.0):
+        # the library's closed form, so the comparison can stay bit for bit
         eta = x @ coef
-        val = float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+        val = float(np.sum(np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))) - y * eta))
         if ridge is not None:
             val += float(ridge @ (coef * coef))
         return val + l1 * np.abs(coef[1:]).sum() if l1 else val
@@ -756,11 +827,20 @@ class TestModelFiles:
             ("dynamic", "u_lo", lambda v: "2.5", r"invalid domain \[2.5, "),
             ("dynamic", "coef", lambda v: "nan " + v.split(" ", 1)[1], "'coef' holds a non-finite"),
             ("static", "coef", lambda v: v.rsplit(" ", 1)[0] + " inf", "'coef' holds a non-finite"),
+            ("dynamic", "column", lambda v: None, "1 'column' lines for p = 2"),
+            ("dynamic", "column", lambda v: f"{v}\ncolumn = {v}", "3 'column' lines for p = 2"),
+            ("static", "column", lambda v: None, "1 'column' lines for p = 2"),
+            ("static", "column", lambda v: f"{v}\ncolumn = extra", "3 'column' lines for p = 2"),
         ],
-        ids=["reversed-knots", "nan-knot", "short-knots", "lo-above-hi", "nan-coef", "inf-coef"],
+        ids=[
+            "reversed-knots", "nan-knot", "short-knots", "lo-above-hi", "nan-coef", "inf-coef",
+            "dynamic-missing-column", "dynamic-extra-column",
+            "static-missing-column", "static-extra-column",
+        ],
     )
     def test_inconsistent_model_rejected(self, tmp_path, kind, key, edit, message):
-        # each of these used to load and then predict wrong numbers or NaN
+        # each of these used to load and then predict wrong numbers or NaN,
+        # or label curves with the wrong names; an edit of None drops the line
         data = make_data(n=150, seed=19)
         if kind == "dynamic":
             model = fit_dynamic(data, 1.0, default_basis(data.u))
@@ -769,10 +849,9 @@ class TestModelFiles:
         path = tmp_path / "model.txt"
         save_model(path, model)
         lines = path.read_text().splitlines()
-        lines = [
-            f"{key} = {edit(line.split(' = ', 1)[1])}" if line.startswith(key + " = ") else line
-            for line in lines
-        ]
+        i = next(i for i, line in enumerate(lines) if line.startswith(key + " = "))
+        value = edit(lines[i].split(" = ", 1)[1])
+        lines[i : i + 1] = [] if value is None else [f"{key} = {value}"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="model.txt: " + message):
             load_model(path)

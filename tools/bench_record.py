@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Record one point of the performance trajectory as ``BENCH_<pr>.json``.
+
+    python3 tools/bench_record.py --pr 10
+
+Runs ``perfbench/run.py`` on every workload that ``BENCHMARK.json`` lists,
+once per seed in ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
+for the benchmark's ``run_seconds``, one run at a time. The file written at
+the repository root holds the environment of the first run, the median and
+quartiles over the seeds of each end-to-end metric, and the median of each
+per-layer metric. When an earlier ``BENCH_*.json`` exists, every metric that
+moved by more than 10% against the latest one is printed. Compare files
+made on the same machine only. ``perfbench/`` and ``BENCHMARK.json`` are
+read, never written. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 4, 5)
+MOVED = 0.10
+
+
+def _run(workload: str, seed: int, trace: int, seconds: float, out: str) -> tuple[dict, dict]:
+    """One benchmark run: its result line and its full record."""
+    cmd = [
+        sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace), "--out", out,
+    ]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = json.loads((Path(out) / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    return result, record
+
+
+def _summary(results: list[dict], spread: bool) -> dict:
+    """Per metric over the runs: unit and median, plus quartiles and values when ``spread``."""
+    out = {}
+    for name in sorted({n for r in results for n in r["metrics"]}):
+        values = [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+        entry = {"unit": results[0]["metrics"][name]["unit"], "median": statistics.median(values)}
+        if spread:
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            entry.update(q1=q1, q3=q3, iqr=q3 - q1, values=values)
+        out[name] = entry
+    return out
+
+
+def _moved(old: dict, new: dict) -> list[str]:
+    """Metrics whose median moved by more than ``MOVED`` between two BENCH files."""
+    lines = []
+    for workload, cur in new["workloads"].items():
+        prev = old["workloads"].get(workload, {})
+        for kind in ("end_to_end", "per_layer"):
+            for name, m in cur[kind].items():
+                before = prev.get(kind, {}).get(name, {}).get("median")
+                if before is None:
+                    continue
+                after = m["median"]
+                if (before == 0 and after != 0) or (before != 0 and abs(after / before - 1) > MOVED):
+                    change = "new" if before == 0 else f"{after / before - 1:+.0%}"
+                    lines.append(f"{workload:17s} {name:45s} {before:.4g} -> {after:.4g} {m['unit']} ({change})")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
+    args = p.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    doc = {"pr": args.pr, "seeds": list(SEEDS), "run_seconds": bench["run_seconds"], "workloads": {}}
+    with tempfile.TemporaryDirectory() as out:
+        for workload in (w["name"] for w in bench["workloads"]):
+            runs = {0: [], 1: []}
+            for seed in SEEDS:
+                for trace in (0, 1):
+                    result, record = _run(workload, seed, trace, bench["run_seconds"], out)
+                    doc.setdefault("environment", record["environment"])
+                    runs[trace].append(result)
+                    print(f"{workload} seed {seed} trace {trace}: failed {result['failed']}", flush=True)
+            doc["workloads"][workload] = {
+                "failed_checks": sum(r["failed"] for r in runs[0] + runs[1]),
+                "end_to_end": _summary(runs[0], spread=True),
+                "per_layer": _summary(runs[1], spread=False),
+            }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path.name}")
+
+    earlier = []
+    for f in ROOT.glob("BENCH_*.json"):
+        m = re.fullmatch(r"BENCH_(\d+)\.json", f.name)
+        if m and int(m.group(1)) < args.pr:
+            earlier.append((int(m.group(1)), f))
+    if earlier:
+        last = max(earlier)[1]
+        moved = _moved(json.loads(last.read_text()), doc)
+        print(f"against {last.name}: {len(moved)} metrics moved by more than {MOVED:.0%}")
+        print("\n".join(moved))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
