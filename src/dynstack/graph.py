@@ -67,7 +67,7 @@ class Graph:
     weights are nonnegative; adjacency is symmetric by construction.
     """
 
-    __slots__ = ("node_ids", "_indptr", "_indices", "_weights", "labels", "class_names")
+    __slots__ = ("node_ids", "_indptr", "_indices", "_weights", "labels", "class_names", "_lists")
 
     def __init__(self, node_ids, indptr, indices, weights, labels, class_names):
         self.node_ids = list(node_ids)
@@ -76,6 +76,7 @@ class Graph:
         self._weights = weights
         self.labels = labels
         self.class_names = list(class_names)
+        self._lists = None
         if labels.shape != (len(self.node_ids),):
             raise ValueError("labels length must equal node count")
         if len(self.class_names) and labels.max(initial=-1) >= len(self.class_names):
@@ -131,6 +132,18 @@ class Graph:
         """Neighbor indices and the matching edge weights of node ``i``."""
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self._indices[lo:hi], self._weights[lo:hi]
+
+    def _neighbor_lists(self) -> tuple[list[list[int]], list[list[float]]]:
+        """Every node's neighbour indices and edge weights as plain lists, for
+        per-node Python loops; built on first use and kept, as the graph never
+        changes. Callers must not mutate them."""
+        if self._lists is None:
+            ptr, idx, wts = self._indptr.tolist(), self._indices.tolist(), self._weights.tolist()
+            self._lists = (
+                [idx[a:b] for a, b in zip(ptr, ptr[1:])],
+                [wts[a:b] for a, b in zip(ptr, ptr[1:])],
+            )
+        return self._lists
 
     def adjacency(self) -> csr_matrix:
         n = self.n_nodes

@@ -106,9 +106,7 @@ def _sweep_by_sums(graph, labels, test_nodes, rng, max_iterations):
     m = nbr_label >= 0
     sums = np.bincount(rows[m] * c + nbr_label[m], weights[m], n * c).reshape(n, c).tolist()
     total = np.bincount(rows[m], weights[m], n).tolist()
-    ptr, idx, wts = indptr.tolist(), indices.tolist(), weights.tolist()
-    nbrs = [idx[a:b] for a, b in zip(ptr, ptr[1:])]
-    nwts = [wts[a:b] for a, b in zip(ptr, ptr[1:])]
+    nbrs, nwts = graph._neighbor_lists()
     hard = np.where(labels >= 0, labels, -1).tolist()
 
     sweeps = 0

@@ -92,6 +92,23 @@ def generate_case(case: int, n: int, seed) -> SimDataset:
     return SimDataset(y, z1, z2, u, case, n)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of ties given its average rank.
+
+    Equal to ``scipy.stats.rankdata(x)`` bit for bit: any NaN makes every
+    rank NaN, and infinities rank at the ends.
+    """
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    counts = np.diff(starts, append=len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via the rank statistic, midranks for ties."""
     scores = np.asarray(scores, dtype=float)
@@ -103,9 +120,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    from scipy.stats import rankdata  # deferred, as in metrics.paired_comparison
-
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -144,6 +159,8 @@ def child_seeds(seed: int, count: int) -> list[int]:
 def map_reps(fn, jobs, threads: int = 1) -> list:
     """``fn(*job)`` for every job, in job order; ``threads > 1`` runs the jobs
     in that many worker processes, so ``fn`` and the jobs must pickle."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, *zip(*jobs), chunksize=1))

@@ -252,44 +252,61 @@ def _newton_diag(
     pen_diag: np.ndarray | None,
     config: FitConfig,
     coef0: np.ndarray | None = None,
+    carry: dict | None = None,
 ):
     """Minimize ``-loglik(X beta) + sum_k pen_diag[k] * beta_k^2`` by damped Newton.
 
     Returns ``(coef, objective_path, converged)``. Step halving enforces
     a non-increasing objective; convergence is a relative objective
     change below ``config.newton_tol``.
+
+    ``carry`` passes state from one fit to the next along a penalty grid.
+    On entry it may hold ``eta`` (``x @ coef0``) with its negative
+    log-likelihood ``nll``, and ``hess``, a likelihood Hessian ``X'WX`` of
+    ``x`` at a nearby point, which the first step uses in place of a fresh
+    one; any positive definite matrix keeps that step a descent direction,
+    and the line search still guards it. On return it holds the same three
+    for the returned coefficients, ``hess`` being the last one used.
     """
     d = x.shape[1]
     beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+    carry = {} if carry is None else carry
 
-    def objective(b, eta):
-        val = _neg_loglik(eta, y)
-        if pen_diag is not None:
-            val += float(pen_diag @ (b * b))
-        return val
+    def penalty(b):
+        return 0.0 if pen_diag is None else float(pen_diag @ (b * b))
 
     pen2 = None if pen_diag is None else 2.0 * pen_diag
-    eta = x @ beta
-    f = objective(beta, eta)
+    if "eta" in carry:  # popped, so the old vector is freed once the fit moves on
+        eta, nll = carry.pop("eta"), carry.pop("nll")
+    else:
+        eta = x @ beta
+        nll = _neg_loglik(eta, y)
+    f = nll + penalty(beta)
     if not np.isfinite(f):
         raise ConvergenceError("non-finite objective at the starting point")
     path = [f]
     converged = False
+    lik_hess = carry.get("hess")
     for _ in range(MAX_NEWTON_ITER):
         mu = sigmoid(eta)
         grad = -(x.T @ (y - mu))
-        w = mu * (1.0 - mu)
-        hess = (x * w[:, None]).T @ x
+        if lik_hess is None:
+            w = mu * (1.0 - mu)
+            lik_hess = (x * w[:, None]).T @ x
+        hess = lik_hess
         if pen_diag is not None:
             grad += pen2 * beta
+            hess = lik_hess.copy()
             hess.flat[:: d + 1] += pen2
         step = _solve_spd(hess, -grad, HESSIAN_JITTER)
+        carry["hess"], lik_hess = lik_hess, None
 
         t = 1.0
         for _ in range(60):
             cand = beta + t * step
             eta_cand = x @ cand
-            f_cand = objective(cand, eta_cand)
+            nll_cand = _neg_loglik(eta_cand, y)
+            f_cand = nll_cand + penalty(cand)
             if np.isfinite(f_cand) and f_cand <= f:
                 break
             t *= 0.5
@@ -297,7 +314,7 @@ def _newton_diag(
             # no descent left at float precision: already at the optimum
             converged = True
             break
-        beta, eta = cand, eta_cand
+        beta, eta, nll = cand, eta_cand, nll_cand
         path.append(f_cand)
         if abs(f - f_cand) <= config.newton_tol * (1.0 + abs(f)):
             f = f_cand
@@ -306,6 +323,7 @@ def _newton_diag(
         f = f_cand
     if not np.isfinite(f):
         raise ConvergenceError("objective diverged to a non-finite value")
+    carry["eta"], carry["nll"] = eta, nll
     return beta, path, converged
 
 
@@ -313,15 +331,16 @@ def _newton_diag(
 # one level-1 fit and one cross-validation driver for every generalizer
 
 
-def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None):
+def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
     """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
     ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
     ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)``. Returns ``(coef, objective_path, converged)``."""
+    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the Newton state of
+    :func:`_newton_diag`. Returns ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
         return _lasso_logistic(x, y, strength, coef0, null_fit)
     pen_diag = strength * pen if pen is not None and strength > 0 else None
-    return _newton_diag(x, y, pen_diag, config, coef0)
+    return _newton_diag(x, y, pen_diag, config, coef0, carry)
 
 
 def _fit_checked(x, y, pen, strength, lasso, config: FitConfig):
@@ -353,22 +372,31 @@ def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
 
 
 def _cv_profile(x, y, pen, lasso, config: FitConfig, seed: int):
-    """The cross-validation of :func:`select_lambda` and :func:`select_strength`;
-    each fold walks the grid warm-starting :func:`_fit` from the last coefficients."""
+    """The cross-validation of :func:`select_lambda` and :func:`select_strength`.
+
+    Each fold walks the grid warm-starting :func:`_fit` from the last
+    coefficients. A Newton walk also hands each fit the last one's linear
+    predictor, log-likelihood and likelihood Hessian, and starts each fold
+    from the previous fold's first-grid coefficients; a lasso walk starts
+    every fold from its intercept-only fit.
+    """
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
     _assert_valid_folds(y, fold_idx)
     scores = np.zeros(len(config.lambda_grid))
     all_rows = np.arange(len(y))
+    start = None
     for heldout in fold_idx:
         fit_rows = np.setdiff1d(all_rows, heldout, assume_unique=True)
-        # column-major for faster Newton GEMMs; drop the last copy so two never coexist
-        x_fit = None
+        # column-major for faster Newton GEMMs; drop the last fold's arrays so two never coexist
+        x_fit = carry = None
         x_fit = np.asfortranarray(x[fit_rows])
         y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
         null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
-        coef = None
+        coef, carry = (None, None) if lasso else (start, {})
         for gi, s in enumerate(config.lambda_grid):
-            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit)
+            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
+            if gi == 0:
+                start = coef
             scores[gi] += _neg_loglik(x_out @ coef, y_out)
 
     best = 0

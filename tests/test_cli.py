@@ -67,6 +67,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--case", "1", "--reps", "0", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: reps must be >= 1\n"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_one_line_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "sim"
+        args = ["simulate", "--case", "1", "--n", "200", "--reps", "1", "--threads", threads]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not (out / "manifest.txt").exists()
+
     def test_threads_do_not_change_outputs(self, tmp_path):
         args = [
             "simulate", "--case", "2", "--n", "160", "--reps", "3",
@@ -177,6 +185,24 @@ class TestGraphExperimentCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_one_line_error(self, network_files, tmp_path, capsys, threads):
+        out = tmp_path / "gx"
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(network_files / "edges.txt"),
+                "--labels", str(network_files / "labels.csv"),
+                "--features", str(network_files / "features.txt"),
+                "--covariate", "degree", "--threads", threads,
+                "--positive-label", "topic/positive",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not (out / "manifest.txt").exists()
 
     def test_bins_with_degree_is_usage_error(self, network_files, tmp_path, capsys):
         # degree is binned one integer per bin, so --bins would do nothing

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dynstack.metrics import accuracy, binned_accuracy, paired_comparison
+from dynstack.simulation import _midranks
 
 
 class TestAccuracy:
@@ -116,6 +119,14 @@ class TestPairedComparison:
         assert r.p_value == pytest.approx(float(stats.t.sf(t, df=3)))
         assert not r.degenerate
 
+    def test_p_value_is_scipy_t_survival_function_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 10, 50):
+            a, b = rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n)
+            d = a - b
+            t = d.mean() / (d.std(ddof=1) / np.sqrt(n))
+            assert paired_comparison(a, b).p_value == float(stats.t.sf(t, df=n - 1))
+
     def test_antisymmetric_mean(self):
         rng = np.random.default_rng(6)
         a, b = rng.uniform(0.5, 1.0, 20), rng.uniform(0.5, 1.0, 20)
@@ -130,3 +141,20 @@ class TestPairedComparison:
     def test_needs_two_reps(self):
         with pytest.raises(ValueError):
             paired_comparison(np.ones(1), np.ones(1))
+
+
+class TestMidranks:
+    """The rank statistic behind ``simulation.auc``, against scipy's ``rankdata``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0, 1e300, np.inf, -np.inf, np.nan]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        np.testing.assert_array_equal(_midranks(x), stats.rankdata(x), strict=True)
+

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -288,6 +289,34 @@ class TestIcaAgainstReference:
             assert _has_exact_sums(g)
             outcomes.add(self.check(g, labels, (1, 2, 3, 100)[trial % 4], trial))
         assert outcomes == ALL_OUTCOMES
+
+    def test_second_call_reuses_the_neighbour_lists(self):
+        # the running-sums path keeps the graph's plain-list adjacency after its
+        # first call; later calls read it back and still match the literal sweep
+        rng = np.random.default_rng(59)
+        g, labels = self.random_case(rng, lambda r: 1.0)
+        first = ica_run(g, labels, IcaConfig(order_seed=3))
+        lists = g._lists
+        assert lists is not None
+        second = ica_run(g, labels, IcaConfig(order_seed=3))
+        assert g._lists is lists
+        np.testing.assert_array_equal(second.probs, first.probs)
+        np.testing.assert_array_equal(second.hard_labels, first.hard_labels)
+        np.testing.assert_array_equal(second.was_null, first.was_null)
+        assert (second.n_sweeps, second.converged) == (first.n_sweeps, first.converged)
+        other = np.where(rng.uniform(size=len(labels)) < 0.5, -1, g.labels)
+        other[0] = g.labels[0]
+        self.check(g, other, 100, 4)
+
+    def test_graph_with_filled_neighbour_lists_pickles(self):
+        # worker processes receive the graph pickled
+        g, labels = self.random_case(np.random.default_rng(61), lambda r: 1.0)
+        expected = ica_run(g, labels, IcaConfig(order_seed=5))
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._lists == g._lists
+        got = ica_run(clone, labels, IcaConfig(order_seed=5))
+        np.testing.assert_array_equal(got.probs, expected.probs)
+        np.testing.assert_array_equal(got.hard_labels, expected.hard_labels)
 
     def test_weights_summing_past_2_53_take_the_cached_path(self):
         # t sees x and y (weight 1 each; both turn X through p), a (X,

@@ -374,6 +374,25 @@ class TestCoefficientCurves:
             np.testing.assert_allclose(curves[:, j], ref, atol=1e-10)
 
 
+def assert_matches_cold_oracle_cv(x, y, pen, cfg, seed, chosen, report):
+    """``(chosen, report)`` of a cross-validation over ``x`` equal the choice and,
+    to 1e-8 relative, the scores of IRLS fits from zero on the same folds."""
+    from dynstack.stacking import _cv_fold_indices
+
+    n = len(y)
+    folds = _cv_fold_indices(n, cfg.cv_folds, seed)
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+    scores = np.zeros(len(cfg.lambda_grid))
+    for heldout in folds:
+        fit = np.setdiff1d(np.arange(n), heldout)
+        for gi, s in enumerate(cfg.lambda_grid):
+            coef = irls_logistic(x[fit], y[fit], pen=s * pen)
+            scores[gi] += neg_loglik_reference(x[heldout] @ coef, y[heldout])
+    best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger value
+    assert chosen == cfg.lambda_grid[best]
+    np.testing.assert_allclose([v for _, v in report], scores, rtol=1e-8, atol=0)
+
+
 class TestSelectLambda:
     def test_single_point_grid(self):
         data = make_data(n=120)
@@ -410,9 +429,10 @@ class TestSelectLambda:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_matches_cold_started_oracle_cv(self, seed):
-        from dynstack.stacking import _cv_fold_indices, _penalty_eigenbasis
+        from dynstack.stacking import _penalty_eigenbasis
 
-        # warm-started damped Newton against IRLS from zero on every fold and lambda
+        # damped Newton walking the grid on carried state, against IRLS from
+        # zero on every fold and lambda
         data = make_data(case=3, n=2000, seed=seed)
         cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
         basis = default_basis(data.u)
@@ -420,17 +440,19 @@ class TestSelectLambda:
 
         pen, rot = _penalty_eigenbasis(basis, data.p)
         x = dynamic_design(data.z, data.u, basis) @ rot
-        folds = _cv_fold_indices(data.n, cfg.cv_folds, seed)
-        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(data.n))
-        scores = np.zeros(len(cfg.lambda_grid))
-        for heldout in folds:
-            fit = np.setdiff1d(np.arange(data.n), heldout)
-            for gi, s in enumerate(cfg.lambda_grid):
-                coef = irls_logistic(x[fit], data.y[fit], pen=s * pen)
-                scores[gi] += neg_loglik_reference(x[heldout] @ coef, data.y[heldout])
-        best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger lambda
-        assert lam == cfg.lambda_grid[best]
-        np.testing.assert_allclose([v for _, v in report], scores, rtol=1e-8, atol=0)
+        assert_matches_cold_oracle_cv(x, data.y, pen, cfg, seed, lam, report)
+
+    @pytest.mark.parametrize("design", ["m1", "m3"])
+    def test_ridge_strength_matches_cold_started_oracle_cv(self, design):
+        from dynstack.stacking import _static_penalty, static_design
+
+        data = make_data(case=3, n=2000, seed=35)
+        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
+        strength, report = select_strength(data, design, "ridge", cfg, seed=35)
+
+        x = static_design(data.z, data.u, design)
+        pen = _static_penalty(x.shape[1], "ridge")
+        assert_matches_cold_oracle_cv(x, data.y, pen, cfg, 35, strength, report)
 
     def test_peak_memory_bounded_by_the_design(self):
         import tracemalloc
@@ -449,6 +471,78 @@ class TestSelectLambda:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * design_bytes
+
+
+class TestNewtonCarry:
+    """The state a cross-validation grid walk hands from one Newton fit to the next."""
+
+    @staticmethod
+    def two_folds(seed):
+        from dynstack.stacking import _cv_fold_indices, _penalty_eigenbasis
+
+        data = make_data(case=3, n=2000, seed=seed)
+        basis = default_basis(data.u)
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        x = dynamic_design(data.z, data.u, basis) @ rot
+        folds = _cv_fold_indices(data.n, 10, seed)
+        rows = [np.setdiff1d(np.arange(data.n), h) for h in folds[:2]]
+        return [(x[r], data.y[r]) for r in rows], pen
+
+    @staticmethod
+    def likelihood_hessian(x, coef):
+        mu = sigmoid(x @ coef)
+        return (x * (mu * (1.0 - mu))[:, None]).T @ x
+
+    def test_carried_state_describes_the_returned_coefficients(self):
+        from dynstack.stacking import _neg_loglik, _newton_diag
+
+        ((x, y), _), pen = self.two_folds(36)
+        cfg = FitConfig()
+        carry = {}
+        coef, path, _ = _newton_diag(x, y, 0.01 * pen, cfg, None, carry)
+        assert np.array_equal(carry["eta"], x @ coef)
+        assert carry["nll"] == _neg_loglik(x @ coef, y)
+        assert path[-1] == carry["nll"] + float(0.01 * pen @ (coef * coef))
+        # carrying only the linear predictor and log-likelihood changes nothing
+        cold = _newton_diag(x, y, 0.1 * pen, cfg, coef)
+        del carry["hess"]
+        warm = _newton_diag(x, y, 0.1 * pen, cfg, coef, carry)
+        assert np.array_equal(warm[0], cold[0]) and warm[1] == cold[1]
+        # the Hessian carried is the likelihood's alone, which w <= 1/4 bounds
+        _newton_diag(x, y, 1e4 * pen, cfg, warm[0], carry)
+        assert np.all(np.diag(carry["hess"]) <= np.diag(x.T @ x) / 4.0 * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("wrong", ["at_zero", "other_fold"])
+    def test_first_step_on_a_wrong_hessian_reaches_the_cold_objective(self, wrong):
+        from dynstack.stacking import _newton_diag
+
+        (fold, other), pen = self.two_folds(37)
+        x, y = fold
+        cfg = FitConfig()
+        grid = cfg.lambda_grid
+        for prev, lam in zip(grid[::4], grid[1::4]):
+            start, _, _ = _newton_diag(x, y, prev * pen, cfg)
+            if wrong == "at_zero":
+                hess = self.likelihood_hessian(x, np.zeros(x.shape[1]))
+            else:
+                hess = self.likelihood_hessian(other[0], _newton_diag(*other, prev * pen, cfg)[0])
+            _, path, converged = _newton_diag(x, y, lam * pen, cfg, start, {"hess": hess})
+            _, cold, _ = _newton_diag(x, y, lam * pen, cfg)
+            assert converged
+            assert all(b <= a for a, b in zip(path, path[1:]))
+            assert abs(path[-1] - cold[-1]) <= cfg.newton_tol * (1.0 + abs(cold[-1]))
+
+    def test_no_state_survives_a_call(self):
+        a, b = make_data(case=3, n=600, seed=38), make_data(case=2, n=500, seed=39)
+        cfg = FitConfig(cv_folds=5)
+        basis = default_basis(a.u)
+        before = fit_dynamic(a, 0.01, basis, cfg)
+        first = select_lambda(a, cfg, basis, seed=1)
+        select_lambda(b, cfg, seed=1)
+        assert select_lambda(a, cfg, basis, seed=1) == first
+        after = fit_dynamic(a, 0.01, basis, cfg)
+        assert np.array_equal(after.coef, before.coef)
+        assert after.objective_path == before.objective_path
 
 
 class TestFitStatic:
