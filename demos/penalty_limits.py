@@ -12,7 +12,7 @@ Usage: python demos/penalty_limits.py
 import numpy as np
 
 from dynstack import FitConfig, auc, fit_dynamic, generate_case, select_lambda
-from dynstack.stacking import coefficient_curves, default_basis, predict_dynamic
+from dynstack.stacking import coefficient_curves, default_basis, predict
 
 train = generate_case(3, 2000, 1).to_level1()
 test = generate_case(3, 2000, 2).to_level1()
@@ -25,7 +25,7 @@ for lam in (1e-4, 1e-2, 1.0, 1e2, 1e4, 1e12):
     curves = coefficient_curves(model, grid)
     d2 = np.diff(curves, 2, axis=0)
     curv = float(np.abs(d2[:, 0]).sum())
-    score = auc(predict_dynamic(model, test.z, test.u), test.y)
+    score = auc(predict(model, test.z, test.u), test.y)
     print(f"{lam:8.0e}   {curv:17.4f}   {np.abs(d2).max():13.2e}   {score:8.3f}")
 
 lam_star, profile = select_lambda(train, FitConfig(), basis, seed=0)

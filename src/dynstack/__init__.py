@@ -32,18 +32,16 @@ from .splines import (
 )
 from .stacking import (
     ConvergenceError,
-    DynamicStackModel,
     FitConfig,
     Level1Data,
-    StaticStackModel,
+    StackModel,
     build_level1,
     coefficient_curves,
     default_basis,
     fit_dynamic,
     fit_static,
     load_model,
-    predict_dynamic,
-    predict_static,
+    predict,
     read_level1,
     save_model,
     select_lambda,
@@ -86,18 +84,16 @@ __all__ = [
     "curvature_penalty",
     "make_basis",
     "ConvergenceError",
-    "DynamicStackModel",
     "FitConfig",
     "Level1Data",
-    "StaticStackModel",
+    "StackModel",
     "build_level1",
     "coefficient_curves",
     "default_basis",
     "fit_dynamic",
     "fit_static",
     "load_model",
-    "predict_dynamic",
-    "predict_static",
+    "predict",
     "read_level1",
     "save_model",
     "select_lambda",

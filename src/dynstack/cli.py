@@ -28,8 +28,8 @@ from .graph import (
 from .naive_bayes import parse_feature_file
 from .simulation import METHODS, run_simulation, summarize
 from .stacking import (
-    DynamicStackModel,
     FitConfig,
+    StackModel,
     coefficient_curves,
     default_basis,
     fit_dynamic,
@@ -73,7 +73,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_curves(path: Path, model: DynamicStackModel, points: int) -> None:
+def _write_curves(path: Path, model: StackModel, points: int) -> None:
     """``points`` rows over the model's domain: ``u``, then each weight curve there."""
     grid = np.linspace(model.basis.u_lo, model.basis.u_hi, points)
     curves = coefficient_curves(model, grid)
@@ -231,12 +231,10 @@ def cmd_stack_fit(args) -> int:
         knots = 6 if args.knots is None else args.knots
         degree = 3 if args.spline_degree is None else args.spline_degree
         basis = default_basis(data.u, knots, degree)
-        if args.lam is None:
+        lam = args.lam
+        if lam is None:
             lam, cv_report = select_lambda(data, config, basis, seed=args.seed)
-        else:
-            lam = args.lam
         model = fit_dynamic(data, lam, basis, config)
-        chosen = lam
         # the manifest records only the flags the chosen model reads
         omit = ("penalty", "strength")
         resolved = dict(lam="cv" if args.lam is None else args.lam, knots=knots, spline_degree=degree)
@@ -250,7 +248,6 @@ def cmd_stack_fit(args) -> int:
             data, args.model, args.penalty, strength=strength, config=config,
             cv_seed=args.seed,
         )
-        chosen = model.strength
         omit, resolved = ("lam", "knots", "spline_degree", "strength"), {}
         if args.penalty != "none":
             resolved["strength"] = "cv" if args.strength is None else args.strength
@@ -261,7 +258,7 @@ def cmd_stack_fit(args) -> int:
             ["penalty_strength", "heldout_nll"],
             [[repr(lam_), repr(score)] for lam_, score in cv_report],
         )
-    _write_manifest(out, args, omit, chosen_strength=float(chosen), **resolved)
+    _write_manifest(out, args, omit, chosen_strength=model.strength, **resolved)
     return 0
 
 
@@ -282,7 +279,7 @@ def cmd_stack_predict(args) -> int:
 def cmd_curves(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
-    if not isinstance(model, DynamicStackModel):
+    if model.design != "dynamic":
         raise SystemExit("error: coefficient curves require a dynamic model file")
     _write_curves(out / "curves.csv", model, args.points)
     _write_manifest(out, args)

@@ -33,8 +33,8 @@ from .relational import IcaConfig, ica_run
 from .simulation import child_seeds, fit_method, map_reps
 from .stacking import (
     ConvergenceError,
-    DynamicStackModel,
     FitConfig,
+    StackModel,
     build_level1,
     default_basis,
     predict,
@@ -131,7 +131,7 @@ class RepetitionResult:
     hard: dict[str, np.ndarray]  # per-test-node hard predictions of the methods that fit
     y_test: np.ndarray
     test_u: np.ndarray
-    model: DynamicStackModel | None  # None when the dynamic fit diverged
+    model: StackModel | None  # the dynamic model; None when its fit diverged
 
 
 def run_graph_repetition(
@@ -176,7 +176,7 @@ class GraphExperimentReport:
     methods: list[str]
     accuracies: dict[str, np.ndarray]  # per repetition
     comparisons: dict[str, ComparisonResult]  # dynamic vs each static
-    model: DynamicStackModel  # the first fitted repetition's, for its weight curves
+    model: StackModel  # the first fitted repetition's dynamic model, for its weight curves
     bin_lo: np.ndarray
     bin_hi: np.ndarray
     bin_counts: np.ndarray  # mean test count per bin

@@ -1,13 +1,14 @@
-"""Level-1 stacking: dataset assembly, dynamic and static generalizers.
+"""Level-1 stacking: dataset assembly and one model for every generalizer.
 
 The dynamic generalizer is a binary varying-coefficient logistic model:
 the logit is ``b0 + sum_j Z_j * beta_j(u)`` where each classifier weight
 ``beta_j`` is a B-spline expansion over a node covariate ``u``. Fitting
 minimizes the negative Bernoulli log-likelihood plus a curvature penalty
 ``lam * eta' H eta`` (H block-diagonal, intercept unpenalized) by damped
-Newton iteration; ``lam`` is picked by cross-validation. Static
-baselines share the same data with constant weights and optional ridge
-or lasso shrinkage.
+Newton iteration; ``lam`` is picked by cross-validation. The static
+baselines are the same model with constant (m1, m2) or straight-line
+(m3) weights and optional ridge or lasso shrinkage: every generalizer is
+one :class:`StackModel` on one :func:`design_matrix`.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ from .splines import BSplineBasis, assemble_block_penalty, basis_matrix, curvatu
 __all__ = [
     "Level1Data",
     "FitConfig",
-    "DynamicStackModel",
-    "StaticStackModel",
+    "StackModel",
     "ConvergenceError",
     "build_level1",
+    "design_matrix",
     "fit_dynamic",
-    "predict_dynamic",
     "predict",
     "coefficient_curves",
     "select_lambda",
     "fit_static",
-    "predict_static",
     "select_strength",
     "write_level1",
     "read_level1",
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 STATIC_DESIGNS = ("m1", "m2", "m3")
-STATIC_PENALTIES = ("none", "ridge", "lasso")
+DESIGNS = (*STATIC_DESIGNS, "dynamic")
 MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
 
@@ -102,6 +101,9 @@ class Level1Data:
             raise ValueError("u must be finite")
         if len(self.columns) != z.shape[1]:
             raise ValueError("one provenance entry per z column required")
+        for name in self.columns:  # the sidecar and the model file store stripped lines
+            if name != name.strip() or len(name.splitlines()) != 1:
+                raise ValueError(f"provenance name {name!r} is not one line without outer spaces")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", np.clip(z, 0.0, 1.0))
         object.__setattr__(self, "u", u)
@@ -132,8 +134,8 @@ class FitConfig:
         grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
         if grid.size == 0:
             raise ValueError("lambda grid must be nonempty")
-        if np.any(grid < 0):
-            raise ValueError("lambda grid must be nonnegative")
+        if not np.all(np.isfinite(grid) & (grid >= 0)):
+            raise ValueError("lambda grid must be finite and nonnegative")
         if self.cv_folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
         object.__setattr__(self, "lambda_grid", grid)
@@ -328,249 +330,7 @@ def _newton_diag(
 
 
 # ---------------------------------------------------------------------------
-# one level-1 fit and one cross-validation driver for every generalizer
-
-
-def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
-    """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
-    ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
-    ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the Newton state of
-    :func:`_newton_diag`. Returns ``(coef, objective_path, converged)``."""
-    if lasso and strength > 0:
-        return _lasso_logistic(x, y, strength, coef0, null_fit)
-    pen_diag = strength * pen if pen is not None and strength > 0 else None
-    return _newton_diag(x, y, pen_diag, config, coef0, carry)
-
-
-def _fit_checked(x, y, pen, strength, lasso, config: FitConfig):
-    """:func:`_fit` for a final model. Without an effective penalty (strength 0,
-    or ``pen`` None or all zero as for a degree <= 1 basis) separable classes
-    send the coefficients to infinity, so such a fit raises instead."""
-    coef, path, converged = _fit(x, y, pen, strength, lasso, config)
-    unpenalized = strength == 0 or pen is None or not pen.any()
-    if unpenalized and (not converged or np.abs(coef).max() > 1e2):
-        raise ConvergenceError(
-            "the unpenalized fit diverged; the classes may be separable -- "
-            "use ridge, or a curvature penalty for the dynamic model"
-        )
-    if not converged:
-        warnings.warn("Newton reached the iteration cap before converging", stacklevel=3)
-    return coef, path, converged
-
-
-def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
-    n, positives = len(y), int(y.sum())  # y is 0/1
-    for j, heldout in enumerate(fold_idx):
-        if len(heldout) == 0 or len(heldout) == n:
-            raise ValueError(f"degenerate folds: fold {j + 1} is empty or everything")
-        train_positives = positives - int(y[heldout].sum())
-        if train_positives in (0, n - len(heldout)):
-            raise ValueError(
-                f"degenerate folds: fold {j + 1} leaves a single-class training set"
-            )
-
-
-def _cv_profile(x, y, pen, lasso, config: FitConfig, seed: int):
-    """The cross-validation of :func:`select_lambda` and :func:`select_strength`.
-
-    Each fold walks the grid warm-starting :func:`_fit` from the last
-    coefficients. A Newton walk also hands each fit the last one's linear
-    predictor, log-likelihood and likelihood Hessian, and starts each fold
-    from the previous fold's first-grid coefficients; a lasso walk starts
-    every fold from its intercept-only fit.
-    """
-    fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
-    _assert_valid_folds(y, fold_idx)
-    scores = np.zeros(len(config.lambda_grid))
-    all_rows = np.arange(len(y))
-    start = None
-    for heldout in fold_idx:
-        fit_rows = np.setdiff1d(all_rows, heldout, assume_unique=True)
-        # column-major for faster Newton GEMMs; drop the last fold's arrays so two never coexist
-        x_fit = carry = None
-        x_fit = np.asfortranarray(x[fit_rows])
-        y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
-        null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
-        coef, carry = (None, None) if lasso else (start, {})
-        for gi, s in enumerate(config.lambda_grid):
-            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
-            if gi == 0:
-                start = coef
-            scores[gi] += _neg_loglik(x_out @ coef, y_out)
-
-    best = 0
-    for gi in range(len(scores)):
-        if scores[gi] <= scores[best]:
-            best = gi
-    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
-    return float(config.lambda_grid[best]), report
-
-
-# ---------------------------------------------------------------------------
-# dynamic (varying-coefficient) generalizer
-
-
-@dataclass
-class DynamicStackModel:
-    """Fitted functional-weight stacking model.
-
-    ``coef`` holds the intercept followed by ``p * K`` spline
-    coefficients (classifier-major). Prediction clamps the covariate into
-    the basis domain, so weight curves stay bounded off the training
-    range.
-    """
-
-    coef: np.ndarray
-    basis: BSplineBasis
-    lam: float
-    p: int
-    columns: list[str]
-    converged: bool = True
-    objective_path: list[float] = field(default_factory=list, repr=False, compare=False)
-
-
-def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndarray:
-    """Rows ``(1, Z_1 * B(u), ..., Z_p * B(u))`` of width ``1 + p*K``."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    b = basis_matrix(basis, u)
-    n, p = z.shape
-    cross = (z[:, :, None] * b[:, None, :]).reshape(n, p * basis.size)
-    return np.hstack([np.ones((n, 1)), cross])
-
-
-def default_basis(u: np.ndarray, interior_knots: int = 6, degree: int = 3) -> BSplineBasis:
-    """Cubic basis with uniform interior knots over the training u range."""
-    u = np.asarray(u, dtype=float)
-    lo, hi = float(u.min()), float(u.max())
-    if lo == hi:
-        # degenerate covariate: widen so the basis has a real domain
-        lo, hi = lo - 0.5, hi + 0.5
-    return make_basis(lo, hi, interior_knots, degree)
-
-
-def fit_dynamic(
-    data: Level1Data,
-    lam: float,
-    basis: BSplineBasis,
-    config: FitConfig = FitConfig(),
-) -> DynamicStackModel:
-    """Fit the varying-coefficient model at a fixed penalty strength."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    width = 1 + data.p * basis.size
-    if data.n < width:
-        warnings.warn(
-            f"{data.n} observations for {width} coefficients; "
-            "expect an unstable fit",
-            stacklevel=2,
-        )
-    if lam > 0:
-        pen, rot = _penalty_eigenbasis(basis, data.p)
-        gamma, path, converged = _fit_checked(
-            dynamic_design(data.z, data.u, basis) @ rot, data.y, pen, lam, False, config
-        )
-        coef = rot @ gamma
-    else:
-        x = dynamic_design(data.z, data.u, basis)
-        coef, path, converged = _fit_checked(x, data.y, None, 0.0, False, config)
-    return DynamicStackModel(
-        coef=coef,
-        basis=basis,
-        lam=float(lam),
-        p=data.p,
-        columns=list(data.columns),
-        converged=converged,
-        objective_path=path,
-    )
-
-
-def _checked_z(model: DynamicStackModel | StaticStackModel, z, u) -> np.ndarray:
-    """``z`` as a float matrix, checked against the model's width and ``u``'s length."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[1] != model.p:
-        raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
-    rows = np.atleast_1d(np.asarray(u)).shape[0]
-    if z.shape[0] != rows:
-        raise ValueError(f"z has {z.shape[0]} rows, u has {rows}")
-    return z
-
-
-def predict_dynamic(model: DynamicStackModel, z, u) -> np.ndarray:
-    """Positive-class probability for rows ``(Z, u)``."""
-    z = _checked_z(model, z, u)
-    x = dynamic_design(z, u, model.basis)
-    return sigmoid(x @ model.coef)
-
-
-def predict(model: DynamicStackModel | StaticStackModel, z, u) -> np.ndarray:
-    """Positive-class probability for rows ``(Z, u)`` under either kind of model."""
-    if isinstance(model, DynamicStackModel):
-        return predict_dynamic(model, z, u)
-    return predict_static(model, z, u)
-
-
-def coefficient_curves(model: DynamicStackModel, u_grid) -> np.ndarray:
-    """Evaluate every weight curve ``beta_j`` on ``u_grid``; (n, p)."""
-    b = basis_matrix(model.basis, u_grid)
-    eta = model.coef[1:].reshape(model.p, model.basis.size)
-    return b @ eta.T
-
-
-def select_lambda(
-    data: Level1Data,
-    config: FitConfig = FitConfig(),
-    basis: BSplineBasis | None = None,
-    seed: int = 0,
-):
-    """Pick the penalty strength by J-fold cross-validation.
-
-    Scores each grid value by the total held-out negative log-likelihood
-    over shared folds; ties go to the larger (smoother) lambda. Returns
-    ``(lam_star, report)`` with the full ``(lam, score)`` profile.
-    """
-    if basis is None:
-        basis = default_basis(data.u)
-    pen, rot = _penalty_eigenbasis(basis, data.p)
-    # held-out scores need only X beta, so the fits stay in the rotated basis
-    x = dynamic_design(data.z, data.u, basis) @ rot
-    return _cv_profile(x, data.y, pen, False, config, seed)
-
-
-# ---------------------------------------------------------------------------
-# static generalizers
-
-
-@dataclass
-class StaticStackModel:
-    """Constant-weight stacking model on one of the three designs.
-
-    m1 uses (1, Z); m2 adds the covariate; m3 adds the covariate and its
-    interactions with every Z column.
-    """
-
-    design: str
-    penalty: str
-    strength: float
-    coef: np.ndarray
-    p: int
-    columns: list[str]
-    converged: bool = True
-    objective_path: list[float] = field(default_factory=list, repr=False, compare=False)
-
-
-def static_design(z: np.ndarray, u: np.ndarray, design: str) -> np.ndarray:
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = z.shape[0]
-    ones = np.ones((n, 1))
-    if design == "m1":
-        return np.hstack([ones, z])
-    if design == "m2":
-        return np.hstack([ones, z, u[:, None]])
-    if design == "m3":
-        return np.hstack([ones, z, u[:, None], z * u[:, None]])
-    raise ValueError(f"unknown design {design!r}; expected one of {STATIC_DESIGNS}")
+# lasso core
 
 
 def _lasso_working_solve(gram, c, strength, b0):
@@ -668,6 +428,221 @@ def _lasso_logistic(x, y, strength, coef0=None, null_fit=None):
     return beta, path, converged
 
 
+# ---------------------------------------------------------------------------
+# one model, one design and one fit for every generalizer
+
+
+@dataclass
+class StackModel:
+    """A fitted level-1 model: ``logit = design_matrix(z, u, design, basis) @ coef``.
+
+    ``design`` is m1-m3 (constant or straight-line weights) or dynamic
+    (spline weight curves on ``basis``). ``penalty`` is none, ridge or lasso
+    for m1-m3 and curvature for dynamic, and ``strength`` is its weight. A
+    dynamic model clamps ``u`` into the basis domain, so its weight curves
+    stay bounded off the training range.
+    """
+
+    design: str
+    penalty: str
+    strength: float
+    coef: np.ndarray
+    p: int
+    columns: list[str]
+    basis: BSplineBasis | None = None
+    converged: bool = True
+    objective_path: list[float] = field(default_factory=list, repr=False, compare=False)
+
+
+def _check_spec(design: str, penalty: str, strength: float = 0.0) -> None:
+    """Raise unless ``design`` is known, ``penalty`` applies to it and
+    ``strength`` is finite and >= 0: the contract of every fit and model file."""
+    if design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+    allowed = ("curvature",) if design == "dynamic" else ("none", "ridge", "lasso")
+    if penalty not in allowed:
+        raise ValueError(f"unknown penalty {penalty!r} for design {design!r}; expected {allowed}")
+    if not (np.isfinite(strength) and strength >= 0):
+        raise ValueError(f"penalty strength must be finite and >= 0, got {strength}")
+
+
+def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndarray:
+    """Rows ``(1, Z_1 * B(u), ..., Z_p * B(u))`` of width ``1 + p*K``."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    b = basis_matrix(basis, u)
+    n, p = z.shape
+    cross = (z[:, :, None] * b[:, None, :]).reshape(n, p * basis.size)
+    return np.hstack([np.ones((n, 1)), cross])
+
+
+def design_matrix(z, u, design: str, basis: BSplineBasis | None = None) -> np.ndarray:
+    """Level-1 rows of ``design``, intercept first.
+
+    m1 is ``(1, Z)``, m2 adds ``u`` and m3 also adds every ``Z_j * u``;
+    dynamic is :func:`dynamic_design` on ``basis``.
+    """
+    if design == "dynamic":
+        if basis is None:
+            raise ValueError("the dynamic design needs a spline basis")
+        return dynamic_design(z, u, basis)
+    if design not in STATIC_DESIGNS:
+        raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
+    cols = [np.ones((z.shape[0], 1)), z]
+    if design != "m1":
+        cols.append(u)
+    if design == "m3":
+        cols.append(z * u)
+    return np.hstack(cols)
+
+
+def default_basis(u: np.ndarray, interior_knots: int = 6, degree: int = 3) -> BSplineBasis:
+    """Cubic basis with uniform interior knots over the training u range."""
+    u = np.asarray(u, dtype=float)
+    lo, hi = float(u.min()), float(u.max())
+    if lo == hi:
+        # degenerate covariate: widen so the basis has a real domain
+        lo, hi = lo - 0.5, hi + 0.5
+    return make_basis(lo, hi, interior_knots, degree)
+
+
+def _problem(data: Level1Data, design: str, penalty: str, basis: BSplineBasis | None = None):
+    """``(x, pen, rot)``: the design a fit runs on, its per-coefficient penalty
+    weights (None without a penalty; ridge and lasso spare the intercept),
+    and the rotation back to model coefficients, ``coef = rot @ fitted``.
+    Only the curvature penalty rotates, into its eigenbasis (see
+    :func:`_penalty_eigenbasis`); every other ``rot`` is None.
+    """
+    x = design_matrix(data.z, data.u, design, basis)
+    if penalty == "curvature":
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        return x @ rot, pen, rot
+    return x, None if penalty == "none" else np.r_[0.0, np.ones(x.shape[1] - 1)], None
+
+
+def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
+    """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
+    ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
+    ``pen`` None is plain logistic. ``null_fit`` may pass in
+    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the Newton state of
+    :func:`_newton_diag`. Returns ``(coef, objective_path, converged)``."""
+    if lasso and strength > 0:
+        return _lasso_logistic(x, y, strength, coef0, null_fit)
+    pen_diag = strength * pen if pen is not None and strength > 0 else None
+    return _newton_diag(x, y, pen_diag, config, coef0, carry)
+
+
+def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, basis=None):
+    """The final :class:`StackModel` fit of :func:`fit_dynamic` and :func:`fit_static`.
+
+    A zero strength fits without a penalty (a dynamic model then stays in
+    its own basis). Without an effective penalty (strength 0, or one that
+    is all zero as for a degree <= 1 basis) separable classes send the
+    coefficients to infinity, so such a fit raises instead.
+    """
+    _check_spec(design, penalty, strength)
+    x, pen, rot = _problem(data, design, penalty if strength > 0 else "none", basis)
+    if data.n < x.shape[1]:
+        warnings.warn(
+            f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",
+            stacklevel=3,
+        )
+    coef, path, converged = _fit(x, data.y, pen, strength, penalty == "lasso", config)
+    if (pen is None or not pen.any()) and (not converged or np.abs(coef).max() > 1e2):
+        raise ConvergenceError(
+            "the unpenalized fit diverged; the classes may be separable -- "
+            "use ridge, or a curvature penalty for the dynamic model"
+        )
+    if not converged:
+        warnings.warn("Newton reached the iteration cap before converging", stacklevel=3)
+    coef = coef if rot is None else rot @ coef
+    return StackModel(
+        design, penalty, float(strength), coef, data.p, list(data.columns), basis, converged, path
+    )
+
+
+def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
+    n, positives = len(y), int(y.sum())  # y is 0/1
+    for j, heldout in enumerate(fold_idx):
+        if len(heldout) == 0 or len(heldout) == n:
+            raise ValueError(f"degenerate folds: fold {j + 1} is empty or everything")
+        train_positives = positives - int(y[heldout].sum())
+        if train_positives in (0, n - len(heldout)):
+            raise ValueError(
+                f"degenerate folds: fold {j + 1} leaves a single-class training set"
+            )
+
+
+def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int, basis=None):
+    """The cross-validation of :func:`select_lambda` and :func:`select_strength`.
+
+    Scores each grid value by the total held-out negative log-likelihood
+    over shared folds; ties go to the larger value. Held-out scores need
+    only ``X beta``, so the fits stay in the basis :func:`_problem` gives.
+    Each fold walks the grid warm-starting :func:`_fit` from the last
+    coefficients. A Newton walk also hands each fit the last one's linear
+    predictor, log-likelihood and likelihood Hessian, and starts each fold
+    from the previous fold's first-grid coefficients; a lasso walk starts
+    every fold from its intercept-only fit.
+    """
+    _check_spec(design, penalty)
+    x, pen, _ = _problem(data, design, penalty, basis)
+    y, lasso = data.y, penalty == "lasso"
+    fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
+    _assert_valid_folds(y, fold_idx)
+    scores = np.zeros(len(config.lambda_grid))
+    all_rows = np.arange(len(y))
+    start = None
+    for heldout in fold_idx:
+        fit_rows = np.setdiff1d(all_rows, heldout, assume_unique=True)
+        # column-major for faster Newton GEMMs; drop the last fold's arrays so two never coexist
+        x_fit = carry = None
+        x_fit = np.asfortranarray(x[fit_rows])
+        y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
+        null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
+        coef, carry = (None, None) if lasso else (start, {})
+        for gi, s in enumerate(config.lambda_grid):
+            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
+            if gi == 0:
+                start = coef
+            scores[gi] += _neg_loglik(x_out @ coef, y_out)
+
+    best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger value
+    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
+    return float(config.lambda_grid[best]), report
+
+
+# ---------------------------------------------------------------------------
+# public fits, cross-validations and prediction
+
+
+def fit_dynamic(
+    data: Level1Data,
+    lam: float,
+    basis: BSplineBasis,
+    config: FitConfig = FitConfig(),
+) -> StackModel:
+    """Fit the varying-coefficient model at a fixed curvature penalty ``lam``."""
+    return _fit_model(data, "dynamic", "curvature", lam, config, basis)
+
+
+def select_lambda(
+    data: Level1Data,
+    config: FitConfig = FitConfig(),
+    basis: BSplineBasis | None = None,
+    seed: int = 0,
+):
+    """Pick the dynamic model's penalty strength by J-fold cross-validation.
+
+    Returns ``(lam_star, report)`` with the full ``(lam, score)`` profile;
+    see :func:`_cv_profile`.
+    """
+    if basis is None:
+        basis = default_basis(data.u)
+    return _cv_profile(data, "dynamic", "curvature", config, seed, basis)
+
+
 def fit_static(
     data: Level1Data,
     design: str = "m1",
@@ -675,40 +650,18 @@ def fit_static(
     strength: float | None = None,
     config: FitConfig = FitConfig(),
     cv_seed: int = 0,
-) -> StaticStackModel:
+) -> StackModel:
     """Fit a constant-weight generalizer.
 
     ``penalty`` is "none" (plain logistic MLE), "ridge", or "lasso"; the
     intercept is never penalized. Leaving ``strength`` unset with a
     penalty selects it by cross-validation over ``config.lambda_grid``.
     """
-    x = static_design(data.z, data.u, design)
-    pen = _static_penalty(x.shape[1], penalty)
     if penalty == "none":
         strength = 0.0
     elif strength is None:
         strength, _ = select_strength(data, design, penalty, config, cv_seed)
-    elif strength < 0:
-        raise ValueError("penalty strength must be >= 0")
-
-    coef, path, converged = _fit_checked(x, data.y, pen, strength, penalty == "lasso", config)
-    return StaticStackModel(
-        design=design,
-        penalty=penalty,
-        strength=float(strength),
-        coef=coef,
-        p=data.p,
-        columns=list(data.columns),
-        converged=converged,
-        objective_path=path,
-    )
-
-
-def _static_penalty(width: int, penalty: str) -> np.ndarray | None:
-    """Per-coefficient weights: ridge and lasso act on all but the intercept."""
-    if penalty not in STATIC_PENALTIES:
-        raise ValueError(f"unknown penalty {penalty!r}; expected one of {STATIC_PENALTIES}")
-    return None if penalty == "none" else np.r_[0.0, np.ones(width - 1)]
+    return _fit_model(data, design, penalty, strength, config)
 
 
 def select_strength(
@@ -721,21 +674,34 @@ def select_strength(
     """Cross-validated penalty strength for a static design; mirrors
     :func:`select_lambda` (shared folds, held-out likelihood, ties to the
     larger value)."""
-    x = static_design(data.z, data.u, design)
-    pen = _static_penalty(x.shape[1], penalty)
-    return _cv_profile(x, data.y, pen, penalty == "lasso", config, seed)
+    return _cv_profile(data, design, penalty, config, seed)
 
 
-def predict_static(model: StaticStackModel, z, u) -> np.ndarray:
-    """Positive-class probability under the model's design expansion."""
-    z = _checked_z(model, z, u)
-    x = static_design(z, u, model.design)
+def predict(model: StackModel, z, u) -> np.ndarray:
+    """Positive-class probability for rows ``(Z, u)``."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    if z.shape[1] != model.p:
+        raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
+    rows = np.atleast_1d(np.asarray(u)).shape[0]
+    if z.shape[0] != rows:
+        raise ValueError(f"z has {z.shape[0]} rows, u has {rows}")
+    x = design_matrix(z, u, model.design, model.basis)
     if x.shape[1] != len(model.coef):
         raise ValueError(
             f"design {model.design!r} produces {x.shape[1]} columns but the "
             f"model has {len(model.coef)} coefficients"
         )
     return sigmoid(x @ model.coef)
+
+
+predict_dynamic = predict  # the name perfbench/workloads.py calls
+
+
+def coefficient_curves(model: StackModel, u_grid) -> np.ndarray:
+    """Evaluate every weight curve ``beta_j`` of a dynamic model on ``u_grid``; (n, p)."""
+    b = basis_matrix(model.basis, u_grid)
+    eta = model.coef[1:].reshape(model.p, model.basis.size)
+    return b @ eta.T
 
 
 # ---------------------------------------------------------------------------
@@ -810,49 +776,39 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
     columns = [f"z_{j + 1}" for j in range(zcols)]
     sidecar = path.with_name(path.name + ".provenance.txt")
     if sidecar.exists():
-        names = []
-        for line in sidecar.read_text().splitlines():
-            if "=" in line:
-                names.append(line.split("=", 1)[1].strip())
-        if len(names) == zcols:
-            columns = names
+        lines = sidecar.read_text().splitlines()
+        columns = [line.split("=", 1)[1].strip() for line in lines if "=" in line]
+        if len(columns) != zcols:
+            raise ValueError(f"{sidecar}: {len(columns)} names for {zcols} z columns")
     return Level1Data(y, z, u, columns)
 
 
-def save_model(path, model: DynamicStackModel | StaticStackModel) -> None:
-    """Serialize a fitted model to a self-describing text file.
+def save_model(path, model: StackModel) -> None:
+    """Serialize a fitted model to a self-describing ``dynstack-model 2`` file.
 
     Reals are written with 17 significant digits so loading reproduces
     the coefficients bit for bit.
     """
-    lines = ["dynstack-model 1"]
-    if isinstance(model, DynamicStackModel):
+    lines = [
+        "dynstack-model 2",
+        f"design = {model.design}",
+        f"penalty = {model.penalty}",
+        f"strength = {_fmt(model.strength)}",
+        f"p = {model.p}",
+    ]
+    if model.design == "dynamic":
         lines += [
-            "kind = dynamic",
-            f"p = {model.p}",
-            f"lambda = {_fmt(model.lam)}",
             f"degree = {model.basis.degree}",
             f"u_lo = {_fmt(model.basis.u_lo)}",
             f"u_hi = {_fmt(model.basis.u_hi)}",
             "knots = " + " ".join(_fmt(v) for v in model.basis.knots),
         ]
-    elif isinstance(model, StaticStackModel):
-        lines += [
-            "kind = static",
-            f"p = {model.p}",
-            f"design = {model.design}",
-            f"penalty = {model.penalty}",
-            f"strength = {_fmt(model.strength)}",
-        ]
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    for name in model.columns:
-        lines.append(f"column = {name}")
+    lines += [f"column = {name}" for name in model.columns]
     lines.append("coef = " + " ".join(_fmt(v) for v in model.coef))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_model(path) -> DynamicStackModel | StaticStackModel:
+def load_model(path) -> StackModel:
     """Read a file written by :func:`save_model`; errors name the file."""
     try:
         return _parse_model(Path(path).read_text().splitlines())
@@ -860,8 +816,13 @@ def load_model(path) -> DynamicStackModel | StaticStackModel:
         raise ValueError(f"{path}: {err}") from err
 
 
-def _parse_model(text: list[str]) -> DynamicStackModel | StaticStackModel:
-    if not text or text[0].strip() != "dynstack-model 1":
+def _parse_model(text: list[str]) -> StackModel:
+    header = text[0].strip() if text else ""
+    if header == "dynstack-model 1":
+        raise ValueError(
+            "a dynstack-model 1 file, which this version no longer reads; fit the model again"
+        )
+    if header != "dynstack-model 2":
         raise ValueError("not a dynstack model file")
     fields: dict[str, str] = {}
     columns: list[str] = []
@@ -880,14 +841,16 @@ def _parse_model(text: list[str]) -> DynamicStackModel | StaticStackModel:
             raise ValueError(f"model file has no {key!r} line")
         return fields[key]
 
-    kind = get("kind")
+    design, penalty, strength = get("design"), get("penalty"), float(get("strength"))
+    _check_spec(design, penalty, strength)
     coef = np.array([float(v) for v in get("coef").split()])
     if not np.isfinite(coef).all():
         raise ValueError("'coef' holds a non-finite value")
     p = int(get("p"))
     if len(columns) != p:
         raise ValueError(f"{len(columns)} 'column' lines for p = {p}")
-    if kind == "dynamic":
+    basis = None
+    if design == "dynamic":
         # every basis comes from make_basis, so the file's knots must be its knots
         degree = int(get("degree"))
         knots = np.array([float(v) for v in get("knots").split()])
@@ -895,25 +858,9 @@ def _parse_model(text: list[str]) -> DynamicStackModel | StaticStackModel:
         basis = make_basis(float(get("u_lo")), float(get("u_hi")), interior, degree)
         if not np.array_equal(knots, basis.knots):
             raise ValueError("'knots' are not the clamped uniform knots of [u_lo, u_hi]")
-        model = DynamicStackModel(
-            coef=coef, basis=basis, lam=float(get("lambda")), p=p, columns=columns
-        )
-        width = 1 + p * basis.size
-    elif kind == "static":
-        model = StaticStackModel(
-            design=get("design"),
-            penalty=get("penalty"),
-            strength=float(get("strength")),
-            coef=coef,
-            p=p,
-            columns=columns,
-        )
-        width = static_design(np.zeros((1, p)), np.zeros(1), model.design).shape[1]
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    width = design_matrix(np.zeros((1, p)), np.zeros(1), design, basis).shape[1]
     if len(coef) != width:
         raise ValueError(
-            f"'coef' has {len(coef)} values; a {kind} model with "
-            f"p = {p} needs {width}"
+            f"'coef' has {len(coef)} values; a {design} model with p = {p} needs {width}"
         )
-    return model
+    return StackModel(design, penalty, strength, coef, p, columns, basis)

@@ -32,8 +32,7 @@ from dynstack.stacking import (
     dynamic_design,
     fit_dynamic,
     fit_static,
-    predict_dynamic,
-    predict_static,
+    predict,
 )
 from dynstack.synth import planted_homophily_network
 
@@ -114,11 +113,7 @@ class TestCriterion3NestingEquivalence:
             stat = fit_static(data, "m1", "none", config=cfg)
             worst_pred = max(
                 worst_pred,
-                float(
-                    np.abs(
-                        predict_dynamic(dyn, z, u) - predict_static(stat, z, u)
-                    ).max()
-                ),
+                float(np.abs(predict(dyn, z, u) - predict(stat, z, u)).max()),
             )
             oracle = irls_logistic(np.hstack([np.ones((n, 1)), z]), y.astype(float))
             worst_coef = max(worst_coef, float(np.abs(stat.coef - oracle).max()))

@@ -29,3 +29,11 @@ def test_moved_lists_only_changes_beyond_ten_percent():
     moved = bench_record._moved(old, new)
     assert [line.split()[1] for line in moved] == ["faster", "zero"]
     assert moved[0].endswith("(-30%)") and moved[1].endswith("(new)")
+
+
+def test_probe_ratio_printed_or_its_absence_noted():
+    old = {"workloads": {"a": {"host_probe_s": 0.2}, "b": {}}}
+    new = {"workloads": {"a": {"host_probe_s": 0.25}, "b": {"host_probe_s": 0.3}}}
+    a, b = bench_record._probe_ratios(old, new)
+    assert a.split()[0] == "a" and a.endswith("0.2 -> 0.25 s (x1.25)")
+    assert b.split()[0] == "b" and "none in the older file" in b

@@ -318,7 +318,7 @@ class TestStackCommands:
             ]
         ) == 0
         model = load_model(fit_out / "model.txt")
-        assert model.lam == 1.0
+        assert (model.design, model.penalty, model.strength) == ("dynamic", "curvature", 1.0)
 
         pred_out = tmp_path / "pred"
         assert main(
@@ -392,6 +392,25 @@ class TestStackCommands:
         assert err.startswith(f"error: {unread} does not apply to --model ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "dynamic", "--lam", "nan"],
+            ["--model", "dynamic", "--lam", "inf"],
+            ["--model", "dynamic", "--lam", "-1"],
+            ["--model", "m3", "--penalty", "ridge", "--strength", "nan"],
+            ["--model", "m1", "--penalty", "lasso", "--strength=-inf"],
+        ],
+        ids=["lam-nan", "lam-inf", "lam-negative", "ridge-nan", "lasso-minus-inf"],
+    )
+    def test_bad_penalty_strength_writes_no_model(self, level1_file, tmp_path, capsys, flags):
+        # a NaN strength used to fit unpenalized and record "lambda = nan"
+        out = tmp_path / "fit"
+        assert main(["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: penalty strength must be finite and >= 0") and err.count("\n") == 1
+        assert not (out / "model.txt").exists()
 
     @pytest.mark.parametrize(
         "flags,recorded,dropped",

@@ -7,11 +7,14 @@ Runs ``perfbench/run.py`` on every workload that ``BENCHMARK.json`` lists,
 once per seed in ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
 for the benchmark's ``run_seconds``, one run at a time. The file written at
 the repository root holds the environment of the first run, the median and
-quartiles over the seeds of each end-to-end metric, and the median of each
-per-layer metric. When an earlier ``BENCH_*.json`` exists, every metric that
-moved by more than 10% against the latest one is printed. Compare files
-made on the same machine only. ``perfbench/`` and ``BENCHMARK.json`` are
-read, never written. Standard library only.
+quartiles over the seeds of each end-to-end metric, the median of each
+per-layer metric, and the median ``host_probe_s`` (a fixed pure-Python loop
+timed after every unit) over the units of the ``--trace 0`` runs. When an
+earlier ``BENCH_*.json`` exists, the probe's ratio against the latest one is
+printed first, so host drift is not read as code movement, then every metric
+that moved by more than 10%. Compare files made on the same machine only.
+``perfbench/`` and ``BENCHMARK.json`` are read, never written. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -72,6 +75,20 @@ def _moved(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _probe_ratios(old: dict, new: dict) -> list[str]:
+    """Per workload: the host probe's ratio between two BENCH files, or a note
+    that the older file has no probe."""
+    lines = []
+    for workload, cur in new["workloads"].items():
+        before = old["workloads"].get(workload, {}).get("host_probe_s")
+        if before is None:
+            lines.append(f"{workload:17s} host_probe_s: none in the older file; host drift unknown")
+        else:
+            after = cur["host_probe_s"]
+            lines.append(f"{workload:17s} host_probe_s {before:.4g} -> {after:.4g} s (x{after / before:.2f})")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
@@ -80,17 +97,20 @@ def main(argv=None) -> int:
     doc = {"pr": args.pr, "seeds": list(SEEDS), "run_seconds": bench["run_seconds"], "workloads": {}}
     with tempfile.TemporaryDirectory() as out:
         for workload in (w["name"] for w in bench["workloads"]):
-            runs = {0: [], 1: []}
+            runs, probes = {0: [], 1: []}, []
             for seed in SEEDS:
                 for trace in (0, 1):
                     result, record = _run(workload, seed, trace, bench["run_seconds"], out)
                     doc.setdefault("environment", record["environment"])
                     runs[trace].append(result)
+                    if trace == 0:
+                        probes += [u["host_probe_s"] for u in record["units"]]
                     print(f"{workload} seed {seed} trace {trace}: failed {result['failed']}", flush=True)
             doc["workloads"][workload] = {
                 "failed_checks": sum(r["failed"] for r in runs[0] + runs[1]),
                 "end_to_end": _summary(runs[0], spread=True),
                 "per_layer": _summary(runs[1], spread=False),
+                "host_probe_s": statistics.median(probes),
             }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -103,8 +123,11 @@ def main(argv=None) -> int:
             earlier.append((int(m.group(1)), f))
     if earlier:
         last = max(earlier)[1]
-        moved = _moved(json.loads(last.read_text()), doc)
-        print(f"against {last.name}: {len(moved)} metrics moved by more than {MOVED:.0%}")
+        old = json.loads(last.read_text())
+        print(f"against {last.name}:")
+        print("\n".join(_probe_ratios(old, doc)))
+        moved = _moved(old, doc)
+        print(f"{len(moved)} metrics moved by more than {MOVED:.0%}")
         print("\n".join(moved))
     return 0
 
