@@ -61,6 +61,7 @@ def _write_manifest(out: Path, args, omit=(), **resolved) -> None:
 
 
 def _out_dir(args) -> Path:
+    """Create ``--out``; called only once a command has an output to write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -93,7 +94,6 @@ def _parse_file(parse, path, *args):
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     config = FitConfig(cv_folds=args.folds)
     report = run_simulation(
@@ -105,6 +105,7 @@ def cmd_simulate(args) -> int:
         threads=args.threads,
         config=config,
     )
+    out = _out_dir(args)
     _write_csv(
         out / "simulation_report.csv",
         ["case", "method", "mean_auc", "sd_auc", "n_reps"],
@@ -144,7 +145,6 @@ def cmd_graph_experiment(args) -> int:
             file=sys.stderr,
         )
         return 2
-    out = _out_dir(args)
     graph = attach_labels(_parse_file(parse_edge_list, args.edges), read_label_file(args.labels))
     features = _parse_file(parse_feature_file, args.features, graph.node_ids)
     original_index = {nid: i for i, nid in enumerate(graph.node_ids)}
@@ -168,6 +168,7 @@ def cmd_graph_experiment(args) -> int:
             ) from err
         raise
 
+    out = _out_dir(args)
     acc_rows = []
     for m in report.methods:
         mean, sd, n_reps = summarize(report.accuracies[m])
@@ -200,9 +201,9 @@ def cmd_graph_experiment(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    out = _out_dir(args)
     graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
     cov = degree(graph) if args.kind == "degree" else closeness_centrality(graph)
+    out = _out_dir(args)
     write_covariate(out / "covariate.csv", graph, cov)
     _write_manifest(out, args)
     return 0
@@ -223,7 +224,6 @@ def cmd_stack_fit(args) -> int:
         given = f"--model {args.model}" + (f" --penalty {args.penalty}" if static else "")
         print(f"error: {flag} does not apply to {given}", file=sys.stderr)
         return 2
-    out = _out_dir(args)
     data = read_level1(args.level1)
     config = FitConfig(cv_folds=args.folds)
     cv_report = None
@@ -251,6 +251,7 @@ def cmd_stack_fit(args) -> int:
         omit, resolved = ("lam", "knots", "spline_degree", "strength"), {}
         if args.penalty != "none":
             resolved["strength"] = "cv" if args.strength is None else args.strength
+    out = _out_dir(args)
     save_model(out / "model.txt", model)
     if cv_report is not None:
         _write_csv(
@@ -263,10 +264,10 @@ def cmd_stack_fit(args) -> int:
 
 
 def cmd_stack_predict(args) -> int:
-    out = _out_dir(args)
     model = load_model(args.model)
     data = read_level1(args.data, require_y=False)
     probs = predict(model, data.z, data.u)
+    out = _out_dir(args)
     _write_csv(
         out / "predictions.csv",
         ["row", "probability"],
@@ -277,10 +278,10 @@ def cmd_stack_predict(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    out = _out_dir(args)
     model = load_model(args.model)
     if model.design != "dynamic":
         raise SystemExit("error: coefficient curves require a dynamic model file")
+    out = _out_dir(args)
     _write_curves(out / "curves.csv", model, args.points)
     _write_manifest(out, args)
     return 0

@@ -87,17 +87,20 @@ class Graph:
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
         Parallel edges are merged by summing their weights in input order;
-        self-loops, out-of-range indices and negative weights are rejected.
+        self-loops, out-of-range indices and negative, infinite or NaN weights
+        are rejected.
         Zero-weight edges are stored, so they count toward the degree.
         """
         node_ids = list(node_ids)
         n = len(node_ids)
         e = np.array(list(edges), dtype=float).reshape(-1, 3)
         outside = ((e[:, :2] < 0) | (e[:, :2] >= n)).any(axis=1)
-        fault = np.select([e[:, 0] == e[:, 1], outside, e[:, 2] < 0], [1, 2, 3])
+        w = e[:, 2]
+        fault = np.select([e[:, 0] == e[:, 1], outside, w < 0, ~np.isfinite(w)], [1, 2, 3, 4])
         if fault.any():
             k = int(np.argmax(fault > 0))
-            what = ("a self-loop", f"out of range for {n} nodes", "negatively weighted")
+            what = ("a self-loop", f"out of range for {n} nodes", "negatively weighted",
+                    "weighted by a non-finite value")
             edge = ", ".join(f"{v:g}" for v in e[k])
             raise GraphParseError(f"edges[{k}] = ({edge}) is {what[fault[k] - 1]}")
         lo, hi = np.sort(e[:, :2], axis=1).astype(np.int64).T
@@ -133,12 +136,21 @@ class Graph:
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self._indices[lo:hi], self._weights[lo:hi]
 
-    def _neighbor_lists(self) -> tuple[list[list[int]], list[list[float]]]:
+    def _neighbor_lists(self) -> tuple[list[list[int]], list[list[int]]]:
         """Every node's neighbour indices and edge weights as plain lists, for
         per-node Python loops; built on first use and kept, as the graph never
-        changes. Callers must not mutate them."""
+        changes. Callers must not mutate them.
+
+        Each weight ``w`` is listed as the exact int ``w * 2**shift``, where
+        ``shift`` is the smallest nonnegative power making every weight an
+        integer: sums of these are exact in any order, and their ratios are
+        the ratios of the float weights."""
         if self._lists is None:
-            ptr, idx, wts = self._indptr.tolist(), self._indices.tolist(), self._weights.tolist()
+            distinct, inverse = np.unique(self._weights, return_inverse=True)
+            ratios = [w.as_integer_ratio() for w in distinct.tolist()]
+            shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+            exact = np.array([(a << shift) // d for a, d in ratios], dtype=object)
+            ptr, idx, wts = self._indptr.tolist(), self._indices.tolist(), exact[inverse].tolist()
             self._lists = (
                 [idx[a:b] for a, b in zip(ptr, ptr[1:])],
                 [wts[a:b] for a, b in zip(ptr, ptr[1:])],

@@ -61,53 +61,40 @@ class IcaResult:
     converged: bool
 
 
-def _neighbor_average(graph: Graph, i: int, probs: np.ndarray, known: np.ndarray):
-    nbrs, wts = graph.neighbors(i)
-    m = known[nbrs]
-    if not m.any():
-        return None
-    w = wts[m]
-    total = w.sum()
-    if total == 0.0:  # only zero-weight edges reach a classified neighbor
-        return None
-    return (w[:, None] * probs[nbrs[m]]).sum(axis=0) / total
-
-
 def wvrn_estimate(graph: Graph, node: int, state: LabelState) -> np.ndarray | None:
     """Edge-weighted average of the non-null neighbor distributions.
 
     Returns ``None`` when the node has no neighbors or all of them are
     null; that is an in-band outcome, not an error.
     """
-    return _neighbor_average(graph, node, state.probs, state.known)
+    nbrs, wts = graph.neighbors(node)
+    m = state.known[nbrs]
+    w = wts[m]
+    total = w.sum()
+    if total == 0.0:  # no classified neighbour, or only zero-weight edges reach one
+        return None
+    return (w[:, None] * state.probs[nbrs[m]]).sum(axis=0) / total
 
 
-def _has_exact_sums(graph: Graph) -> bool:
-    """Whether every sum of edge weights is exact in float64, in any order.
-
-    True when every weight is an integer and all of them together stay
-    below 2**53; an infinite or NaN weight fails the second test.
-    """
-    w = graph._weights
-    return bool(np.all(w == np.floor(w))) and float(w.sum()) < 2.0**53
-
-
-def _sweep_by_sums(graph, labels, test_nodes, rng, max_iterations):
+def _sweep(graph, labels, test_nodes, rng, max_iterations):
     """ICA on running per-class sums of the known neighbours' edge weights.
 
     Every known node holds a point mass, so a node's neighbour average is
-    its per-class known weight over its total known weight. A commit adds
-    to (and, on a relabel, subtracts from) only its neighbours' sums.
+    its per-class known weight over its total known weight. The sums add
+    the graph's exact integer weights, so they are exact in any order. A
+    commit adds to (and, on a relabel, subtracts from) only its
+    neighbours' sums.
     """
     n, c = len(labels), graph.class_count
-    indptr, indices, weights = graph._indptr, graph._indices, graph._weights
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    nbr_label = labels[indices]
-    m = nbr_label >= 0
-    sums = np.bincount(rows[m] * c + nbr_label[m], weights[m], n * c).reshape(n, c).tolist()
-    total = np.bincount(rows[m], weights[m], n).tolist()
     nbrs, nwts = graph._neighbor_lists()
     hard = np.where(labels >= 0, labels, -1).tolist()
+    sums = [[0] * c for _ in range(n)]
+    total = [0] * n
+    for j in np.flatnonzero(labels >= 0).tolist():
+        label = hard[j]
+        for i, w in zip(nbrs[j], nwts[j]):
+            sums[i][label] += w
+            total[i] += w
 
     sweeps = 0
     converged = False
@@ -137,59 +124,11 @@ def _sweep_by_sums(graph, labels, test_nodes, rng, max_iterations):
             converged = True
             break
 
-    tot = np.array(total)[test_nodes]
-    null = tot == 0.0
-    soft = np.array(sums)[test_nodes] / np.where(null, 1.0, tot)[:, None]
-    return np.array(hard, dtype=np.int64), soft, null, sweeps, converged
-
-
-def _sweep_by_cache(graph, labels, test_nodes, rng, max_iterations):
-    """ICA that caches each neighbour average until a neighbour changes.
-
-    An average is recomputed only when it is stale: when a neighbour
-    became known or changed label since it was last computed.
-    """
-    state = LabelState.from_labels(labels, graph.class_count)
-    probs, known = state.probs, state.known
-    hard = np.where(labels >= 0, labels, -1)
-    est: list = [None] * len(labels)  # (average or None, its argmax or None)
-    stale = labels < 0
-
-    def estimate(i):
-        if stale[i]:
-            avg = _neighbor_average(graph, i, probs, known)
-            est[i] = (avg, None if avg is None else int(np.argmax(avg)))
-            stale[i] = False
-        return est[i]
-
-    sweeps = 0
-    converged = False
-    while sweeps < max_iterations:
-        sweeps += 1
-        changed = False
-        for i in rng.permutation(test_nodes):
-            label = estimate(i)[1]
-            if label is None or label == hard[i]:
-                continue
-            changed = True
-            hard[i] = label
-            probs[i] = 0.0
-            probs[i, label] = 1.0
-            known[i] = True
-            stale[graph.neighbors(i)[0]] = True
-        if not changed:
-            converged = True
-            break
-
-    soft = np.zeros((len(test_nodes), graph.class_count))
-    null = np.zeros(len(test_nodes), dtype=bool)
-    for k, i in enumerate(test_nodes):
-        avg = estimate(i)[0]
-        if avg is None:
-            null[k] = True
-        else:
-            soft[k] = avg
-    return hard, soft, null, sweeps, converged
+    test = test_nodes.tolist()
+    null = np.array([not total[i] for i in test], dtype=bool)
+    # int / int is the correctly rounded ratio, whatever the sizes
+    soft = [[s / total[i] for s in sums[i]] if total[i] else [0.0] * c for i in test]
+    return np.array(hard, dtype=np.int64), np.array(soft).reshape(-1, c), null, sweeps, converged
 
 
 def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -> IcaResult:
@@ -204,15 +143,10 @@ def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -
     node's neighbor average from the terminal hard states, which is what
     feeds stacking.
 
-    Two implementations give the same result bit for bit, chosen from
-    the edge weights alone. When every weight is an integer and all of
-    them sum to less than 2**53 (unit-weight networks such as Cora), each
-    node keeps running per-class sums of its known neighbours' weights;
-    integer sums below 2**53 are exact in float64 in any order, so they
-    equal the neighbour average's numerator and denominator, and dividing
-    by the same positive total keeps their argmax. Any other weights keep
-    each node's average cached and recompute it only when a neighbour
-    became known or changed label since it was last computed.
+    Each node keeps running per-class sums of its known neighbours' edge
+    weights, taken as the exact integers of ``Graph._neighbor_lists``, so
+    the argmax is decided on exact values and each reported probability
+    is the correctly rounded ratio of exact sums, whatever the weights.
     """
     labels = np.asarray(labels, dtype=np.int64)
     c = graph.class_count
@@ -223,9 +157,8 @@ def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -
         raise ValueError("collective inference needs at least one observed node")
 
     out = LabelState.from_labels(labels, c).probs
-    sweep = _sweep_by_sums if _has_exact_sums(graph) else _sweep_by_cache
     rng = np.random.default_rng(config.order_seed)
-    hard, soft, null, sweeps, converged = sweep(
+    hard, soft, null, sweeps, converged = _sweep(
         graph, labels, test_nodes, rng, config.max_iterations
     )
     out[test_nodes] = soft

@@ -66,6 +66,11 @@ def _neg_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     return float((np.maximum(eta, 0.0) + t - y * eta).sum())
 
 
+def _probabilities(z: np.ndarray) -> bool:
+    """Whether every entry of ``z`` lies in [0, 1], up to a 1e-9 round-off."""
+    return z.min(initial=0.0) >= -1e-9 and z.max(initial=0.0) <= 1 + 1e-9
+
+
 @dataclass(frozen=True)
 class Level1Data:
     """Rows ``(y, Z, u)`` for the level-1 generalizers.
@@ -95,7 +100,7 @@ class Level1Data:
             raise ValueError(
                 f"z column {col + 1} holds {z[row, col]} in row {row + 1}; z must be finite"
             )
-        if z.min(initial=0.0) < -1e-9 or z.max(initial=0.0) > 1 + 1e-9:
+        if not _probabilities(z):
             raise ValueError("z entries must be probabilities in [0, 1]")
         if not np.all(np.isfinite(u)):
             raise ValueError("u must be finite")
@@ -728,8 +733,9 @@ def write_level1(path, data: Level1Data) -> None:
 
 
 def _bad_level1_line(path, width: int, has_y: bool) -> str:
-    """Name the first data line that does not hold ``width`` finite numbers
-    or, when ``has_y``, whose first field is not exactly 0 or 1."""
+    """Name the first data line that does not hold ``width`` finite numbers,
+    whose z values are not probabilities or, when ``has_y``, whose first
+    field is not exactly 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -745,6 +751,8 @@ def _bad_level1_line(path, width: int, has_y: bool) -> str:
                 return f"{where}: non-finite value in {rec}"
             if has_y and row[0] not in (0.0, 1.0):
                 return f"{where}: y must be 0 or 1, got {rec[0]!r}"
+            if not _probabilities(row[int(has_y) : -1]):
+                return f"{where}: z values must be probabilities in [0, 1], got {rec}"
     return f"{path}: no data rows"
 
 
@@ -766,6 +774,7 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
         body = np.asarray(rows, dtype=float)
         ok = body.ndim == 2 and body.shape[1] == len(header) and np.isfinite(body).all()
         ok = ok and (not has_y or np.isin(body[:, 0], (0.0, 1.0)).all())
+        ok = ok and _probabilities(body[:, int(has_y) : -1])
     except ValueError:
         ok = False
     if not ok:  # only a bad file pays for the line-by-line search

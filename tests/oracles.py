@@ -8,12 +8,14 @@ curvature penalty integrates on a dense grid, and graph components come
 from plain set expansion. The lasso working problem is solved by trying
 every support and sign pattern. The Newton-step linear solve goes
 through scipy's ``cho_factor``/``cho_solve`` wrappers, not LAPACK directly.
-Collective inference re-scores every visited node on every sweep.
+Collective inference re-scores every visited node on every sweep, once
+in float arithmetic and once in exact rationals.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import simpson
@@ -245,4 +247,54 @@ def ica_reference(graph, labels, max_iterations: int, order_seed: int):
             probs[i], was_null[i], hard[i] = 1.0 / c, True, 0
         else:
             probs[i] = est
+    return probs, hard, was_null, sweeps, converged
+
+
+def ica_exact_reference(graph, labels, max_iterations: int, order_seed: int):
+    """The literal sweep of :func:`ica_reference` on exact rational scores.
+
+    Every visit re-scores the node from ``Fraction`` sums of its known
+    neighbours' edge weights, so the argmax (ties to the lowest class) is
+    decided on exact values; each soft output is ``float`` of the exact
+    ratio, the correctly rounded neighbour average. Returns
+    ``(probs, hard_labels, was_null, n_sweeps, converged)``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    c = graph.class_count
+    hard = labels.copy()
+    known = labels >= 0
+    test = np.flatnonzero(~known)
+
+    def score(i):
+        sums, total = [Fraction(0)] * c, Fraction(0)
+        for j, w in zip(*graph.neighbors(i)):
+            if known[j]:
+                sums[hard[j]] += Fraction(float(w))
+                total += Fraction(float(w))
+        return None if total == 0 else [s / total for s in sums]
+
+    rng = np.random.default_rng(order_seed)
+    sweeps, converged = 0, False
+    while sweeps < max_iterations:
+        sweeps += 1
+        changed = False
+        for i in rng.permutation(test):
+            est = score(i)
+            if est is None:
+                continue
+            label = est.index(max(est))
+            changed = changed or label != hard[i]
+            hard[i], known[i] = label, True
+        if not changed:
+            converged = True
+            break
+    probs = np.zeros((len(labels), c))
+    probs[np.flatnonzero(labels >= 0), labels[labels >= 0]] = 1.0
+    was_null = np.zeros(len(labels), dtype=bool)
+    for i in test:
+        est = score(i)
+        if est is None:
+            probs[i], was_null[i], hard[i] = 1.0 / c, True, 0
+        else:
+            probs[i] = [float(v) for v in est]
     return probs, hard, was_null, sweeps, converged

@@ -478,6 +478,34 @@ class TestStackCommands:
         assert not (pred_out / "predictions.csv").exists()
 
 
+class TestFailedRunLeavesNoOutput:
+    @pytest.mark.parametrize(
+        "command", ["stack-fit", "stack-predict", "curves", "centrality", "graph-experiment"]
+    )
+    def test_no_output_directory(self, level1_file, tmp_path, capsys, command):
+        # each run fails while loading its inputs, before it has anything to write
+        bad_level1 = tmp_path / "bad.csv"
+        bad_level1.write_text("y,z_1,u\n1,1.5,0.3\n")
+        old_model = tmp_path / "old_model.txt"
+        old_model.write_text("dynstack-model 1\nkind = dynamic\n")
+        bad_edges = tmp_path / "edges.txt"
+        bad_edges.write_text("a b\nb b\n")
+        argv = {
+            "stack-fit": ["--level1", bad_level1],
+            "stack-predict": ["--model", old_model, "--data", level1_file],
+            "curves": ["--model", old_model],
+            "centrality": ["--edges", bad_edges],
+            "graph-experiment": [
+                "--edges", bad_edges, "--labels", tmp_path / "labels.csv",
+                "--features", tmp_path / "features.txt", "--positive-label", "c",
+            ],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *map(str, argv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+
 def parsed_flags(command):
     """Destinations of the options ``command`` accepts, without ``--out``."""
     parser = build_parser()

@@ -113,8 +113,10 @@ class TestBuild:
             ((0, 3, 1.0), r"edges\[1\] = \(0, 3, 1\) is out of range for 3 nodes"),
             ((-1, 2, 1.0), r"edges\[1\] = \(-1, 2, 1\) is out of range"),
             ((1, 2, -0.5), r"edges\[1\] = \(1, 2, -0.5\) is negatively weighted"),
+            ((0, 2, np.inf), r"edges\[1\] = \(0, 2, inf\) is weighted by a non-finite value"),
+            ((1, 2, np.nan), r"edges\[1\] = \(1, 2, nan\) is weighted by a non-finite value"),
         ],
-        ids=["self-loop", "index too large", "negative index", "negative weight"],
+        ids=["self-loop", "index too large", "negative index", "negative weight", "inf", "nan"],
     )
     def test_bad_edge_rejected_by_position(self, edge, message):
         # edges[2] is bad as well; the first bad edge is the one named

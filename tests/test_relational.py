@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dynstack.graph import Graph, attach_labels, parse_edge_list
-from dynstack.relational import IcaConfig, LabelState, _has_exact_sums, ica_run, wvrn_estimate
+from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate
 
 from conftest import random_graph
-from oracles import direct_wvrn, ica_reference
+from oracles import direct_wvrn, ica_exact_reference, ica_reference
 
 
 def state_from(graph, dists: dict):
@@ -260,10 +260,10 @@ class TestIcaAgainstReference:
         return g, labels
 
     @staticmethod
-    def check(g, labels, cap, order_seed):
-        """Assert ``ica_run`` equals the literal sweep; return its outcome."""
+    def check(g, labels, cap, order_seed, oracle=ica_reference):
+        """Assert ``ica_run`` equals the literal sweep ``oracle``; return its outcome."""
         res = ica_run(g, labels, IcaConfig(max_iterations=cap, order_seed=order_seed))
-        probs, hard, was_null, sweeps, converged = ica_reference(g, labels, cap, order_seed)
+        probs, hard, was_null, sweeps, converged = oracle(g, labels, cap, order_seed)
         np.testing.assert_array_equal(res.probs, probs)
         np.testing.assert_array_equal(res.hard_labels, hard)
         np.testing.assert_array_equal(res.was_null, was_null)
@@ -271,28 +271,41 @@ class TestIcaAgainstReference:
         return converged, bool(was_null.any())
 
     def test_matches_literal_sweep_bit_for_bit(self):
+        # fractional weights: float sums would round differently in each order,
+        # so the oracle scores every visit on exact rationals
         rng = np.random.default_rng(47)
         outcomes = set()
         for trial in range(60):
             g, labels = self.random_case(rng)
-            outcomes.add(self.check(g, labels, (1, 2, 3, 100)[trial % 4], trial))
+            cap = (1, 2, 3, 100)[trial % 4]
+            outcomes.add(self.check(g, labels, cap, trial, ica_exact_reference))
         # the cases reached every combination of (converged, some null node)
+        assert outcomes == ALL_OUTCOMES
+
+    def test_extreme_weights_match_exact_sweep(self):
+        # weights 600 orders of magnitude apart: 1e300 swamps 3.0 in any float
+        # sum, and 1e-300 makes every weight an integer only times 2**1049
+        rng = np.random.default_rng(67)
+        outcomes = set()
+        for trial in range(40):
+            g, labels = self.random_case(rng, lambda r: float(r.choice([1e-300, 0.1, 3.0, 1e300])))
+            cap = (1, 2, 3, 100)[trial % 4]
+            outcomes.add(self.check(g, labels, cap, trial, ica_exact_reference))
         assert outcomes == ALL_OUTCOMES
 
     @pytest.mark.parametrize("weights", [(1.0,), (0.0, 1.0, 2.0, 3.0)], ids=["unit", "0-3"])
     def test_integral_weights_match_literal_sweep_bit_for_bit(self, weights):
-        # these take the running-sums path, which never re-reads neighbours
+        # integer sums are exact in float64 too, so the float oracle agrees
         rng = np.random.default_rng(53)
         outcomes = set()
         for trial in range(80):
             g, labels = self.random_case(rng, lambda r: float(r.choice(weights)))
-            assert _has_exact_sums(g)
             outcomes.add(self.check(g, labels, (1, 2, 3, 100)[trial % 4], trial))
         assert outcomes == ALL_OUTCOMES
 
     def test_second_call_reuses_the_neighbour_lists(self):
-        # the running-sums path keeps the graph's plain-list adjacency after its
-        # first call; later calls read it back and still match the literal sweep
+        # the sweep keeps the graph's plain-list adjacency after its first call;
+        # later calls read it back and still match the literal sweep
         rng = np.random.default_rng(59)
         g, labels = self.random_case(rng, lambda r: 1.0)
         first = ica_run(g, labels, IcaConfig(order_seed=3))
@@ -318,16 +331,15 @@ class TestIcaAgainstReference:
         np.testing.assert_array_equal(got.probs, expected.probs)
         np.testing.assert_array_equal(got.hard_labels, expected.hard_labels)
 
-    def test_weights_summing_past_2_53_take_the_cached_path(self):
+    def test_weights_summing_past_2_53_stay_exact(self):
         # t sees x and y (weight 1 each; both turn X through p), a (X,
         # 2**53) and b (Y, 2**53 + 2). Summed in neighbour order, X gets
-        # 1 + 1 + 2**53 exactly and ties Y; added one commit at a time,
-        # each +1 to 2**53 rounds away, so running sums would pick Y.
+        # 1 + 1 + 2**53 exactly and ties Y; added one commit at a time in
+        # float64, each +1 to 2**53 would round away and pick Y.
         big = 2.0**53
         edges = [(4, 0, 1.0), (4, 1, 1.0), (4, 2, big), (4, 3, big + 2), (0, 5, 1.0), (1, 5, 1.0)]
         labels = np.array([-1, -1, 0, 1, -1, 0])
         g = Graph.build(list("xyabtp"), edges, labels, "XY")
-        assert not _has_exact_sums(g)
         for seed in range(6):
             self.check(g, labels, 100, seed)
         res = ica_run(g, labels, IcaConfig(order_seed=0))

@@ -88,10 +88,12 @@ class TestLevel1Data:
             ("1,0.5,0.3\n0,abc,0.2\n", "level1.csv line 3: could not convert .*'abc'"),
             ("", "level1.csv: no data rows"),
             ("0.5,0.5,0.3\n1,0.5,0.2\n0,0.5,0.1\n", "level1.csv line 2: y must be 0 or 1, got '0.5'"),
+            ("1,0.5,0.3\n1,1.5,0.2\n", r"level1.csv line 3: z values must be probabilities"),
+            ("1,-1e-8,0.3\n", r"level1.csv line 2: z values must be probabilities in \[0, 1\]"),
         ],
         ids=[
             "short row", "every row short", "nan", "inf", "non-numeric", "header only",
-            "fractional y",
+            "fractional y", "z above 1", "z below 0",
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, body, message):
