@@ -87,21 +87,23 @@ class Graph:
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
         Parallel edges are merged by summing their weights in input order;
-        self-loops, out-of-range indices and negative, infinite or NaN weights
-        are rejected.
+        self-loops, NaN, fractional or out-of-range indices and negative,
+        infinite or NaN weights are rejected.
         Zero-weight edges are stored, so they count toward the degree.
         """
         node_ids = list(node_ids)
         n = len(node_ids)
         e = np.array(list(edges), dtype=float).reshape(-1, 3)
-        outside = ((e[:, :2] < 0) | (e[:, :2] >= n)).any(axis=1)
-        w = e[:, 2]
-        fault = np.select([e[:, 0] == e[:, 1], outside, w < 0, ~np.isfinite(w)], [1, 2, 3, 4])
+        ends, w = e[:, :2], e[:, 2]
+        outside = ((ends < 0) | (ends >= n)).any(axis=1)
+        fractional = (ends != np.floor(ends)).any(axis=1)  # true for NaN too
+        checks = [e[:, 0] == e[:, 1], outside, fractional, w < 0, ~np.isfinite(w)]
+        fault = np.select(checks, list(range(1, 6)))
         if fault.any():
             k = int(np.argmax(fault > 0))
-            what = ("a self-loop", f"out of range for {n} nodes", "negatively weighted",
-                    "weighted by a non-finite value")
-            edge = ", ".join(f"{v:g}" for v in e[k])
+            what = ("a self-loop", f"out of range for {n} nodes", "not between integer indices",
+                    "negatively weighted", "weighted by a non-finite value")
+            edge = ", ".join(repr(v).removesuffix(".0") for v in e[k].tolist())
             raise GraphParseError(f"edges[{k}] = ({edge}) is {what[fault[k] - 1]}")
         lo, hi = np.sort(e[:, :2], axis=1).astype(np.int64).T
         pairs, inverse = np.unique(lo * n + hi, return_inverse=True)

@@ -14,6 +14,7 @@ one :class:`StackModel` on one :func:`design_matrix`.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,7 @@ STATIC_DESIGNS = ("m1", "m2", "m3")
 DESIGNS = (*STATIC_DESIGNS, "dynamic")
 MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
+LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
 
 
 class ConvergenceError(RuntimeError):
@@ -224,7 +226,8 @@ def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
     diag = scaled.diagonal().copy()
     bump = jitter
     for _ in range(6):
-        np.fill_diagonal(scaled, diag + bump)  # scaled is a private copy
+        if bump:
+            np.fill_diagonal(scaled, diag + bump)  # scaled is a private copy
         c, info = dpotrf(scaled, lower=1, clean=0)
         if info == 0:
             x, info = dpotrs(c, rhs, lower=1)
@@ -296,7 +299,7 @@ def _newton_diag(
     lik_hess = carry.get("hess")
     for _ in range(MAX_NEWTON_ITER):
         mu = sigmoid(eta)
-        grad = -(x.T @ (y - mu))
+        grad = x.T @ (mu - y)
         if lik_hess is None:
             w = mu * (1.0 - mu)
             lik_hess = (x * w[:, None]).T @ x
@@ -314,7 +317,7 @@ def _newton_diag(
             eta_cand = x @ cand
             nll_cand = _neg_loglik(eta_cand, y)
             f_cand = nll_cand + penalty(cand)
-            if np.isfinite(f_cand) and f_cand <= f:
+            if math.isfinite(f_cand) and f_cand <= f:
                 break
             t *= 0.5
         else:
@@ -347,23 +350,28 @@ def _lasso_working_solve(gram, c, strength, b0):
     """
     b = np.asarray(b0, dtype=float).copy()
     sign = np.concatenate(([0.0], np.sign(b[1:])))
+    act = sign != 0.0  # the signed active set, plus the intercept
+    act[0] = True
     for _ in range(100 * len(c)):
-        idx = np.concatenate(([0], np.flatnonzero(sign)))
-        sol = _solve_spd(gram[idx[:, None], idx], c[idx] - strength * sign[idx], 0.0)
-        flip = np.flatnonzero(sol * sign[idx] < 0.0)
+        s, ba = sign[act], b[act]
+        sol = _solve_spd(gram[act][:, act], c[act] - strength * s, 0.0)
+        flip = np.flatnonzero(sol * s < 0.0)
         if flip.size:
-            t = b[idx[flip]] / (b[idx[flip]] - sol[flip])
+            t = ba[flip] / (ba[flip] - sol[flip])
             k = np.argmin(t)
-            b[idx] += t[k] * (sol - b[idx])
-            b[idx[flip[k]]] = sign[idx[flip[k]]] = 0.0
+            b[act] = ba + t[k] * (sol - ba)
+            j = np.flatnonzero(act)[flip[k]]
+            b[j] = sign[j] = 0.0
+            act[j] = False
             continue
-        b[idx] = sol
+        b[act] = sol
         grad = gram @ b - c
-        viol = np.abs(grad) * (sign == 0.0)
+        viol = np.abs(grad) * ~act
         j = 1 + int(np.argmax(viol[1:]))
         if viol[j] <= strength:
             break
         sign[j] = -np.sign(grad[j])
+        act[j] = True
     return b
 
 
@@ -376,59 +384,66 @@ def _lasso_null_fit(x, y):
     return intercept_only, np.abs(x[:, 1:].T @ (y - mu0)).max(initial=0.0)
 
 
-def _lasso_logistic(x, y, strength, coef0=None, null_fit=None):
+def _lasso_logistic(x, y, strength, coef0=None, null_fit=None, carry=None):
     """L1-penalized logistic fit (intercept free).
 
     Proximal Newton: each outer step solves the weighted least-squares
     working problem with the L1 term exactly, backtracks along the resulting
     direction until the true objective does not increase, and stops when
     the exact subgradient optimality conditions hold.
+
+    ``carry`` passes state along a strength grid as in :func:`_newton_diag`:
+    on entry it may hold ``eta`` (``x @ coef0``) and ``nll`` there, as the
+    Newton core leaves them, and also ``mu`` and the likelihood gradient
+    ``grad``. A fit that converges leaves all four for the returned
+    coefficients, any other fit leaves it empty. At and above the critical
+    strength the fit is the intercept-only one, whatever ``coef0``.
     """
     intercept_only, critical = _lasso_null_fit(x, y) if null_fit is None else null_fit
-    kkt_tol = 1e-8
-
-    def objective(b):
-        return _neg_loglik(x @ b, y) + strength * np.abs(b[1:]).sum()
-
-    if critical <= strength + kkt_tol:
-        return intercept_only, [objective(intercept_only)], True
+    carry = {} if carry is None else carry
+    eta, mu, grad, nll = (carry.pop(k, None) for k in ("eta", "mu", "grad", "nll"))
+    carry.clear()  # a Newton fit at strength 0 also leaves its Hessian
+    if critical <= strength + LASSO_KKT_TOL:
+        return intercept_only, [_neg_loglik(x @ intercept_only, y)], True
 
     beta = intercept_only if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    path = [objective(beta)]
+    eta = x @ beta if eta is None else eta
+    nll = _neg_loglik(eta, y) if nll is None else nll
+    path = [nll + strength * np.abs(beta[1:]).sum()]
     converged = False
     for _ in range(MAX_NEWTON_ITER):
-        eta = x @ beta
-        mu = sigmoid(eta)
-        grad = -(x.T @ (y - mu))
+        if mu is None:
+            mu = sigmoid(eta)
+            grad = x.T @ (mu - y)
         active = beta[1:] != 0.0
         stat = np.abs(grad[1:] + strength * np.sign(beta[1:]))
         if (
-            abs(grad[0]) <= kkt_tol
-            and np.all(stat[active] <= kkt_tol)
-            and np.all(np.abs(grad[1:][~active]) <= strength + kkt_tol)
+            abs(grad[0]) <= LASSO_KKT_TOL
+            and (stat[active] <= LASSO_KKT_TOL).all()
+            and (np.abs(grad[1:][~active]) <= strength + LASSO_KKT_TOL).all()
         ):
+            carry.update(eta=eta, mu=mu, grad=grad, nll=nll)
             converged = True
             break
 
         # working least-squares problem, solved exactly on its d x d Gram matrix
-        w = np.clip(mu * (1.0 - mu), 1e-8, None)
+        w = np.maximum(mu * (1.0 - mu), 1e-8)
         gram = (x * w[:, None]).T @ x
-        target = gram @ beta + (x.T @ (y - mu))  # X'W z_work
+        target = gram @ beta - grad  # X'W z_work
         direction = _lasso_working_solve(gram, target, strength, beta) - beta
 
         # damp the proximal step if the true objective would rise
         t = 1.0
         f_prev = path[-1]
-        for _ in range(60):
+        for _ in range(61):  # the last try, at t = 2**-60, is taken whatever its value
             cand = beta + t * direction
-            f_cand = objective(cand)
-            if np.isfinite(f_cand) and f_cand <= f_prev + 1e-12 * (1 + abs(f_prev)):
+            eta = x @ cand
+            nll = _neg_loglik(eta, y)
+            f_cand = nll + strength * np.abs(cand[1:]).sum()
+            if math.isfinite(f_cand) and f_cand <= f_prev + 1e-12 * (1 + abs(f_prev)):
                 break
             t *= 0.5
-        else:
-            cand = beta + t * direction
-            f_cand = objective(cand)
-        beta = cand
+        beta, mu = cand, None
         path.append(f_cand)
     return beta, path, converged
 
@@ -530,10 +545,11 @@ def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=Non
     """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
     ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
     ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the Newton state of
-    :func:`_newton_diag`. Returns ``(coef, objective_path, converged)``."""
+    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the state of
+    :func:`_newton_diag` or :func:`_lasso_logistic`. Returns
+    ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
-        return _lasso_logistic(x, y, strength, coef0, null_fit)
+        return _lasso_logistic(x, y, strength, coef0, null_fit, carry)
     pen_diag = strength * pen if pen is not None and strength > 0 else None
     return _newton_diag(x, y, pen_diag, config, coef0, carry)
 
@@ -553,7 +569,7 @@ def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, b
             f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",
             stacklevel=3,
         )
-    coef, path, converged = _fit(x, data.y, pen, strength, penalty == "lasso", config)
+    coef, path, converged = _fit(x, data.y.astype(float), pen, strength, penalty == "lasso", config)
     if (pen is None or not pen.any()) and (not converged or np.abs(coef).max() > 1e2):
         raise ConvergenceError(
             "the unpenalized fit diverged; the classes may be separable -- "
@@ -586,14 +602,16 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     over shared folds; ties go to the larger value. Held-out scores need
     only ``X beta``, so the fits stay in the basis :func:`_problem` gives.
     Each fold walks the grid warm-starting :func:`_fit` from the last
-    coefficients. A Newton walk also hands each fit the last one's linear
-    predictor, log-likelihood and likelihood Hessian, and starts each fold
-    from the previous fold's first-grid coefficients; a lasso walk starts
-    every fold from its intercept-only fit.
+    coefficients and the state the last fit carries (linear predictor,
+    log-likelihood, and the likelihood Hessian or gradient). A Newton walk
+    starts each fold from the previous fold's first-grid coefficients; a
+    lasso walk starts every fold from its intercept-only fit, which is also
+    its fit at every strength from the fold's critical one up, so that fit
+    is scored once.
     """
     _check_spec(design, penalty)
     x, pen, _ = _problem(data, design, penalty, basis)
-    y, lasso = data.y, penalty == "lasso"
+    y, lasso = data.y.astype(float), penalty == "lasso"
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
     _assert_valid_folds(y, fold_idx)
     scores = np.zeros(len(config.lambda_grid))
@@ -606,12 +624,15 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
         x_fit = np.asfortranarray(x[fit_rows])
         y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
         null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
-        coef, carry = (None, None) if lasso else (start, {})
+        coef, carry, at_null = None if lasso else start, {}, False
         for gi, s in enumerate(config.lambda_grid):
-            coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
+            if not at_null:  # else the last fit was intercept-only, as is this one
+                coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
+                score = _neg_loglik(x_out @ coef, y_out)
+                at_null = lasso and 0 < s and null_fit[1] <= s + LASSO_KKT_TOL
             if gi == 0:
                 start = coef
-            scores[gi] += _neg_loglik(x_out @ coef, y_out)
+            scores[gi] += score
 
     best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger value
     report = list(zip(config.lambda_grid.tolist(), scores.tolist()))

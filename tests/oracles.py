@@ -109,6 +109,26 @@ def cholesky_solve_reference(a, g, jitter: float) -> np.ndarray:
     return x / d
 
 
+def cv_walk_reference(x, y, fold_idx, grid, fit) -> np.ndarray:
+    """Held-out scores of a cross-validation grid walk with no carried state
+    and no shortcut: on each fold, ``fit(x_fit, y_fit, strength, coef0)``
+    runs at every grid value from the last value's coefficients (None
+    first) and every fit is scored. Fold copies are column-major and the
+    score is the library's closed form of the negative log-likelihood,
+    so the scores can be compared with the library's bit for bit.
+    """
+    scores = np.zeros(len(grid))
+    for heldout in fold_idx:
+        rows = np.setdiff1d(np.arange(len(y)), heldout)
+        x_fit, coef = np.asfortranarray(x[rows]), None
+        for gi, strength in enumerate(grid):
+            coef = fit(x_fit, y[rows], strength, coef)
+            eta = x[heldout] @ coef
+            loss = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))) - y[heldout] * eta
+            scores[gi] += float(loss.sum())
+    return scores
+
+
 def brute_force_auc(scores, labels) -> float:
     """All-pairs AUC: wins count 1, ties count one half."""
     scores = np.asarray(scores, dtype=float)

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynstack.graph import (
     Graph,
@@ -115,8 +119,12 @@ class TestBuild:
             ((1, 2, -0.5), r"edges\[1\] = \(1, 2, -0.5\) is negatively weighted"),
             ((0, 2, np.inf), r"edges\[1\] = \(0, 2, inf\) is weighted by a non-finite value"),
             ((1, 2, np.nan), r"edges\[1\] = \(1, 2, nan\) is weighted by a non-finite value"),
+            ((0.5, 1, 1.0), r"edges\[1\] = \(0.5, 1, 1\) is not between integer indices"),
+            ((np.nan, 1, 1.0), r"edges\[1\] = \(nan, 1, 1\) is not between integer indices"),
+            ((1, 2.0000001, 1.0), r"edges\[1\] = \(1, 2.0000001, 1\) is not between integer"),
         ],
-        ids=["self-loop", "index too large", "negative index", "negative weight", "inf", "nan"],
+        ids=["self-loop", "index too large", "negative index", "negative weight", "inf", "nan",
+             "fractional index", "nan index", "nearly integral index"],
     )
     def test_bad_edge_rejected_by_position(self, edge, message):
         # edges[2] is bad as well; the first bad edge is the one named
@@ -158,6 +166,53 @@ class TestReadLabelFile:
         path.write_text("a,X\n\nb,Y,extra\n")
         with pytest.raises(GraphParseError, match=r"labels.csv line 3: expected node_id,label"):
             read_label_file(path)
+
+
+# ids are whitespace-free printable ASCII that does not open a comment line
+_node_ids = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=6).filter(
+    lambda s: not s.startswith("#")
+)
+
+
+@st.composite
+def _labelled_edge_lists(draw):
+    """``(ids, edges, nodes, rows)``: distinct ids, ``(i, j, weight or None)``
+    edges between them (None writes an unweighted line), the ids the edges
+    use in first-seen order, and ``(id, label)`` rows for some of those,
+    consistent duplicates allowed."""
+    ids = draw(st.lists(_node_ids, min_size=2, max_size=8, unique=True))
+    weights = st.none() | st.floats(0.0, 1e300, allow_subnormal=True)
+    pairs = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1), weights)
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), min_size=1, max_size=20))
+    nodes = list(dict.fromkeys(ids[k] for i, j, _ in edges for k in (i, j)))
+    labels = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=4)
+    chosen = sorted(draw(st.dictionaries(st.sampled_from(nodes), labels)).items())
+    repeats = draw(st.lists(st.sampled_from(chosen), max_size=4)) if chosen else []
+    rows = draw(st.permutations(chosen + repeats))
+    return ids, edges, nodes, [r for r in rows if r != ("node_id", "label")]  # the header's spelling
+
+
+class TestEdgeAndLabelRoundTrip:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(case=_labelled_edge_lists())
+    def test_write_then_read_is_exact(self, tmp_path, case):
+        ids, edges, nodes, rows = case
+        lines = [f"{ids[i]} {ids[j]}" + ("" if w is None else f" {w!r}") for i, j, w in edges]
+        path = tmp_path / "labels.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("node_id", "label"), *rows])
+        g = attach_labels(parse_edge_list(lines), read_label_file(path))
+
+        assert g.node_ids == nodes
+        at = {nid: k for k, nid in enumerate(nodes)}
+        merged = [(at[ids[i]], at[ids[j]], 1.0 if w is None else w) for i, j, w in edges]
+        indptr, indices, weights = dict_merge_reference(len(nodes), merged)
+        assert np.array_equal(g._indptr, indptr) and np.array_equal(g._indices, indices)
+        assert g._weights.tobytes() == weights.tobytes()
+        classes = list(dict.fromkeys(label for _, label in rows))
+        assert g.class_names == classes
+        expected = {nid: classes.index(label) for nid, label in rows}
+        assert g.labels.tolist() == [expected.get(nid, -1) for nid in nodes]
 
 
 class TestLargestConnectedComponent:

@@ -29,6 +29,7 @@ from dynstack.stacking import (
 
 from oracles import (
     cholesky_solve_reference,
+    cv_walk_reference,
     irls_logistic,
     lasso_quadratic_bruteforce,
     neg_loglik_reference,
@@ -567,6 +568,106 @@ class TestNewtonCarry:
         after = fit_dynamic(a, 0.01, basis, cfg)
         assert np.array_equal(after.coef, before.coef)
         assert after.objective_path == before.objective_path
+
+
+class TestLassoCarry:
+    """The state a lasso cross-validation walk hands from one fit to the next."""
+
+    @staticmethod
+    def fold(seed, design="m3"):
+        from dynstack.stacking import _cv_fold_indices, _lasso_null_fit
+
+        data = make_data(case=3, n=2000, seed=seed)
+        rows = np.setdiff1d(np.arange(data.n), _cv_fold_indices(data.n, 10, seed)[0])
+        x = np.asfortranarray(design_matrix(data.z, data.u, design)[rows])
+        y = data.y[rows].astype(float)
+        return x, y, _lasso_null_fit(x, y)
+
+    def test_carried_state_describes_the_returned_coefficients(self):
+        from dynstack.stacking import _lasso_logistic, _neg_loglik
+
+        x, y, null_fit = self.fold(41)
+        for strength in (0.1, 0.3 * null_fit[1]):
+            carry = {}
+            coef, path, converged = _lasso_logistic(x, y, strength, None, null_fit, carry)
+            assert converged and len(path) > 2 and np.any(coef[1:])
+            eta = x @ coef
+            mu = sigmoid(eta)
+            assert np.array_equal(carry["eta"], eta) and np.array_equal(carry["mu"], mu)
+            assert np.array_equal(carry["grad"], -(x.T @ (y - mu)))
+            assert carry["nll"] == _neg_loglik(eta, y)
+            assert path[-1] == carry["nll"] + strength * np.abs(coef[1:]).sum()
+
+    @pytest.mark.parametrize("design", STATIC_DESIGNS)
+    def test_carried_walk_equals_the_walk_on_coefficients_alone(self, design):
+        from dynstack.stacking import _lasso_logistic
+
+        x, y, null_fit = self.fold(42, design)
+        carry, warm, cold = {}, None, None
+        for strength in FitConfig().lambda_grid:
+            warm, warm_path, warm_ok = _lasso_logistic(x, y, strength, warm, null_fit, carry)
+            cold, cold_path, cold_ok = _lasso_logistic(x, y, strength, cold, null_fit)
+            assert np.array_equal(warm, cold)
+            assert warm_path == cold_path and warm_ok == cold_ok
+
+    def test_no_carry_after_an_above_critical_or_unconverged_fit(self, monkeypatch):
+        from dynstack import stacking
+
+        x, y, null_fit = self.fold(43)
+        carry = {}
+        coef, _, _ = stacking._lasso_logistic(x, y, 0.1, None, null_fit, carry)
+        assert set(carry) == {"eta", "mu", "grad", "nll"}
+        # above the critical strength the fit is the intercept-only one
+        stacking._lasso_logistic(x, y, 2.0 * null_fit[1], coef, null_fit, carry)
+        assert carry == {}
+        # one outer step does not reach the optimum at 1e-3 from the one at 0.1
+        coef, _, _ = stacking._lasso_logistic(x, y, 0.1, None, null_fit, carry)
+        monkeypatch.setattr(stacking, "MAX_NEWTON_ITER", 1)
+        _, _, converged = stacking._lasso_logistic(x, y, 1e-3, coef, null_fit, carry)
+        assert not converged and carry == {}
+
+    def test_no_state_survives_a_call(self):
+        a, b = make_data(case=3, n=600, seed=44), make_data(case=2, n=500, seed=45)
+        # the grid stays below every fold's critical strength (12 or more here),
+        # so each call ends on a fit whose state a leak would hand on
+        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 0.0, 9), cv_folds=5)
+        for design in STATIC_DESIGNS:
+            first = select_strength(a, design, "lasso", cfg, seed=1)
+            select_strength(b, design, "lasso", cfg, seed=1)
+            assert select_strength(a, design, "lasso", cfg, seed=1) == first
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_report_equals_the_reference_walk(self, case):
+        from dynstack.stacking import _cv_fold_indices, _fit, _lasso_null_fit
+
+        # 1001 rows make the first fold one row longer, so state carried across
+        # a fold could not go unnoticed; the default grid crosses every fold's
+        # critical strength and the short one stays below all of them; the last
+        # starts with an unpenalized Newton fit whose state the lasso fits inherit
+        data = make_data(case=case, n=1001, seed=46 + case)
+        grids = (
+            (FitConfig().lambda_grid, True),
+            (np.logspace(-4.0, 1.0, 11), False),
+            (np.r_[0.0, 1e-2, 1.0, 1e2, 1e3], True),
+        )
+        for grid, crosses in grids:
+            cfg = FitConfig(lambda_grid=grid)
+            folds = _cv_fold_indices(data.n, cfg.cv_folds, case)
+            for design in STATIC_DESIGNS:
+                x = design_matrix(data.z, data.u, design)
+                pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
+                critical = [
+                    _lasso_null_fit(x[r], data.y[r])[1]
+                    for r in (np.setdiff1d(np.arange(data.n), h) for h in folds)
+                ]
+                assert (max(critical) < grid[-1]) == crosses and min(critical) > grid[0]
+
+                def fit(x_fit, y_fit, strength, coef0):
+                    return _fit(x_fit, y_fit, pen, strength, True, cfg, coef0)[0]
+
+                _, report = select_strength(data, design, "lasso", cfg, seed=case)
+                scores = cv_walk_reference(x, data.y, folds, grid, fit)
+                assert [v for _, v in report] == scores.tolist()
 
 
 class TestFitStatic:
