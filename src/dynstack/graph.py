@@ -87,8 +87,9 @@ class Graph:
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
         Parallel edges are merged by summing their weights in input order;
-        self-loops, NaN, fractional or out-of-range indices and negative,
-        infinite or NaN weights are rejected.
+        self-loops, NaN, fractional or out-of-range indices, negative,
+        infinite or NaN weights and a merged weight that overflows to
+        infinity are rejected.
         Zero-weight edges are stored, so they count toward the degree.
         """
         node_ids = list(node_ids)
@@ -110,6 +111,12 @@ class Graph:
         # bincount adds each pair's weights in input order, starting from 0.0
         total = np.bincount(inverse, weights=e[:, 2], minlength=len(pairs))
         i, j = np.divmod(pairs, n)
+        if not np.isfinite(total).all():
+            k = int(np.argmax(~np.isfinite(total)))
+            raise GraphParseError(
+                f"the parallel edges between {node_ids[i[k]]!r} and {node_ids[j[k]]!r} "
+                "sum to a non-finite weight"
+            )
         adj = csr_matrix((np.r_[total, total], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         adj.sort_indices()
 

@@ -7,6 +7,8 @@ never zero out a class.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +42,18 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
     """Parse ``node_id term:weight term:weight ...`` lines.
 
     Rows align with ``node_ids``; nodes absent from the file get empty
-    feature vectors. Terms are interned in first-seen order.
+    feature vectors. Terms are interned in first-seen order, and a term
+    repeated for one node sums its weights, which must stay finite.
     """
     index = {nid: i for i, nid in enumerate(node_ids)}
     vocab: dict[str, int] = {}
     rows, cols, vals = [], [], []
+    starts = []  # (line number, index of its first weight) per data line
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        starts.append((lineno, len(vals)))
         parts = line.split()
         node_id = parts[0]
         if node_id not in index:
@@ -70,7 +75,25 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
         (np.asarray(vals, dtype=float), (rows, cols)), shape=(len(node_ids), len(vocab))
     )
     matrix.sum_duplicates()
+    if not np.isfinite(matrix.data).all():
+        raise GraphParseError(_overflow(matrix, rows, cols, vals, starts, list(vocab)))
     return SparseFeatures(matrix, list(vocab))
+
+
+def _overflow(matrix, rows, cols, vals, starts, vocabulary) -> str:
+    """Name the first non-finite entry of ``matrix`` by its term and by the
+    line on which that node's weights for it, summed in file order, overflow
+    (the line of its last weight if rounding kept that sum finite)."""
+    k = int(np.argmax(~np.isfinite(matrix.data)))
+    pair = (int(np.searchsorted(matrix.indptr, k, side="right")) - 1, int(matrix.indices[k]))
+    total = 0.0
+    for t, rc in enumerate(zip(rows, cols)):
+        if rc == pair:
+            total, last = total + vals[t], t
+            if math.isinf(total):
+                break
+    lineno = starts[bisect.bisect_right([first for _, first in starts], last) - 1][0]
+    return f"line {lineno}: the weights of term {vocabulary[pair[1]]!r} sum to a non-finite value"
 
 
 def fit_nb(

@@ -17,6 +17,7 @@ __all__ = [
     "BSplineBasis",
     "make_basis",
     "basis_matrix",
+    "knot_spans",
     "curvature_penalty",
     "assemble_block_penalty",
 ]
@@ -150,6 +151,17 @@ def basis_matrix(basis: BSplineBasis, u, deriv: int = 0) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.clip(u, basis.u_lo, basis.u_hi)
     return _deriv_all(basis.knots, basis.degree, x, deriv)
+
+
+def knot_spans(basis: BSplineBasis, u) -> np.ndarray:
+    """Knot span ``s`` of each point, clamped as in :func:`basis_matrix`.
+
+    Spans count the nonempty knot intervals from 0 to ``size - degree - 1``;
+    the basis functions nonzero at a point of span ``s`` are at most
+    ``s, ..., s + degree``, the columns :func:`basis_matrix` fills.
+    """
+    x = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), basis.u_lo, basis.u_hi)
+    return _find_intervals(basis.knots, x) - basis.degree
 
 
 def curvature_penalty(basis: BSplineBasis) -> np.ndarray:

@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .splines import BSplineBasis, assemble_block_penalty, basis_matrix, curvature_penalty, make_basis
+from .splines import (
+    BSplineBasis,
+    assemble_block_penalty,
+    basis_matrix,
+    curvature_penalty,
+    knot_spans,
+    make_basis,
+)
 
 __all__ = [
     "Level1Data",
@@ -50,6 +57,7 @@ DESIGNS = (*STATIC_DESIGNS, "dynamic")
 MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
 LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
+SPAN_HESSIAN_ROWS = 1500  # the rows from which a span-by-span dynamic Hessian beats one product
 
 
 class ConvergenceError(RuntimeError):
@@ -263,12 +271,15 @@ def _newton_diag(
     config: FitConfig,
     coef0: np.ndarray | None = None,
     carry: dict | None = None,
+    lik_gram=None,
 ):
     """Minimize ``-loglik(X beta) + sum_k pen_diag[k] * beta_k^2`` by damped Newton.
 
     Returns ``(coef, objective_path, converged)``. Step halving enforces
     a non-increasing objective; convergence is a relative objective
-    change below ``config.newton_tol``.
+    change below ``config.newton_tol``. ``lik_gram``, when given, maps the
+    weights ``w`` to ``X' diag(w) X`` (see :func:`_span_hessian`); else
+    that product is formed from ``x``.
 
     ``carry`` passes state from one fit to the next along a penalty grid.
     On entry it may hold ``eta`` (``x @ coef0``) with its negative
@@ -302,7 +313,7 @@ def _newton_diag(
         grad = x.T @ (mu - y)
         if lik_hess is None:
             w = mu * (1.0 - mu)
-            lik_hess = (x * w[:, None]).T @ x
+            lik_hess = (x * w[:, None]).T @ x if lik_gram is None else lik_gram(w)
         hess = lik_hess
         if pen_diag is not None:
             grad += pen2 * beta
@@ -541,17 +552,57 @@ def _problem(data: Level1Data, design: str, penalty: str, basis: BSplineBasis | 
     return x, None if penalty == "none" else np.r_[0.0, np.ones(x.shape[1] - 1)], None
 
 
-def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
+def _span_hessian(x, u, basis: BSplineBasis | None, rot):
+    """``w -> x' diag(w) x`` summed knot span by knot span for a rotated
+    dynamic design ``x = X rot`` of more than ``SPAN_HESSIAN_ROWS`` rows;
+    None for an unrotated design or a smaller one.
+
+    A row of ``X`` whose ``u`` lies in knot span ``s`` is zero outside the
+    intercept and the ``degree + 1`` basis columns from ``s`` of each z
+    block, so ``X'WX`` is the sum over spans of ``X_s' W_s X_s`` on those
+    ``1 + p * (degree + 1)`` columns (the banded Hessian of a spline
+    design). The blocks ``X_s = x[rows_s] rot'[:, cols_s]`` are made once
+    and serve every Newton step on ``x``; only ``rot' (sum) rot`` is dense.
+    """
+    if rot is None or len(x) <= SPAN_HESSIAN_ROWS:
+        return None
+    d, k, spans = x.shape[1], basis.size, basis.size - basis.degree
+    span = knot_spans(basis, u)
+    order = np.argsort(span, kind="stable")
+    bounds = np.searchsorted(span[order], np.arange(spans + 1))
+    z_blocks = 1 + k * np.arange((d - 1) // k)[:, None]
+    parts = []
+    for s in range(spans):
+        lo, hi = bounds[s], bounds[s + 1]
+        if lo < hi:
+            cols = np.r_[0, (z_blocks + s + np.arange(basis.degree + 1)).ravel()]
+            xs = np.asfortranarray(x[order[lo:hi]] @ rot.T[:, cols])
+            parts.append((lo, hi, xs, (cols[:, None] * d + cols).ravel()))
+
+    def gram(w):
+        w = w[order]
+        total = np.zeros(d * d)
+        for lo, hi, xs, at in parts:
+            total[at] += ((xs * w[lo:hi, None]).T @ xs).ravel()
+        return rot.T @ total.reshape(d, d) @ rot
+
+    return gram
+
+
+def _fit(
+    x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None, lik_gram=None
+):
     """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
     ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
     ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)``, and ``carry`` the state of
-    :func:`_newton_diag` or :func:`_lasso_logistic`. Returns
+    :func:`_lasso_null_fit` of ``(x, y)``, ``carry`` the state of
+    :func:`_newton_diag` or :func:`_lasso_logistic`, and ``lik_gram`` a
+    Newton Hessian builder from :func:`_span_hessian`. Returns
     ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
         return _lasso_logistic(x, y, strength, coef0, null_fit, carry)
     pen_diag = strength * pen if pen is not None and strength > 0 else None
-    return _newton_diag(x, y, pen_diag, config, coef0, carry)
+    return _newton_diag(x, y, pen_diag, config, coef0, carry, lik_gram)
 
 
 def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, basis=None):
@@ -569,7 +620,10 @@ def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, b
             f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",
             stacklevel=3,
         )
-    coef, path, converged = _fit(x, data.y.astype(float), pen, strength, penalty == "lasso", config)
+    gram = _span_hessian(x, data.u, basis, rot)
+    coef, path, converged = _fit(
+        x, data.y.astype(float), pen, strength, penalty == "lasso", config, lik_gram=gram
+    )
     if (pen is None or not pen.any()) and (not converged or np.abs(coef).max() > 1e2):
         raise ConvergenceError(
             "the unpenalized fit diverged; the classes may be separable -- "
@@ -610,7 +664,7 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     is scored once.
     """
     _check_spec(design, penalty)
-    x, pen, _ = _problem(data, design, penalty, basis)
+    x, pen, rot = _problem(data, design, penalty, basis)
     y, lasso = data.y.astype(float), penalty == "lasso"
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
     _assert_valid_folds(y, fold_idx)
@@ -619,15 +673,19 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     start = None
     for heldout in fold_idx:
         fit_rows = np.setdiff1d(all_rows, heldout, assume_unique=True)
-        # column-major for faster Newton GEMMs; drop the last fold's arrays so two never coexist
-        x_fit = carry = None
-        x_fit = np.asfortranarray(x[fit_rows])
+        # drop the last fold's arrays so two never coexist, then gather the
+        # fold column by column into a column-major copy for faster Newton GEMMs
+        x_fit = carry = gram = None
+        x_fit = np.empty((len(fit_rows), x.shape[1]), order="F")
+        for j in range(x.shape[1]):
+            x_fit[:, j] = x[fit_rows, j]
+        gram = _span_hessian(x_fit, data.u[fit_rows], basis, rot)
         y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
         null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
         coef, carry, at_null = None if lasso else start, {}, False
         for gi, s in enumerate(config.lambda_grid):
             if not at_null:  # else the last fit was intercept-only, as is this one
-                coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
+                coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry, gram)
                 score = _neg_loglik(x_out @ coef, y_out)
                 at_null = lasso and 0 < s and null_fit[1] <= s + LASSO_KKT_TOL
             if gi == 0:

@@ -131,6 +131,15 @@ class TestBuild:
         with pytest.raises(GraphParseError, match=message):
             Graph.build(["a", "b", "c"], [(0, 1, 1.0), edge, (1, 1, -1.0)])
 
+    def test_parallel_edges_summing_to_infinity_rejected(self):
+        # each weight is finite, their sum is not; it used to load as one edge
+        # of weight inf, on which every ica_run raised OverflowError
+        message = "the parallel edges between 'a' and 'b' sum to a non-finite weight"
+        with pytest.raises(GraphParseError, match=message):
+            parse_edge_list(["a c 1", "a b 1e308", "c b 1", "b a 1e308"])
+        with pytest.raises(GraphParseError, match="between 'b' and 'c'"):
+            Graph.build(["a", "b", "c"], [(0, 1, 1.0), (2, 1, 1.5e308), (1, 2, 1.5e308)])
+
 
 class TestAttachLabels:
     def test_basic_vocabulary(self):
@@ -181,7 +190,7 @@ def _labelled_edge_lists(draw):
     use in first-seen order, and ``(id, label)`` rows for some of those,
     consistent duplicates allowed."""
     ids = draw(st.lists(_node_ids, min_size=2, max_size=8, unique=True))
-    weights = st.none() | st.floats(0.0, 1e300, allow_subnormal=True)
+    weights = st.none() | st.floats(0.0, allow_infinity=False, allow_subnormal=True)
     pairs = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1), weights)
     edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), min_size=1, max_size=20))
     nodes = list(dict.fromkeys(ids[k] for i, j, _ in edges for k in (i, j)))
@@ -201,12 +210,16 @@ class TestEdgeAndLabelRoundTrip:
         path = tmp_path / "labels.csv"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([("node_id", "label"), *rows])
-        g = attach_labels(parse_edge_list(lines), read_label_file(path))
-
-        assert g.node_ids == nodes
         at = {nid: k for k, nid in enumerate(nodes)}
         merged = [(at[ids[i]], at[ids[j]], 1.0 if w is None else w) for i, j, w in edges]
         indptr, indices, weights = dict_merge_reference(len(nodes), merged)
+        if not np.isfinite(weights).all():  # finite weights whose merged sum overflows
+            with pytest.raises(GraphParseError, match="sum to a non-finite weight"):
+                parse_edge_list(lines)
+            return
+        g = attach_labels(parse_edge_list(lines), read_label_file(path))
+
+        assert g.node_ids == nodes
         assert np.array_equal(g._indptr, indptr) and np.array_equal(g._indices, indices)
         assert g._weights.tobytes() == weights.tobytes()
         classes = list(dict.fromkeys(label for _, label in rows))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from dynstack.graph import GraphParseError
@@ -39,6 +41,64 @@ class TestParseFeatureFile:
     def test_term_with_colon(self):
         f = parse_feature_file(["a topic/ai:stats:2"], ["a"])
         assert f.vocabulary == ["topic/ai:stats"]
+
+    def test_repeated_term_summing_to_infinity_rejected(self):
+        # each weight is finite, their sum is not; it used to load as inf, and
+        # predict_nb then returned NaN probabilities without an error
+        lines = ["a t:1 u:2", "# comment", "b u:1e308 t:1", "", "b u:1e308"]
+        with pytest.raises(GraphParseError, match="line 5: the weights of term 'u' sum to a non-finite"):
+            parse_feature_file(lines, ["a", "b"])
+        with pytest.raises(GraphParseError, match="line 1: the weights of term 't' sum"):
+            parse_feature_file(["a t:1e308 t:1e308", "b t:1"], ["a", "b"])
+
+
+# ids and terms are whitespace-free printable ASCII; ids do not open a comment
+# line, and terms may hold ':' since a token splits at its last one
+_ids = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=5).filter(
+    lambda s: not s.startswith("#")
+)
+_terms = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=5)
+
+
+@st.composite
+def _feature_files(draw):
+    """``(node_ids, lines, tokens)``: every node id, the file's lines, and its
+    ``(id, term, weight)`` tokens in file order. A node's term appears at most
+    twice, so its summed weight does not depend on the order of addition."""
+    node_ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(node_ids), _terms)
+    weights = st.floats(0.0, allow_infinity=False, allow_subnormal=True)
+    entries = draw(st.lists(pairs, max_size=12, unique=True))
+    repeats = draw(st.lists(st.sampled_from(entries), max_size=4, unique=True)) if entries else []
+    tokens = draw(st.permutations([(nid, term, draw(weights)) for nid, term in entries + repeats]))
+    lines = []
+    for k, (nid, term, w) in enumerate(tokens):  # a node's consecutive tokens may share a line
+        if k and tokens[k - 1][0] == nid and draw(st.booleans()):
+            lines[-1] += f" {term}:{w!r}"
+        else:
+            lines.append(f"{nid} {term}:{w!r}")
+    return node_ids, lines, tokens
+
+
+class TestFeatureFileRoundTrip:
+    @given(case=_feature_files())
+    def test_write_then_read_is_exact(self, case):
+        node_ids, lines, tokens = case
+        vocabulary = list(dict.fromkeys(term for _, term, _ in tokens))
+        sums = {}
+        for nid, term, w in tokens:
+            sums[nid, term] = sums.get((nid, term), 0.0) + w
+        expected = np.zeros((len(node_ids), len(vocabulary)))
+        for (nid, term), w in sums.items():
+            expected[node_ids.index(nid), vocabulary.index(term)] = w
+        if not np.isfinite(expected).all():  # finite weights whose sum overflows
+            with pytest.raises(GraphParseError, match="sum to a non-finite value"):
+                parse_feature_file(lines, node_ids)
+            return
+        f = parse_feature_file(lines, node_ids)
+        assert f.vocabulary == vocabulary
+        assert f.matrix.shape == expected.shape
+        assert f.matrix.toarray().tobytes() == expected.tobytes()
 
 
 class TestFitNb:

@@ -6,6 +6,7 @@ from dynstack.splines import (
     assemble_block_penalty,
     basis_matrix,
     curvature_penalty,
+    knot_spans,
     make_basis,
 )
 
@@ -60,6 +61,16 @@ class TestEvalBasis:
         b = make_basis(0.0, 1.0, 8, 3)
         u = np.random.default_rng(1).uniform(0, 1, 500)
         assert (basis_matrix(b, u) != 0).sum(axis=1).max() <= b.degree + 1
+
+    @pytest.mark.parametrize("interior,degree", [(0, 0), (3, 0), (0, 3), (1, 1), (6, 3)])
+    def test_knot_spans_cover_the_nonzero_columns(self, interior, degree):
+        b = make_basis(-1.0, 2.0, interior, degree)
+        edges = np.r_[np.unique(b.knots), -5.0, 7.0]  # on every knot, and clamped
+        u = np.r_[edges, np.random.default_rng(4).uniform(-1.0, 2.0, 300)]
+        span = knot_spans(b, u)
+        assert span.min() >= 0 and span.max() == b.size - degree - 1
+        rows, cols = np.nonzero(basis_matrix(b, u))
+        assert np.all((cols >= span[rows]) & (cols <= span[rows] + degree))
 
     def test_out_of_domain_clamps(self):
         b = make_basis(0.0, 1.0, 3, 3)

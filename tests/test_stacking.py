@@ -456,12 +456,13 @@ class TestSelectLambda:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_matches_cold_started_oracle_cv(self, seed):
-        from dynstack.stacking import _penalty_eigenbasis
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis
 
-        # damped Newton walking the grid on carried state, against IRLS from
-        # zero on every fold and lambda
+        # damped Newton walking the grid on carried state and span-by-span
+        # Hessians, against IRLS from zero on every fold and lambda
         data = make_data(case=3, n=2000, seed=seed)
         cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
+        assert data.n - data.n // cfg.cv_folds > SPAN_HESSIAN_ROWS
         basis = default_basis(data.u)
         lam, report = select_lambda(data, cfg, basis, seed=seed)
 
@@ -568,6 +569,86 @@ class TestNewtonCarry:
         after = fit_dynamic(a, 0.01, basis, cfg)
         assert np.array_equal(after.coef, before.coef)
         assert after.objective_path == before.objective_path
+
+
+def span_u(kind, rng, basis, n=400):
+    """Covariate values of ``kind`` for :class:`TestSpanHessian`."""
+    if kind == "uniform":
+        return rng.uniform(basis.u_lo, basis.u_hi, n)
+    if kind == "skewed":  # closeness-like, crowded low with the upper spans empty
+        return basis.u_lo + 0.3 * (basis.u_hi - basis.u_lo) * rng.uniform(0, 1, n) ** 4
+    # on every knot, both ends included, and outside the basis range on both sides
+    edges = np.r_[np.unique(basis.knots), basis.u_lo - 0.7, basis.u_hi + 2.5]
+    return np.r_[rng.choice(edges, n // 2), rng.uniform(basis.u_lo, basis.u_hi, n - n // 2)]
+
+
+class TestSpanHessian:
+    """The likelihood Hessian of a large dynamic design, summed knot span by knot span."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "skewed", "knots_and_outside"])
+    @pytest.mark.parametrize("interior", [0, 1, 6])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_span_sum_equals_the_dense_gram(self, monkeypatch, p, degree, interior, kind):
+        from dynstack import stacking
+
+        monkeypatch.setattr(stacking, "SPAN_HESSIAN_ROWS", 0)
+        rng = np.random.default_rng(1000 * p + 100 * degree + 10 * interior)
+        basis = make_basis(0.0, 1.0, interior, degree)
+        u = span_u(kind, rng, basis)
+        z = rng.uniform(0, 1, (len(u), p))
+        w = rng.uniform(0, 0.25, len(u))
+        _, rot = stacking._penalty_eigenbasis(basis, p)
+        x = dynamic_design(z, u, basis) @ rot
+        dense = (x * w[:, None]).T @ x
+        spans = stacking._span_hessian(x, u, basis, rot)(w)
+        assert np.abs(spans - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_dense_product_at_and_below_the_gate(self):
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis, _span_hessian
+
+        basis = make_basis(0.0, 1.0, 6, 3)
+        _, rot = _penalty_eigenbasis(basis, 2)
+        u = np.linspace(0.0, 1.0, SPAN_HESSIAN_ROWS + 1)
+        x = dynamic_design(np.ones((len(u), 2)), u, basis) @ rot
+        assert _span_hessian(x[1:], u[1:], basis, rot) is None
+        assert _span_hessian(x, u, basis, rot) is not None
+        assert _span_hessian(x, u, basis, None) is None  # an unpenalized fit
+
+    def test_blocks_built_once_per_fold_and_final_fit(self, monkeypatch):
+        from dynstack import stacking
+        from dynstack.stacking import SPAN_HESSIAN_ROWS
+
+        made, used = [], set()
+
+        def counted(*args):
+            gram = real(*args)
+            made.append(gram)
+            k = len(made) - 1
+            return None if gram is None else lambda w: used.add(k) or gram(w)
+
+        real = stacking._span_hessian
+        monkeypatch.setattr(stacking, "_span_hessian", counted)
+        data = make_data(case=3, n=2 * SPAN_HESSIAN_ROWS, seed=43)  # 1.5x the gate a fold
+        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 5), cv_folds=4)
+        basis = default_basis(data.u)
+        lam, _ = select_lambda(data, cfg, basis, seed=43)
+        fit_dynamic(data, lam, basis, cfg)
+        # one builder per fold and one for the final fit, each used by its Newton steps
+        assert len(made) == 5 and None not in made and used == set(range(5))
+
+    @pytest.mark.parametrize("lam", [1e-3, 10.0])
+    def test_fit_above_the_gate_matches_irls(self, lam):
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis
+
+        data = make_data(case=3, n=2000, seed=44)
+        assert data.n > SPAN_HESSIAN_ROWS
+        basis = default_basis(data.u)
+        model = fit_dynamic(data, lam, basis, FitConfig(newton_tol=1e-14))
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+        x = dynamic_design(data.z, data.u, basis)
+        oracle = rot @ irls_logistic(x @ rot, data.y, pen=lam * pen)
+        np.testing.assert_allclose(x @ model.coef, x @ oracle, rtol=0, atol=1e-7)
 
 
 class TestLassoCarry:
