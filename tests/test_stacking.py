@@ -456,13 +456,12 @@ class TestSelectLambda:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_matches_cold_started_oracle_cv(self, seed):
-        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis
+        from dynstack.stacking import _penalty_eigenbasis
 
-        # damped Newton walking the grid on carried state and span-by-span
-        # Hessians, against IRLS from zero on every fold and lambda
+        # damped Newton walking the grid on carried state, against IRLS from
+        # zero on every fold and lambda
         data = make_data(case=3, n=2000, seed=seed)
         cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
-        assert data.n - data.n // cfg.cv_folds > SPAN_HESSIAN_ROWS
         basis = default_basis(data.u)
         lam, report = select_lambda(data, cfg, basis, seed=seed)
 
@@ -614,6 +613,9 @@ class TestSpanHessian:
         assert _span_hessian(x[1:], u[1:], basis, rot) is None
         assert _span_hessian(x, u, basis, rot) is not None
         assert _span_hessian(x, u, basis, None) is None  # an unpenalized fit
+        # so the 1,800-row folds of test_matches_cold_started_oracle_cv check
+        # select_lambda on span Hessians against the IRLS cold oracle
+        assert 2000 - 2000 // 10 > SPAN_HESSIAN_ROWS
 
     def test_blocks_built_once_per_fold_and_final_fit(self, monkeypatch):
         from dynstack import stacking
