@@ -21,7 +21,7 @@ from .graph import (
 )
 from .metrics import accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import NaiveBayesModel, fit_nb, parse_feature_file, predict_nb
-from .relational import IcaConfig, IcaResult, LabelState, ica_run, wvrn_estimate
+from .relational import IcaConfig, IcaResult, ica_run
 from .simulation import METHODS, auc, generate_case, run_simulation
 from .splines import (
     BSplineBasis,
@@ -71,9 +71,7 @@ __all__ = [
     "predict_nb",
     "IcaConfig",
     "IcaResult",
-    "LabelState",
     "ica_run",
-    "wvrn_estimate",
     "METHODS",
     "auc",
     "generate_case",

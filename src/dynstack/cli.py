@@ -26,7 +26,7 @@ from .graph import (
     write_covariate,
 )
 from .naive_bayes import parse_feature_file
-from .simulation import METHODS, run_simulation, summarize
+from .simulation import METHODS, parse_method, run_simulation, summarize
 from .stacking import (
     FitConfig,
     StackModel,
@@ -210,56 +210,41 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_stack_fit(args) -> int:
+    design, penalty = parse_method(args.model)
+    static = design != "dynamic"
     # a flag the chosen model never reads would still be written to the manifest
-    static = args.model != "dynamic"
-    unread = {
-        "--penalty": not static and args.penalty != "none",
-        "--lam": static and args.lam is not None,
-        "--strength": args.strength is not None and (not static or args.penalty == "none"),
-        "--knots": static and args.knots is not None,
-        "--spline-degree": static and args.spline_degree is not None,
-    }
-    flag = next((f for f, bad in unread.items() if bad), None)
+    skip = {"strength": penalty == "none", "knots": static, "spline_degree": static}
+    unread = [f for f in skip if skip[f]]
+    flag = next((f for f in unread if getattr(args, f) is not None), None)
     if flag is not None:
-        given = f"--model {args.model}" + (f" --penalty {args.penalty}" if static else "")
-        print(f"error: {flag} does not apply to {given}", file=sys.stderr)
+        flag = "--" + flag.replace("_", "-")
+        print(f"error: {flag} does not apply to --model {args.model}", file=sys.stderr)
         return 2
     data = read_level1(args.level1)
     config = FitConfig(cv_folds=args.folds)
-    cv_report = None
-    if args.model == "dynamic":
+    strength, cv_report = args.strength, None
+    resolved = {} if penalty == "none" else {"strength": "cv" if strength is None else strength}
+    if static:
+        if penalty != "none" and strength is None:
+            strength, cv_report = select_strength(data, design, penalty, config, seed=args.seed)
+        model = fit_static(data, design, penalty, strength, config, cv_seed=args.seed)
+    else:
         knots = 6 if args.knots is None else args.knots
         degree = 3 if args.spline_degree is None else args.spline_degree
+        resolved.update(knots=knots, spline_degree=degree)
         basis = default_basis(data.u, knots, degree)
-        lam = args.lam
-        if lam is None:
-            lam, cv_report = select_lambda(data, config, basis, seed=args.seed)
-        model = fit_dynamic(data, lam, basis, config)
-        # the manifest records only the flags the chosen model reads
-        omit = ("penalty", "strength")
-        resolved = dict(lam="cv" if args.lam is None else args.lam, knots=knots, spline_degree=degree)
-    else:
-        strength = args.strength
-        if args.penalty != "none" and strength is None:
-            strength, cv_report = select_strength(
-                data, args.model, args.penalty, config, seed=args.seed
-            )
-        model = fit_static(
-            data, args.model, args.penalty, strength=strength, config=config,
-            cv_seed=args.seed,
-        )
-        omit, resolved = ("lam", "knots", "spline_degree", "strength"), {}
-        if args.penalty != "none":
-            resolved["strength"] = "cv" if args.strength is None else args.strength
+        if strength is None:
+            strength, cv_report = select_lambda(data, config, basis, seed=args.seed)
+        model = fit_dynamic(data, strength, basis, config)
     out = _out_dir(args)
     save_model(out / "model.txt", model)
     if cv_report is not None:
         _write_csv(
             out / "cv_report.csv",
             ["penalty_strength", "heldout_nll"],
-            [[repr(lam_), repr(score)] for lam_, score in cv_report],
+            [[repr(lam), repr(score)] for lam, score in cv_report],
         )
-    _write_manifest(out, args, omit, chosen_strength=model.strength, **resolved)
+    _write_manifest(out, args, unread, chosen_strength=model.strength, **resolved)
     return 0
 
 
@@ -350,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stack-fit", help="fit a level-1 generalizer from a level-1 CSV")
     p.add_argument("--level1", required=True)
-    p.add_argument("--model", choices=("dynamic", "m1", "m2", "m3"), default="dynamic")
-    p.add_argument("--penalty", choices=("none", "ridge", "lasso"), default="none")
-    p.add_argument("--lam", type=float, default=None, help="fixed penalty; default CV")
+    p.add_argument("--model", choices=exp.METHODS, default="dynamic")
     p.add_argument("--strength", type=float, default=None, help="fixed penalty; default CV")
     p.add_argument("--knots", type=int, default=None, help="dynamic model only; default 6")
     p.add_argument("--spline-degree", type=int, default=None, help="dynamic model only; default 3")

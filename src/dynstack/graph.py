@@ -140,11 +140,6 @@ class Graph:
     def class_count(self) -> int:
         return len(self.class_names)
 
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor indices and the matching edge weights of node ``i``."""
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self._indices[lo:hi], self._weights[lo:hi]
-
     def _neighbor_lists(self) -> tuple[list[list[int]], list[list[int]]]:
         """Every node's neighbour indices and edge weights as plain lists, for
         per-node Python loops; built on first use and kept, as the graph never

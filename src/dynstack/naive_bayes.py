@@ -104,7 +104,8 @@ def fit_nb(
     ``features`` holds one row per training node. Every class index in
     ``0..n_classes-1`` must occur in ``labels``; a class with no training
     node cannot be estimated and raises, which is the signal upstream
-    cross-validation uses to ask for larger folds.
+    cross-validation uses to ask for larger folds. A class whose term
+    weights sum past the float range raises too.
     """
     if alpha <= 0:
         raise ValueError("smoothing alpha must be > 0")
@@ -125,12 +126,18 @@ def fit_nb(
         rows = features[np.flatnonzero(labels == c)]
         term_counts[c] = np.asarray(rows.sum(axis=0)).ravel()
     smoothed = term_counts + alpha
-    log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+    totals = smoothed.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        c = int(np.argmax(~np.isfinite(totals[:, 0])))
+        t = int(np.argmax(smoothed[c]))
+        raise ValueError(f"class {c}: term weights sum past the float range (largest: term {t})")
+    log_lik = np.log(smoothed) - np.log(totals)
     return NaiveBayesModel(log_priors, log_lik)
 
 
 def predict_nb(model: NaiveBayesModel, features: csr_matrix) -> np.ndarray:
-    """Per-row class probabilities; empty rows fall back to the priors."""
+    """Per-row class probabilities; empty rows fall back to the priors. A row
+    whose weights put every class score out of the float range raises."""
     vocab_size = model.log_likelihoods.shape[1]
     if features.shape[1] != vocab_size:
         raise ValueError(
@@ -138,4 +145,8 @@ def predict_nb(model: NaiveBayesModel, features: csr_matrix) -> np.ndarray:
             f"size {vocab_size}"
         )
     scores = model.log_priors[None, :] + (features @ model.log_likelihoods.T)
-    return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    norm = logsumexp(scores, axis=1, keepdims=True)
+    if not np.isfinite(norm).all():
+        k = int(np.argmax(~np.isfinite(norm[:, 0])))
+        raise ValueError(f"row {k}: its feature weights put every class score out of range")
+    return np.exp(scores - norm)

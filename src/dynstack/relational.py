@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["IcaConfig", "IcaResult", "LabelState", "wvrn_estimate", "ica_run"]
+__all__ = ["IcaConfig", "IcaResult", "ica_run"]
 
 
 @dataclass(frozen=True)
@@ -26,23 +26,6 @@ class IcaConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class LabelState:
-    """Per-node class distributions; rows with ``known`` False are null."""
-
-    probs: np.ndarray  # (N, C)
-    known: np.ndarray  # (N,) bool
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, class_count: int) -> "LabelState":
-        """Point masses on observed labels, null elsewhere (-1 = unobserved)."""
-        n = len(labels)
-        probs = np.zeros((n, class_count))
-        known = labels >= 0
-        probs[np.flatnonzero(known), labels[known]] = 1.0
-        return cls(probs, known)
 
 
 @dataclass
@@ -59,21 +42,6 @@ class IcaResult:
     was_null: np.ndarray
     n_sweeps: int
     converged: bool
-
-
-def wvrn_estimate(graph: Graph, node: int, state: LabelState) -> np.ndarray | None:
-    """Edge-weighted average of the non-null neighbor distributions.
-
-    Returns ``None`` when the node has no neighbors or all of them are
-    null; that is an in-band outcome, not an error.
-    """
-    nbrs, wts = graph.neighbors(node)
-    m = state.known[nbrs]
-    w = wts[m]
-    total = w.sum()
-    if total == 0.0:  # no classified neighbour, or only zero-weight edges reach one
-        return None
-    return (w[:, None] * state.probs[nbrs[m]]).sum(axis=0) / total
 
 
 def _sweep(graph, labels, test_nodes, rng, max_iterations):
@@ -156,7 +124,9 @@ def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -
     if len(test_nodes) == len(labels):
         raise ValueError("collective inference needs at least one observed node")
 
-    out = LabelState.from_labels(labels, c).probs
+    out = np.zeros((len(labels), c))
+    observed = np.flatnonzero(labels >= 0)
+    out[observed, labels[observed]] = 1.0
     rng = np.random.default_rng(config.order_seed)
     hard, soft, null, sweeps, converged = _sweep(
         graph, labels, test_nodes, rng, config.max_iterations

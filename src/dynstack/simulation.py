@@ -167,24 +167,32 @@ def map_reps(fn, jobs, threads: int = 1) -> list:
     return [fn(*job) for job in jobs]
 
 
-def fit_method(name, train, config, cv_seed, where, basis=None):
-    """Fit level-1 method ``"dynamic"`` (CV lambda on ``basis``, default
-    :func:`default_basis`) or ``"<logistic|lasso|ridge>_<m1|m2|m3>"`` on
-    ``train``. A :class:`ConvergenceError` logs one warning naming ``where``
-    and returns None; any other error propagates."""
+def parse_method(name: str) -> tuple[str, str]:
+    """``(design, penalty)`` of level-1 method ``"dynamic"`` (curvature) or
+    ``"<logistic|lasso|ridge>_<m1|m2|m3>"`` (logistic is unpenalized)."""
+    if name == "dynamic":
+        return "dynamic", "curvature"
     kind, _, design = name.partition("_")
+    if kind in ("logistic", "lasso", "ridge") and design in STATIC_DESIGNS:
+        return design, "none" if kind == "logistic" else kind
+    raise ValueError(f"unknown method {name!r}")
+
+
+def fit_method(name, train, config, cv_seed, where, basis=None):
+    """Fit level-1 method ``name`` (see :func:`parse_method`) on ``train``,
+    dynamic with CV lambda on ``basis`` (default :func:`default_basis`). A
+    :class:`ConvergenceError` logs one warning naming ``where`` and returns
+    None; any other error propagates."""
+    design, penalty = parse_method(name)
     try:
-        if name == "dynamic":
+        if design == "dynamic":
             basis = default_basis(train.u) if basis is None else basis
             lam, _ = select_lambda(train, config, basis, seed=cv_seed)
             return fit_dynamic(train, lam, basis, config)
-        if kind in ("logistic", "lasso", "ridge") and design in STATIC_DESIGNS:
-            penalty = "none" if kind == "logistic" else kind
-            return fit_static(train, design, penalty, config=config, cv_seed=cv_seed)
+        return fit_static(train, design, penalty, config=config, cv_seed=cv_seed)
     except ConvergenceError as err:
         log.warning("%s: %s failed (%s)", where, name, err)
         return None
-    raise ValueError(f"unknown method {name!r}")
 
 
 def summarize(vals: np.ndarray) -> tuple[float, float, int]:

@@ -9,12 +9,15 @@ from plain set expansion. The lasso working problem is solved by trying
 every support and sign pattern. The Newton-step linear solve goes
 through scipy's ``cho_factor``/``cho_solve`` wrappers, not LAPACK directly.
 Collective inference re-scores every visited node on every sweep, once
-in float arithmetic and once in exact rationals.
+in float arithmetic (the weighted-vote neighbour average ``wvrn_estimate``,
+itself checked against a literal dictionary evaluation) and once in exact
+rationals. Edges are read from ``Graph.adjacency()``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -188,10 +191,10 @@ def trapezoid_penalty_matrix(basis, n_points: int = 10_001) -> np.ndarray:
 
 def connected_component_sets(n_nodes: int, edges) -> list[set[int]]:
     """Components by repeated set expansion over an explicit edge list."""
-    neighbors = {i: set() for i in range(n_nodes)}
+    linked = {i: set() for i in range(n_nodes)}
     for a, b in edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+        linked[a].add(b)
+        linked[b].add(a)
     seen: set[int] = set()
     comps = []
     for start in range(n_nodes):
@@ -200,11 +203,51 @@ def connected_component_sets(n_nodes: int, edges) -> list[set[int]]:
         comp = {start}
         frontier = {start}
         while frontier:
-            frontier = set().union(*(neighbors[v] for v in frontier)) - comp
+            frontier = set().union(*(linked[v] for v in frontier)) - comp
             comp |= frontier
         comps.append(comp)
         seen |= comp
     return comps
+
+
+def neighbors(graph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour indices and the matching edge weights of node ``i``, read
+    from the CSR rows of ``graph.adjacency()``."""
+    adj = graph.adjacency()
+    lo, hi = adj.indptr[i], adj.indptr[i + 1]
+    return adj.indices[lo:hi], adj.data[lo:hi]
+
+
+@dataclass
+class LabelState:
+    """Per-node class distributions; rows with ``known`` False are null."""
+
+    probs: np.ndarray  # (N, C)
+    known: np.ndarray  # (N,) bool
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray, class_count: int) -> "LabelState":
+        """Point masses on observed labels, null elsewhere (-1 = unobserved)."""
+        n = len(labels)
+        probs = np.zeros((n, class_count))
+        known = labels >= 0
+        probs[np.flatnonzero(known), labels[known]] = 1.0
+        return cls(probs, known)
+
+
+def wvrn_estimate(graph, node: int, state: LabelState) -> np.ndarray | None:
+    """Edge-weighted average of the non-null neighbor distributions.
+
+    Returns ``None`` when the node has no neighbors or all of them are
+    null; that is an in-band outcome, not an error.
+    """
+    nbrs, wts = neighbors(graph, node)
+    m = state.known[nbrs]
+    w = wts[m]
+    total = w.sum()
+    if total == 0.0:  # no classified neighbour, or only zero-weight edges reach one
+        return None
+    return (w[:, None] * state.probs[nbrs[m]]).sum(axis=0) / total
 
 
 def direct_wvrn(adjacency: dict, node: int, distributions: dict) -> np.ndarray | None:
@@ -234,8 +277,6 @@ def ica_reference(graph, labels, max_iterations: int, order_seed: int):
     bit for bit; what this checks is that no re-score is skipped wrongly.
     Returns ``(probs, hard_labels, was_null, n_sweeps, converged)``.
     """
-    from dynstack.relational import LabelState, wvrn_estimate
-
     labels = np.asarray(labels, dtype=np.int64)
     c = graph.class_count
     state = LabelState.from_labels(labels, c)
@@ -287,7 +328,7 @@ def ica_exact_reference(graph, labels, max_iterations: int, order_seed: int):
 
     def score(i):
         sums, total = [Fraction(0)] * c, Fraction(0)
-        for j, w in zip(*graph.neighbors(i)):
+        for j, w in zip(*neighbors(graph, i)):
             if known[j]:
                 sums[hard[j]] += Fraction(float(w))
                 total += Fraction(float(w))

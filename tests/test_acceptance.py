@@ -16,7 +16,7 @@ from dynstack.graph import Graph
 from dynstack.experiment import ExperimentConfig, run_graph_experiment
 from dynstack.metrics import accuracy, binned_accuracy
 from dynstack.naive_bayes import parse_feature_file
-from dynstack.relational import IcaConfig, LabelState, ica_run, wvrn_estimate
+from dynstack.relational import IcaConfig, ica_run
 from dynstack.simulation import METHODS, auc, generate_case, run_simulation, sigmoid
 from dynstack.splines import (
     assemble_block_penalty,
@@ -37,7 +37,15 @@ from dynstack.stacking import (
 from dynstack.synth import planted_homophily_network
 
 from conftest import random_graph
-from oracles import brute_force_auc, dense_penalty_matrix, direct_wvrn, irls_logistic
+from oracles import (
+    LabelState,
+    brute_force_auc,
+    dense_penalty_matrix,
+    direct_wvrn,
+    irls_logistic,
+    neighbors,
+    wvrn_estimate,
+)
 
 WORKERS = min(8, os.cpu_count() or 1)
 STATIC_METHODS = [m for m in METHODS if m not in ("random", "z1_only", "z2_only", "dynamic")]
@@ -201,7 +209,7 @@ class TestCriterion5RelationalSuite:
                 [
                     (i, j, w)
                     for i in range(g.n_nodes)
-                    for j, w in zip(*g.neighbors(i))
+                    for j, w in zip(*neighbors(g, i))
                     if i < j
                 ],
                 class_names=[f"c{k}" for k in range(c)],
@@ -215,7 +223,7 @@ class TestCriterion5RelationalSuite:
             state = LabelState(probs, known)
             for i in range(g.n_nodes):
                 est = wvrn_estimate(g, i, state)
-                nbrs, _ = g.neighbors(i)
+                nbrs, _ = neighbors(g, i)
                 kn = [j for j in nbrs if known[j]]
                 if not kn:
                     convex_ok &= est is None
@@ -267,7 +275,7 @@ class TestCriterion5RelationalSuite:
                     [f"n{i}" for i in range(n)], edges, class_names=["a", "b"]
                 )
                 adjacency = {
-                    i: dict(zip(*(arr.tolist() for arr in g.neighbors(i))))
+                    i: dict(zip(*(arr.tolist() for arr in neighbors(g, i))))
                     for i in range(n)
                 }
                 dists = {}

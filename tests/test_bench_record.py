@@ -37,3 +37,14 @@ def test_probe_ratio_printed_or_its_absence_noted():
     a, b = bench_record._probe_ratios(old, new)
     assert a.split()[0] == "a" and a.endswith("0.2 -> 0.25 s (x1.25)")
     assert b.split()[0] == "b" and "none in the older file" in b
+
+
+def test_line_counts_per_module_and_their_change(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b.py").write_text("z = 3\n")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    counts = bench_record._line_counts(tmp_path)
+    assert counts == {"modules": {"a.py": 2, "b.py": 1}, "total": 3}
+    old, new = {"src_lines": {"total": 5}}, {"src_lines": counts}
+    assert bench_record._lines_moved(old, new) == "src/dynstack 5 -> 3 lines"
+    assert bench_record._lines_moved({}, new).endswith("3 lines; none counted in the older file")

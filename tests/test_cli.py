@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 from dynstack.cli import build_parser, main
-from dynstack.simulation import METHODS, generate_case
-from dynstack.stacking import load_model, write_level1
+from dynstack.experiment import METHODS as LEVEL1_METHODS
+from dynstack.simulation import METHODS, fit_method, generate_case, parse_method
+from dynstack.stacking import (
+    FitConfig,
+    default_basis,
+    load_model,
+    read_level1,
+    save_model,
+    select_lambda,
+    select_strength,
+    write_level1,
+)
 from dynstack.synth import planted_homophily_network
 
 
@@ -314,7 +324,7 @@ class TestStackCommands:
         assert main(
             [
                 "stack-fit", "--level1", str(level1_file), "--model", "dynamic",
-                "--lam", "1.0", "--out", str(fit_out),
+                "--strength", "1.0", "--out", str(fit_out),
             ]
         ) == 0
         model = load_model(fit_out / "model.txt")
@@ -346,8 +356,8 @@ class TestStackCommands:
         out = tmp_path / "fitcv"
         assert main(
             [
-                "stack-fit", "--level1", str(level1_file), "--model", "m2",
-                "--penalty", "ridge", "--folds", "4", "--out", str(out),
+                "stack-fit", "--level1", str(level1_file), "--model", "ridge_m2",
+                "--folds", "4", "--out", str(out),
             ]
         ) == 0
         rows = read_csv(out / "cv_report.csv")
@@ -356,12 +366,31 @@ class TestStackCommands:
         model = load_model(out / "model.txt")
         assert model.penalty == "ridge" and model.strength > 0
 
+    @pytest.mark.parametrize("name", LEVEL1_METHODS)
+    def test_model_name_fits_as_fit_method(self, level1_file, tmp_path, name):
+        # stack-fit --model <name> makes the fit that both experiment drivers make
+        out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--model", name, "--folds", "3"]
+        assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
+        data, config = read_level1(level1_file), FitConfig(cv_folds=3)
+        save_model(tmp_path / "expected.txt", fit_method(name, data, config, 4, "test"))
+        assert (out / "model.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+        design, penalty = parse_method(name)
+        if penalty == "none":
+            assert not (out / "cv_report.csv").exists()
+            return
+        if design == "dynamic":
+            _, profile = select_lambda(data, config, default_basis(data.u), seed=4)
+        else:
+            _, profile = select_strength(data, design, penalty, config, seed=4)
+        assert read_csv(out / "cv_report.csv")[1:] == [[repr(s), repr(v)] for s, v in profile]
+
     def test_curves_on_static_model_fails(self, level1_file, tmp_path):
         out = tmp_path / "fitstat"
         assert main(
             [
-                "stack-fit", "--level1", str(level1_file), "--model", "m1",
-                "--penalty", "none", "--out", str(out),
+                "stack-fit", "--level1", str(level1_file), "--model", "logistic_m1",
+                "--out", str(out),
             ]
         ) == 0
         with pytest.raises(SystemExit, match="dynamic"):
@@ -370,37 +399,45 @@ class TestStackCommands:
     @pytest.mark.parametrize(
         "flags,unread",
         [
-            (["--model", "dynamic", "--penalty", "lasso", "--strength", "3"], "--penalty"),
-            (["--model", "dynamic", "--strength", "3"], "--strength"),
-            (["--model", "m2", "--penalty", "ridge", "--lam", "1.0"], "--lam"),
-            (["--model", "m3", "--lam", "1.0"], "--lam"),
-            (["--model", "m1", "--strength", "0.5"], "--strength"),
-            (["--model", "m3", "--penalty", "lasso", "--knots", "4"], "--knots"),
-            (["--model", "m1", "--spline-degree", "2"], "--spline-degree"),
+            (["--model", "dynamic", "--penalty", "lasso"], "--penalty"),
+            (["--model", "ridge_m2", "--lam", "1.0"], "--lam"),
+            (["--model", "logistic_m3", "--lam", "1.0"], "--lam"),
+            (["--model", "logistic_m1", "--strength", "0.5"], "--strength"),
+            (["--model", "logistic_m2", "--strength", "0.5"], "--strength"),
+            (["--model", "lasso_m3", "--knots", "4"], "--knots"),
+            (["--model", "ridge_m1", "--knots", "4"], "--knots"),
+            (["--model", "logistic_m1", "--spline-degree", "2"], "--spline-degree"),
         ],
         ids=[
-            "dynamic-penalty", "dynamic-strength", "ridge-lam", "logistic-lam",
-            "logistic-strength", "lasso-knots", "logistic-spline-degree",
+            "dynamic-penalty", "ridge-lam", "logistic-lam", "logistic-strength",
+            "logistic-m2-strength", "lasso-knots", "ridge-knots", "logistic-spline-degree",
         ],
     )
     def test_unread_fit_flag_is_usage_error(self, level1_file, tmp_path, capsys, flags, unread):
-        # the model would ignore the flag, yet the manifest would record it
+        # the model would ignore the flag, yet the manifest would record it;
+        # --penalty and --lam are no flags of stack-fit at all
         out = tmp_path / "fit"
-        code = main(["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {unread} does not apply to --model ")
-        assert err.count("\n") == 1
+        argv = ["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)]
+        if unread in ("--penalty", "--lam"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last.endswith(f"error: unrecognized arguments: {unread} {flags[-1]}")
+        else:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {unread} does not apply to --model {flags[1]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--model", "dynamic", "--lam", "nan"],
-            ["--model", "dynamic", "--lam", "inf"],
-            ["--model", "dynamic", "--lam", "-1"],
-            ["--model", "m3", "--penalty", "ridge", "--strength", "nan"],
-            ["--model", "m1", "--penalty", "lasso", "--strength=-inf"],
+            ["--model", "dynamic", "--strength", "nan"],
+            ["--model", "dynamic", "--strength", "inf"],
+            ["--model", "dynamic", "--strength", "-1"],
+            ["--model", "ridge_m3", "--strength", "nan"],
+            ["--model", "lasso_m1", "--strength=-inf"],
         ],
         ids=["lam-nan", "lam-inf", "lam-negative", "ridge-nan", "lasso-minus-inf"],
     )
@@ -416,15 +453,15 @@ class TestStackCommands:
         "flags,recorded,dropped",
         [
             (
-                ["--model", "m3", "--penalty", "lasso"],
-                {"penalty": "lasso", "strength": "cv"},
-                {"lam", "knots", "spline_degree"},
+                ["--model", "lasso_m3"],
+                {"model": "lasso_m3", "strength": "cv"},
+                {"knots", "spline_degree"},
             ),
-            (["--model", "m1"], {"penalty": "none"}, {"lam", "knots", "spline_degree", "strength"}),
+            (["--model", "logistic_m1"], {"model": "logistic_m1"}, {"knots", "spline_degree", "strength"}),
             (
-                ["--model", "dynamic", "--lam", "1.0"],
-                {"lam": "1.0", "knots": "6", "spline_degree": "3"},
-                {"penalty", "strength"},
+                ["--model", "dynamic", "--strength", "1.0"],
+                {"strength": "1.0", "knots": "6", "spline_degree": "3"},
+                {"penalty", "lam"},
             ),
         ],
         ids=["lasso", "logistic", "dynamic"],
@@ -440,7 +477,7 @@ class TestStackCommands:
         assert not dropped & manifest.keys()
 
     def test_dynamic_basis_defaults_are_six_knots_cubic(self, level1_file, tmp_path):
-        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0"]
+        argv = ["stack-fit", "--level1", str(level1_file), "--strength", "1.0"]
         assert main([*argv, "--out", str(tmp_path / "a")]) == 0
         explicit = ["--knots", "6", "--spline-degree", "3", "--out", str(tmp_path / "b")]
         assert main([*argv, *explicit]) == 0
@@ -449,7 +486,7 @@ class TestStackCommands:
 
     def test_curves_with_missing_column_line_fails(self, level1_file, tmp_path, capsys):
         fit_out = tmp_path / "fit"
-        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0", "--out", str(fit_out)]
+        argv = ["stack-fit", "--level1", str(level1_file), "--strength", "1.0", "--out", str(fit_out)]
         assert main(argv) == 0
         path = fit_out / "model.txt"
         lines = [line for line in path.read_text().splitlines() if line != "column = z2"]
@@ -462,7 +499,7 @@ class TestStackCommands:
 
     def test_predict_with_damaged_model_fails(self, level1_file, tmp_path, capsys):
         fit_out = tmp_path / "fit"
-        argv = ["stack-fit", "--level1", str(level1_file), "--lam", "1.0", "--out", str(fit_out)]
+        argv = ["stack-fit", "--level1", str(level1_file), "--strength", "1.0", "--out", str(fit_out)]
         assert main(argv) == 0
         path = fit_out / "model.txt"
         lines = path.read_text().splitlines()
@@ -538,7 +575,7 @@ class TestManifest:
                 "--reps", "1", "--folds", "3", "--positive-label", "topic/positive",
             ],
             "centrality": ["--edges", edges, "--kind", "degree"],
-            "stack-fit": ["--level1", str(level1_file), "--lam", "1.0"],
+            "stack-fit": ["--level1", str(level1_file), "--strength", "1.0"],
             "stack-predict": ["--model", model, "--data", str(level1_file)],
             "curves": ["--model", model, "--points", "5"],
         }
@@ -552,8 +589,8 @@ class TestManifest:
     )
     def test_keys_are_the_parsed_flags(self, runs, command):
         expected = parsed_flags(command)
-        if command == "stack-fit":  # a dynamic fit reads neither static flag
-            expected = expected - {"penalty", "strength"} | {"chosen_strength"}
+        if command == "stack-fit":  # a dynamic fit reads every flag
+            expected = expected | {"chosen_strength"}
         assert manifest_keys(runs / command) == expected
         assert (runs / command / "manifest.txt").read_text().startswith(f"command = {command}\n")
 
@@ -561,7 +598,7 @@ class TestManifest:
         sim = (runs / "simulate" / "manifest.txt").read_text()
         assert "methods = " + ",".join(METHODS) + "\n" in sim
         fit = (runs / "stack-fit" / "manifest.txt").read_text()
-        assert "lam = 1.0\n" in fit and "knots = 6\n" in fit and "spline_degree = 3\n" in fit
+        assert "strength = 1.0\n" in fit and "knots = 6\n" in fit and "spline_degree = 3\n" in fit
         assert "chosen_strength = 1.0\n" in fit
 
     def test_default_bins_recorded(self, runs):

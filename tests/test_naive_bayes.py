@@ -140,6 +140,12 @@ class TestFitNb:
         np.testing.assert_allclose(np.exp(m.log_priors).sum(), 1.0, atol=1e-12)
 
 
+    def test_term_weights_past_the_float_range_rejected(self):
+        # 1e308 + 1e308 overflows: log(inf) - log(inf) made the row NaN
+        f = parse_feature_file(["a t:1e308 u:1", "b t:1e308"], ["a", "b"])
+        with pytest.raises(ValueError, match=r"^class 0: .* float range \(largest: term 0\)$"):
+            fit_nb(f.matrix, np.array([0, 0]), 1)
+
 class TestPredictNb:
     def _two_class_model(self):
         x = features_from([[(0, 1)], [(1, 1)]], 2)
@@ -193,3 +199,12 @@ class TestPredictNb:
         m = self._two_class_model()
         with pytest.raises(ValueError, match="vocabulary"):
             predict_nb(m, csr_matrix((1, 5)))
+
+    def test_row_whose_scores_all_leave_the_float_range_rejected(self):
+        # every class gives term 0 a log-likelihood below -1, so 1e308 of it
+        # scores -inf in both classes and the normalization made the row NaN
+        x = features_from([[(k, 1) for k in range(1, 10)]] * 2, 10)
+        m = fit_nb(x, np.array([0, 1]), 2)
+        doc = features_from([[], [(0, 1e308)]], 10)
+        with pytest.raises(ValueError, match="^row 1: "):
+            predict_nb(m, doc)

@@ -62,3 +62,27 @@ def test_benchmark_tracer_bindings_resolve():
         if not hasattr(importlib.import_module(f"dynstack.{mod}"), attr)
     ]
     assert missing == []
+
+
+def test_every_exported_name_has_a_caller():
+    # a public function that only tests call is deleted, not kept: every name
+    # in a module's __all__ is read by non-test code other than its definition
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "dynstack").glob("*.py") if p.name != "__init__.py"]
+    sources += [p for d in ("demos", "perfbench") for p in (root / d).rglob("*.py")]
+    used = set()
+    for path in sources:
+        if "tests" in path.relative_to(root).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{m.name}.{name}"
+        for m in pkgutil.iter_modules(dynstack.__path__)
+        for name in getattr(importlib.import_module(f"dynstack.{m.name}"), "__all__", [])
+        if name not in used
+    ]
+    assert unused == []

@@ -198,3 +198,10 @@ class TestFailurePolicy:
         for name in ("logistic_m4", "elastic_m1", "dynamic_m1", "z1_only"):
             with pytest.raises(ValueError, match="unknown method"):
                 sim_mod.fit_method(name, train, FitConfig(), 0, "test")
+
+    def test_parse_method_gives_design_and_penalty(self):
+        got = [sim_mod.parse_method(m) for m in ("dynamic", "logistic_m1", "lasso_m2", "ridge_m3")]
+        assert got == [("dynamic", "curvature"), ("m1", "none"), ("m2", "lasso"), ("m3", "ridge")]
+        for name in ("logistic_m4", "elastic_m1", "dynamic_m1", "z1_only", "m1"):
+            with pytest.raises(ValueError, match="unknown method"):
+                sim_mod.parse_method(name)

@@ -8,11 +8,13 @@ once per seed in ``SEEDS`` with ``--trace 0`` and once with ``--trace 1``,
 for the benchmark's ``run_seconds``, one run at a time. The file written at
 the repository root holds the environment of the first run, the median and
 quartiles over the seeds of each end-to-end metric, the median of each
-per-layer metric, and the median ``host_probe_s`` (a fixed pure-Python loop
-timed after every unit) over the units of the ``--trace 0`` runs. When an
-earlier ``BENCH_*.json`` exists, the probe's ratio against the latest one is
-printed first, so host drift is not read as code movement, then every metric
-that moved by more than 10%. Compare files made on the same machine only.
+per-layer metric, the median ``host_probe_s`` (a fixed pure-Python loop
+timed after every unit) over the units of the ``--trace 0`` runs, and the
+line count of each ``src/dynstack`` module with their total. When an earlier
+``BENCH_*.json`` exists, the probe's ratio against the latest one is printed
+first, so host drift is not read as code movement, then the change in the
+``src/dynstack`` line count, then every metric that moved by more than 10%.
+Compare files made on the same machine only.
 ``perfbench/`` and ``BENCHMARK.json`` are read, never written. Standard
 library only.
 """
@@ -89,12 +91,27 @@ def _probe_ratios(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _line_counts(src: Path) -> dict:
+    """Newline count of each ``*.py`` module in ``src``, by file name, and their total."""
+    modules = {p.name: p.read_bytes().count(b"\n") for p in sorted(src.glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
+def _lines_moved(old: dict, new: dict) -> str:
+    """The ``src/dynstack`` total of two BENCH files, or a note that the older has none."""
+    before, after = old.get("src_lines", {}).get("total"), new["src_lines"]["total"]
+    if before is None:
+        return f"src/dynstack {after} lines; none counted in the older file"
+    return f"src/dynstack {before} -> {after} lines"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = {"pr": args.pr, "seeds": list(SEEDS), "run_seconds": bench["run_seconds"], "workloads": {}}
+    doc["src_lines"] = _line_counts(ROOT / "src" / "dynstack")
     with tempfile.TemporaryDirectory() as out:
         for workload in (w["name"] for w in bench["workloads"]):
             runs, probes = {0: [], 1: []}, []
@@ -126,6 +143,7 @@ def main(argv=None) -> int:
         old = json.loads(last.read_text())
         print(f"against {last.name}:")
         print("\n".join(_probe_ratios(old, doc)))
+        print(_lines_moved(old, doc))
         moved = _moved(old, doc)
         print(f"{len(moved)} metrics moved by more than {MOVED:.0%}")
         print("\n".join(moved))
