@@ -11,8 +11,6 @@ Usage: python demos/centrality_accuracy.py
 import numpy as np
 
 from dynstack import (
-    IcaConfig,
-    SplitSpec,
     binned_accuracy,
     closeness_centrality,
     degree,
@@ -34,16 +32,16 @@ reps = 10
 deg_bins = None
 clo_bins = None
 for r in range(reps):
-    train, test = split_nodes(graph, SplitSpec(0.8, seed=100 + r))
+    train, test = split_nodes(graph, 0.8, seed=100 + r)
     labels = graph.labels.copy()
     labels[test] = -1  # unobserved
-    res = ica_run(graph, labels, IcaConfig(order_seed=r))
+    res = ica_run(graph, labels, seed=r)
     correct = res.hard_labels[test]
     truth = graph.labels[test]
-    db = binned_accuracy(correct, truth, deg.values[test], integer_bins=True,
-                         value_range=(deg.values.min(), deg.values.max()))
-    cb = binned_accuracy(correct, truth, clo.values[test], bins=12,
-                         value_range=(clo.values.min(), clo.values.max()))
+    db = binned_accuracy(correct, truth, deg[test], integer_bins=True,
+                         value_range=(deg.min(), deg.max()))
+    cb = binned_accuracy(correct, truth, clo[test], bins=12,
+                         value_range=(clo.min(), clo.max()))
     if deg_bins is None:
         deg_bins, clo_bins = [db], [cb]
     else:

@@ -10,8 +10,6 @@ compare them.
 from .graph import (
     Graph,
     GraphParseError,
-    NodeCovariate,
-    SplitSpec,
     attach_labels,
     closeness_centrality,
     degree,
@@ -21,7 +19,7 @@ from .graph import (
 )
 from .metrics import accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import NaiveBayesModel, fit_nb, parse_feature_file, predict_nb
-from .relational import IcaConfig, IcaResult, ica_run
+from .relational import IcaResult, ica_run
 from .simulation import METHODS, auc, generate_case, run_simulation
 from .splines import (
     BSplineBasis,
@@ -54,8 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "GraphParseError",
-    "NodeCovariate",
-    "SplitSpec",
     "attach_labels",
     "closeness_centrality",
     "degree",
@@ -69,7 +65,6 @@ __all__ = [
     "fit_nb",
     "parse_feature_file",
     "predict_nb",
-    "IcaConfig",
     "IcaResult",
     "ica_run",
     "METHODS",

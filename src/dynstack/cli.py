@@ -18,8 +18,6 @@ from . import experiment as exp
 from .graph import (
     GraphParseError,
     attach_labels,
-    closeness_centrality,
-    degree,
     largest_connected_component,
     parse_edge_list,
     read_label_file,
@@ -202,9 +200,9 @@ def cmd_graph_experiment(args) -> int:
 
 def cmd_centrality(args) -> int:
     graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
-    cov = degree(graph) if args.kind == "degree" else closeness_centrality(graph)
+    values = exp.node_covariate(graph, args.kind)
     out = _out_dir(args)
-    write_covariate(out / "covariate.csv", graph, cov)
+    write_covariate(out / "covariate.csv", graph, values)
     _write_manifest(out, args)
     return 0
 
@@ -263,6 +261,9 @@ def cmd_stack_predict(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    if args.points < 1:
+        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+        return 2
     model = load_model(args.model)
     if model.design != "dynamic":
         raise SystemExit("error: coefficient curves require a dynamic model file")

@@ -19,17 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    NodeCovariate,
-    SplitSpec,
-    closeness_centrality,
-    degree,
-    split_nodes,
-)
+from .graph import Graph, closeness_centrality, degree, split_nodes
 from .metrics import ComparisonResult, accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import SparseFeatures, fit_nb, predict_nb
-from .relational import IcaConfig, ica_run
+from .relational import ica_run
 from .simulation import child_seeds, fit_method, map_reps
 from .stacking import (
     ConvergenceError,
@@ -95,7 +88,7 @@ def binarize_labels(graph: Graph, positive_prefix: str) -> Graph:
     return graph.with_labels(labels, ["positive", "negative"])
 
 
-def node_covariate(graph: Graph, kind: str) -> NodeCovariate:
+def node_covariate(graph: Graph, kind: str) -> np.ndarray:
     if kind == "degree":
         return degree(graph)
     if kind == "closeness":
@@ -103,14 +96,14 @@ def node_covariate(graph: Graph, kind: str) -> NodeCovariate:
     raise ValueError(f"unknown covariate {kind!r}; expected 'degree' or 'closeness'")
 
 
-def level0_predictors(graph: Graph, features: SparseFeatures, ica_cfg: IcaConfig) -> dict:
+def level0_predictors(graph: Graph, features: SparseFeatures, ica_seed: int) -> dict:
     """The level-0 classifiers as ``predict(fit_nodes, pred_nodes)`` functions.
 
     Each one trains on the labels of ``fit_nodes`` alone and returns class
     probabilities for ``pred_nodes``, one row per node. ``local_nb`` is
     multinomial naive Bayes on the nodes' own features; ``wvrn_ica`` is
     wvRN with collective inference in which every node outside
-    ``fit_nodes`` is unobserved.
+    ``fit_nodes`` is unobserved, its sweep order drawn from ``ica_seed``.
     """
 
     def local_nb(fit, pred):
@@ -120,7 +113,7 @@ def level0_predictors(graph: Graph, features: SparseFeatures, ica_cfg: IcaConfig
     def wvrn_ica(fit, pred):
         labels = np.full(graph.n_nodes, -1, dtype=np.int64)
         labels[fit] = graph.labels[fit]
-        return ica_run(graph, labels, ica_cfg).probs[pred]
+        return ica_run(graph, labels, ica_seed).probs[pred]
 
     return {"local_nb": local_nb, "wvrn_ica": wvrn_ica}
 
@@ -137,19 +130,19 @@ class RepetitionResult:
 def run_graph_repetition(
     graph: Graph,
     features: SparseFeatures,
-    cov: NodeCovariate,
+    cov: np.ndarray,
     rep_seed: int,
     cfg: ExperimentConfig,
 ) -> RepetitionResult:
     """One seeded split -> level-0 fits -> stacking fits -> test accuracy."""
     split_seed, fold_seed, ica_seed, cv_seed = child_seeds(rep_seed, 4)
-    train, test = split_nodes(graph, SplitSpec(cfg.test_fraction, split_seed))
+    train, test = split_nodes(graph, cfg.test_fraction, split_seed)
     y = (graph.labels == 0).astype(np.int64)  # class 0 is the positive label
 
-    level0 = level0_predictors(graph, features, IcaConfig(order_seed=ica_seed))
+    level0 = level0_predictors(graph, features, ica_seed)
     # fold rows: instance indices into ``train``
     folded = {name: lambda f, h, fn=fn: fn(train[f], train[h]) for name, fn in level0.items()}
-    level1 = build_level1(y[train], folded, cov.values[train], cfg.folds, fold_seed)
+    level1 = build_level1(y[train], folded, cov[train], cfg.folds, fold_seed)
 
     basis = default_basis(level1.u, cfg.interior_knots, cfg.spline_degree)
     where = f"repetition seed {rep_seed}"
@@ -157,7 +150,7 @@ def run_graph_repetition(
 
     # test rows: every classifier trained on the full training set
     z_test = np.column_stack([fn(train, test)[:, 0] for fn in level0.values()])
-    u_test = cov.values[test]
+    u_test = cov[test]
     y_test = y[test]
 
     hard = {
@@ -216,7 +209,7 @@ def run_graph_experiment(
     fitted = [r for r in results if r.model is not None]
     if not fitted:
         raise ConvergenceError("the dynamic fit diverged in every repetition")
-    vr = (float(cov.values.min()), float(cov.values.max()))
+    vr = (float(cov.min()), float(cov.max()))
     integer_bins = cfg.covariate == "degree"
     counts, diffs = [], {m: [] for m in STATIC_METHODS}
     for r in fitted:

@@ -9,7 +9,6 @@ with -1 meaning unobserved.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -18,8 +17,6 @@ from scipy.sparse.csgraph import connected_components
 __all__ = [
     "Graph",
     "GraphParseError",
-    "NodeCovariate",
-    "SplitSpec",
     "parse_edge_list",
     "attach_labels",
     "read_label_file",
@@ -30,34 +27,11 @@ __all__ = [
     "write_covariate",
 ]
 
+CLOSENESS_CHUNK = 512  # sources one breadth-first search of closeness_centrality runs from
+
 
 class GraphParseError(ValueError):
     """Malformed edge or label input."""
-
-
-@dataclass(frozen=True)
-class NodeCovariate:
-    """Per-node scalar topology covariate."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("covariate values must be finite and >= 0")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded train/test split with a fixed test fraction."""
-
-    test_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
 
 
 class Graph:
@@ -83,7 +57,7 @@ class Graph:
             raise ValueError("label index out of range")
 
     @classmethod
-    def build(cls, node_ids, edges, labels=None, class_names=()):
+    def build(cls, node_ids, edges):
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
         Parallel edges are merged by summing their weights in input order;
@@ -91,6 +65,7 @@ class Graph:
         infinite or NaN weights and a merged weight that overflows to
         infinity are rejected.
         Zero-weight edges are stored, so they count toward the degree.
+        Every node is unlabeled; :meth:`with_labels` adds labels.
         """
         node_ids = list(node_ids)
         n = len(node_ids)
@@ -119,12 +94,7 @@ class Graph:
             )
         adj = csr_matrix((np.r_[total, total], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         adj.sort_indices()
-
-        if labels is None:
-            lab = np.full(n, -1, dtype=np.int64)
-        else:
-            lab = np.asarray(labels, dtype=np.int64)
-        return cls(node_ids, adj.indptr, adj.indices, adj.data, lab, class_names)
+        return cls(node_ids, adj.indptr, adj.indices, adj.data, np.full(n, -1, dtype=np.int64), ())
 
     # -- basic accessors -------------------------------------------------
 
@@ -297,9 +267,9 @@ def largest_connected_component(graph: Graph) -> Graph:
     return graph.subgraph(np.flatnonzero(comp == best))
 
 
-def degree(graph: Graph) -> NodeCovariate:
-    """Unweighted neighbor count per node."""
-    return NodeCovariate(np.diff(graph._indptr).astype(float))
+def degree(graph: Graph) -> np.ndarray:
+    """Unweighted neighbor count per node, as floats."""
+    return np.diff(graph._indptr).astype(float)
 
 
 _DISCONNECTED = (
@@ -308,30 +278,30 @@ _DISCONNECTED = (
 )
 
 
-def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
+def closeness_centrality(graph: Graph) -> np.ndarray:
     """Reciprocal of each node's total hop distance to all other nodes.
 
     Hop counts come from a level-synchronous breadth-first search, in
     which a stored zero-weight edge is still one hop. The graph must be
     connected (run :func:`largest_connected_component` first). A
     single-node graph gets the value 0 by convention. The search runs from
-    ``chunk`` sources at once and keeps one bit per source: the seen and
-    frontier sets are n x ceil(``chunk``/64) words each, and a level
-    gathers one (stored entries) x ceil(``chunk``/64) word array.
+    ``CLOSENESS_CHUNK`` = k sources at once and keeps one bit per source:
+    the seen and frontier sets are n x ceil(k/64) words each, and a level
+    gathers one (stored entries) x ceil(k/64) word array.
     """
     n = graph.n_nodes
     if n == 0:
         raise ValueError("empty graph")
     if n == 1:
-        return NodeCovariate(np.zeros(1))
+        return np.zeros(1)
     indptr, indices = graph._indptr, graph._indices
     if not np.diff(indptr).all():  # an isolated node; reduceat needs no empty rows
         raise ValueError(_DISCONNECTED)
     # hop distance is symmetric, so a node's total over every source is
     # its own total distance: count each node's newly reached sources
     totals = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        k = min(chunk, n - lo)
+    for lo in range(0, n, CLOSENESS_CHUNK):
+        k = min(CLOSENESS_CHUNK, n - lo)
         src = np.arange(k)
         # bit s of row lo + s: source s has seen itself
         seen = np.zeros((n, (k + 63) // 64), dtype=np.uint64)
@@ -348,29 +318,31 @@ def closeness_centrality(graph: Graph, chunk: int = 512) -> NodeCovariate:
             counts = np.bitwise_count(front).sum(axis=1, dtype=np.int64)
             totals += hop * counts
             reached += int(counts.sum())
-    return NodeCovariate(1.0 / totals)
+    return 1.0 / totals
 
 
-def split_nodes(graph: Graph, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def split_nodes(graph: Graph, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic seeded partition into (train, test) node indices.
 
-    All nodes must be labeled. The test set holds ``round(N * fraction)``
+    All nodes must be labeled. The test set holds ``round(N * test_fraction)``
     nodes (ties round up); both sides are returned sorted.
     """
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be in (0, 1)")
     if np.any(graph.labels < 0):
         raise ValueError("split requires every node to be labeled")
     n = graph.n_nodes
-    n_test = int(np.floor(n * spec.test_fraction + 0.5))
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    n_test = int(np.floor(n * test_fraction + 0.5))
+    perm = np.random.default_rng(seed).permutation(n)
     test = np.sort(perm[:n_test])
     train = np.sort(perm[n_test:])
     return train, test
 
 
-def write_covariate(path, graph: Graph, cov: NodeCovariate) -> None:
-    """Write ``node_id,value`` CSV for a covariate."""
+def write_covariate(path, graph: Graph, values: np.ndarray) -> None:
+    """Write ``node_id,value`` CSV for a per-node covariate."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["node_id", "value"])
-        for nid, v in zip(graph.node_ids, cov.values):
+        for nid, v in zip(graph.node_ids, values):
             w.writerow([nid, repr(float(v))])

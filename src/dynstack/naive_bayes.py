@@ -19,6 +19,8 @@ from .graph import GraphParseError
 
 __all__ = ["SparseFeatures", "NaiveBayesModel", "parse_feature_file", "fit_nb", "predict_nb"]
 
+ALPHA = 1.0  # additive (Laplace) smoothing of the term weights
+
 
 @dataclass(frozen=True)
 class SparseFeatures:
@@ -96,9 +98,7 @@ def _overflow(matrix, rows, cols, vals, starts, vocabulary) -> str:
     return f"line {lineno}: the weights of term {vocabulary[pair[1]]!r} sum to a non-finite value"
 
 
-def fit_nb(
-    features: csr_matrix, labels: np.ndarray, n_classes: int, alpha: float = 1.0
-) -> NaiveBayesModel:
+def fit_nb(features: csr_matrix, labels: np.ndarray, n_classes: int) -> NaiveBayesModel:
     """Fit class priors and smoothed term likelihoods on training rows.
 
     ``features`` holds one row per training node. Every class index in
@@ -107,8 +107,6 @@ def fit_nb(
     cross-validation uses to ask for larger folds. A class whose term
     weights sum past the float range raises too.
     """
-    if alpha <= 0:
-        raise ValueError("smoothing alpha must be > 0")
     labels = np.asarray(labels, dtype=np.int64)
     n, v = features.shape
     if n == 0:
@@ -125,7 +123,7 @@ def fit_nb(
     for c in range(n_classes):
         rows = features[np.flatnonzero(labels == c)]
         term_counts[c] = np.asarray(rows.sum(axis=0)).ravel()
-    smoothed = term_counts + alpha
+    smoothed = term_counts + ALPHA
     totals = smoothed.sum(axis=1, keepdims=True)
     if not np.isfinite(totals).all():
         c = int(np.argmax(~np.isfinite(totals[:, 0])))

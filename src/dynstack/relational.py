@@ -4,7 +4,7 @@ A node's class distribution is estimated as the edge-weighted average of
 its neighbors' current distributions, skipping neighbors whose state is
 still unknown. Collective inference sweeps the unlabeled nodes in a
 seeded random order, committing each node to the argmax class of its
-estimate, until a full sweep changes nothing or the iteration cap hits.
+estimate, until a full sweep changes nothing or ``MAX_SWEEPS`` sweeps ran.
 """
 
 from __future__ import annotations
@@ -15,17 +15,9 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["IcaConfig", "IcaResult", "ica_run"]
+__all__ = ["IcaResult", "ica_run"]
 
-
-@dataclass(frozen=True)
-class IcaConfig:
-    max_iterations: int = 100
-    order_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+MAX_SWEEPS = 100  # ica_run stops after this many sweeps even if a label still changes
 
 
 @dataclass
@@ -44,7 +36,7 @@ class IcaResult:
     converged: bool
 
 
-def _sweep(graph, labels, test_nodes, rng, max_iterations):
+def _sweep(graph, labels, test_nodes, rng):
     """ICA on running per-class sums of the known neighbours' edge weights.
 
     Every known node holds a point mass, so a node's neighbour average is
@@ -66,7 +58,7 @@ def _sweep(graph, labels, test_nodes, rng, max_iterations):
 
     sweeps = 0
     converged = False
-    while sweeps < max_iterations:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         changed = False
         for i in rng.permutation(test_nodes).tolist():
@@ -99,17 +91,17 @@ def _sweep(graph, labels, test_nodes, rng, max_iterations):
     return np.array(hard, dtype=np.int64), np.array(soft).reshape(-1, c), null, sweeps, converged
 
 
-def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -> IcaResult:
+def ica_run(graph: Graph, labels: np.ndarray, seed: int = 0) -> IcaResult:
     """Iterative classification over the unobserved nodes of ``graph``.
 
     ``labels`` marks observed nodes with their class index and unobserved
-    ones with -1. Each sweep visits the unobserved nodes in a fresh seeded
-    random order and commits each to a point mass on the argmax of its
-    neighbor average (ties to the lowest class index); updates are visible
-    to later nodes in the same sweep. Observed nodes are never revisited.
-    After the final sweep one extra soft pass reports each unobserved
-    node's neighbor average from the terminal hard states, which is what
-    feeds stacking.
+    ones with -1. Each sweep visits the unobserved nodes in a fresh random
+    order drawn from ``seed``, committing each to a point mass on the
+    argmax of its neighbor average (ties to the lowest class index);
+    updates are visible to later nodes in the same sweep. Observed nodes
+    are never revisited. After the final sweep one extra soft pass reports
+    each unobserved node's neighbor average from the terminal hard states,
+    which is what feeds stacking.
 
     Each node keeps running per-class sums of its known neighbours' edge
     weights, taken as the exact integers of ``Graph._neighbor_lists``, so
@@ -127,10 +119,8 @@ def ica_run(graph: Graph, labels: np.ndarray, config: IcaConfig = IcaConfig()) -
     out = np.zeros((len(labels), c))
     observed = np.flatnonzero(labels >= 0)
     out[observed, labels[observed]] = 1.0
-    rng = np.random.default_rng(config.order_seed)
-    hard, soft, null, sweeps, converged = _sweep(
-        graph, labels, test_nodes, rng, config.max_iterations
-    )
+    rng = np.random.default_rng(seed)
+    hard, soft, null, sweeps, converged = _sweep(graph, labels, test_nodes, rng)
     out[test_nodes] = soft
     nulls = test_nodes[null]
     out[nulls] = 1.0 / c

@@ -97,9 +97,8 @@ def _basis_all(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
 
     Vectorized Cox-de Boor triangular recursion; returns an
     ``(len(x), len(knots) - degree - 1)`` matrix with at most
-    ``degree + 1`` nonzero entries per row.
+    ``degree + 1`` nonzero entries per row. ``x`` is a float array.
     """
-    x = np.asarray(x, dtype=float)
     n = len(x)
     n_funcs = len(knots) - degree - 1
     mu = _find_intervals(knots, x)
@@ -141,16 +140,16 @@ def _deriv_all(knots: np.ndarray, degree: int, x: np.ndarray, order: int) -> np.
     return lower[:, :n_funcs] * a - lower[:, 1 : n_funcs + 1] * b
 
 
-def basis_matrix(basis: BSplineBasis, u, deriv: int = 0) -> np.ndarray:
-    """Evaluate the basis (or a derivative) at an array of points.
+def basis_matrix(basis: BSplineBasis, u) -> np.ndarray:
+    """Evaluate the basis at an array of points.
 
     Points outside ``[u_lo, u_hi]`` are clamped to the boundary, so the
-    returned rows are always well defined. For ``deriv=0`` each row is
-    nonnegative and sums to one.
+    returned rows are always well defined. Each row is nonnegative and
+    sums to one.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.clip(u, basis.u_lo, basis.u_hi)
-    return _deriv_all(basis.knots, basis.degree, x, deriv)
+    return _basis_all(basis.knots, basis.degree, x)
 
 
 def knot_spans(basis: BSplineBasis, u) -> np.ndarray:

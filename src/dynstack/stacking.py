@@ -615,6 +615,9 @@ def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, b
     """
     _check_spec(design, penalty, strength)
     x, pen, rot = _problem(data, design, penalty if strength > 0 else "none", basis)
+    with np.errstate(over="ignore"):  # the Newton weights of a quadratic penalty
+        if pen is not None and penalty != "lasso" and np.isinf(2.0 * (strength * pen)).any():
+            raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
     if data.n < x.shape[1]:
         warnings.warn(
             f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",

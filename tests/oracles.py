@@ -156,14 +156,14 @@ def dense_penalty_matrix(basis, points_per_interval: int = 10_001) -> np.ndarray
     round-off; a plain trapezoid at the same density still carries an
     O(h^2) truncation error of about 1e-7 for unit domains.
     """
-    from dynstack.splines import basis_matrix
+    from dynstack.splines import _deriv_all
 
     k = basis.size
     h = np.zeros((k, k))
     breaks = np.unique(basis.knots)
     for a, b in zip(breaks[:-1], breaks[1:]):
         xs = np.linspace(a, b, points_per_interval)
-        d2 = basis_matrix(basis, xs, deriv=2)
+        d2 = _deriv_all(basis.knots, basis.degree, xs, 2)
         for m in range(k):
             for n in range(m, k):
                 v = simpson(d2[:, m] * d2[:, n], x=xs)
@@ -175,10 +175,10 @@ def dense_penalty_matrix(basis, points_per_interval: int = 10_001) -> np.ndarray
 
 def trapezoid_penalty_matrix(basis, n_points: int = 10_001) -> np.ndarray:
     """Plain dense trapezoid over the whole domain (coarser oracle)."""
-    from dynstack.splines import basis_matrix
+    from dynstack.splines import _deriv_all
 
     xs = np.linspace(basis.u_lo, basis.u_hi, n_points)
-    d2 = basis_matrix(basis, xs, deriv=2)
+    d2 = _deriv_all(basis.knots, basis.degree, xs, 2)
     k = basis.size
     h = np.zeros((k, k))
     for m in range(k):

@@ -16,7 +16,7 @@ from dynstack.graph import Graph
 from dynstack.experiment import ExperimentConfig, run_graph_experiment
 from dynstack.metrics import accuracy, binned_accuracy
 from dynstack.naive_bayes import parse_feature_file
-from dynstack.relational import IcaConfig, ica_run
+from dynstack.relational import ica_run
 from dynstack.simulation import METHODS, auc, generate_case, run_simulation, sigmoid
 from dynstack.splines import (
     assemble_block_penalty,
@@ -212,8 +212,7 @@ class TestCriterion5RelationalSuite:
                     for j, w in zip(*neighbors(g, i))
                     if i < j
                 ],
-                class_names=[f"c{k}" for k in range(c)],
-            )
+            ).with_labels(np.full(g.n_nodes, -1), [f"c{k}" for k in range(c)])
             probs = np.zeros((g.n_nodes, c))
             known = np.zeros(g.n_nodes, dtype=bool)
             for i in range(g.n_nodes):
@@ -241,8 +240,8 @@ class TestCriterion5RelationalSuite:
         g = attach_labels(g, [(nid, "XY"[i % 2]) for i, nid in enumerate(g.node_ids)])
         labels = g.labels.copy()
         labels[rng.permutation(35)[:28]] = -1
-        r1 = ica_run(g, labels, IcaConfig(order_seed=11))
-        r2 = ica_run(g, labels, IcaConfig(order_seed=11))
+        r1 = ica_run(g, labels, seed=11)
+        r2 = ica_run(g, labels, seed=11)
         det_ok = bool(
             np.array_equal(r1.hard_labels, r2.hard_labels)
             and np.array_equal(r1.probs, r2.probs)
@@ -255,7 +254,7 @@ class TestCriterion5RelationalSuite:
             parse_edge_list(["t1 a", "t1 b", "t2 b", "t2 c"]),
             [("a", "X"), ("b", "X"), ("c", "X")],
         )
-        ur = ica_run(ug, ug.labels, IcaConfig(order_seed=0))
+        ur = ica_run(ug, ug.labels, seed=0)
         unam_ok = bool(
             all(ur.hard_labels[ug.node_ids.index(t)] == 0 for t in ("t1", "t2"))
         )
@@ -271,8 +270,8 @@ class TestCriterion5RelationalSuite:
                     for k, (a, b) in enumerate(pairs)
                     if mask & (1 << k)
                 ]
-                g = Graph.build(
-                    [f"n{i}" for i in range(n)], edges, class_names=["a", "b"]
+                g = Graph.build([f"n{i}" for i in range(n)], edges).with_labels(
+                    np.full(n, -1), ["a", "b"]
                 )
                 adjacency = {
                     i: dict(zip(*(arr.tolist() for arr in neighbors(g, i))))
@@ -359,7 +358,7 @@ class TestCriterion8GraphPipeline:
         # extreme covariate bins: bottom and top quintile of the degree range
         from dynstack.experiment import binarize_labels, node_covariate
 
-        cov = node_covariate(binarize_labels(net.graph, "topic/positive"), "degree").values
+        cov = node_covariate(binarize_labels(net.graph, "topic/positive"), "degree")
         q20, q80 = np.quantile(cov, [0.2, 0.8])
         low = rep.bin_lo <= q20
         high = rep.bin_hi >= q80

@@ -449,6 +449,39 @@ class TestStackCommands:
         assert err.startswith("error: penalty strength must be finite and >= 0") and err.count("\n") == 1
         assert not (out / "model.txt").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "dynamic", "--strength", "1e306"],
+            ["--model", "dynamic", "--strength", "1e304"],
+            ["--model", "ridge_m1", "--strength", "1e308"],
+        ],
+        ids=["lam-1e306", "lam-1e304", "ridge-1e308"],
+    )
+    def test_overflowing_penalty_strength_is_one_line_error(
+        self, level1_file, tmp_path, capsys, flags
+    ):
+        # these ended in a RuntimeWarning and a non-finite objective or matrix
+        out = tmp_path / "fit"
+        assert main(["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        value = float(flags[-1])
+        assert err == f"error: penalty strength {value} overflows 2 * strength * weight\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_curves_points_below_one_is_usage_error(self, level1_file, tmp_path, capsys, points):
+        # -1 ended in a numpy error; 0 wrote a curves.csv holding only its header
+        fit_out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--strength", "1.0", "--out", str(fit_out)]
+        assert main(argv) == 0
+        cur_out = tmp_path / "cur"
+        argv = ["curves", "--model", str(fit_out / "model.txt"), "--points", points]
+        assert main([*argv, "--out", str(cur_out)]) == 2
+        assert capsys.readouterr().err == f"error: --points must be >= 1, got {points}\n"
+        assert not cur_out.exists()
+
     @pytest.mark.parametrize(
         "flags,recorded,dropped",
         [

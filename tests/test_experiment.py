@@ -9,8 +9,7 @@ from dynstack.experiment import (
     run_graph_experiment,
     run_graph_repetition,
 )
-from dynstack.graph import SplitSpec, attach_labels, parse_edge_list, split_nodes
-from dynstack.relational import IcaConfig
+from dynstack.graph import attach_labels, parse_edge_list, split_nodes
 from dynstack.stacking import FitConfig
 
 
@@ -55,8 +54,8 @@ class TestBinarize:
 
 class TestNodeCovariate:
     def test_kinds(self, k4):
-        assert node_covariate(k4, "degree").values.tolist() == [3.0] * 4
-        np.testing.assert_allclose(node_covariate(k4, "closeness").values, 1 / 3)
+        assert node_covariate(k4, "degree").tolist() == [3.0] * 4
+        np.testing.assert_allclose(node_covariate(k4, "closeness"), 1 / 3)
         with pytest.raises(ValueError, match="covariate"):
             node_covariate(k4, "betweenness")
 
@@ -69,8 +68,8 @@ class TestNodeCovariate:
 class TestLevel0Predictors:
     def test_relational_predictor_masks_fold_labels(self, planted_network, planted_features):
         g = binarize_labels(planted_network.graph, "topic/positive")
-        train, test = split_nodes(g, SplitSpec(0.5, 3))
-        wvrn_ica = level0_predictors(g, planted_features, IcaConfig(order_seed=0))["wvrn_ica"]
+        train, test = split_nodes(g, 0.5, 3)
+        wvrn_ica = level0_predictors(g, planted_features, 0)["wvrn_ica"]
         fit, held = train[: len(train) // 2], train[len(train) // 2 :]
         probs = wvrn_ica(fit, held)
         assert probs.shape == (len(held), 2)
@@ -78,7 +77,7 @@ class TestLevel0Predictors:
 
     def test_nb_predictor_round_trip(self, planted_network, planted_features):
         g = binarize_labels(planted_network.graph, "topic/positive")
-        local_nb = level0_predictors(g, planted_features, IcaConfig())["local_nb"]
+        local_nb = level0_predictors(g, planted_features, 0)["local_nb"]
         probs = local_nb(np.arange(0, 500), np.arange(500, 600))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -119,7 +118,7 @@ class TestExperimentDriver:
         # integer-binned deltas over the degree range
         assert rep.bin_lo[0] == node_covariate(
             binarize_labels(planted_network.graph, "topic/positive"), "degree"
-        ).values.min()
+        ).min()
         assert rep.model.p == 2
         assert rep.model.columns == ["local_nb:class0", "wvrn_ica:class0"]
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dynstack import graph as graph_module
 from dynstack.graph import (
     Graph,
     GraphParseError,
-    SplitSpec,
     attach_labels,
     closeness_centrality,
     degree,
@@ -61,7 +61,7 @@ class TestParseEdgeList:
             g = random_graph(rng, int(rng.integers(2, 12)))
             adj = g.adjacency().toarray()
             np.testing.assert_array_equal(adj, adj.T)
-            assert degree(g).values.sum() == 2 * g.n_edges
+            assert degree(g).sum() == 2 * g.n_edges
 
 
 def dict_merge_reference(n, edges):
@@ -108,7 +108,7 @@ class TestBuild:
             assert h.node_ids == ["a", "b", "c"]
             nbrs, w = neighbors(h, 0)
             assert nbrs.tolist() == [1, 2] and w.tolist() == [1.0, 0.0]
-            np.testing.assert_array_equal(degree(h).values, [2.0, 2.0, 2.0])
+            np.testing.assert_array_equal(degree(h), [2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize(
         "edge,message",
@@ -274,29 +274,29 @@ class TestLargestConnectedComponent:
 
 class TestDegree:
     def test_path(self, path3):
-        assert degree(path3).values.tolist() == [1.0, 2.0, 1.0]
+        assert degree(path3).tolist() == [1.0, 2.0, 1.0]
 
     def test_isolated_node(self):
         g = parse_edge_list(["a b"]).subgraph([0])
-        assert degree(g).values.tolist() == [0.0]
+        assert degree(g).tolist() == [0.0]
 
     def test_star_center(self, star5):
-        assert degree(star5).values[0] == 5.0
+        assert degree(star5)[0] == 5.0
 
 
 class TestCloseness:
     def test_path_hand_bfs(self, path3):
         # center: 1+1 = 2 -> 1/2; ends: 1+2 = 3 -> 1/3
         np.testing.assert_allclose(
-            closeness_centrality(path3).values, [1 / 3, 1 / 2, 1 / 3]
+            closeness_centrality(path3), [1 / 3, 1 / 2, 1 / 3]
         )
 
     def test_k4_all_equal(self, k4):
-        np.testing.assert_allclose(closeness_centrality(k4).values, [1 / 3] * 4)
+        np.testing.assert_allclose(closeness_centrality(k4), [1 / 3] * 4)
 
     def test_single_node_convention(self):
         g = parse_edge_list(["a b"]).subgraph([0])
-        assert closeness_centrality(g).values.tolist() == [0.0]
+        assert closeness_centrality(g).tolist() == [0.0]
 
     def test_disconnected_rejected(self):
         g = parse_edge_list(["a b", "c d"])
@@ -304,15 +304,16 @@ class TestCloseness:
             closeness_centrality(g)
 
     @pytest.mark.parametrize("chunk", [1, 64, 65, 130])
-    def test_disconnected_stall_behind_running_sources(self, chunk):
+    def test_disconnected_stall_behind_running_sources(self, chunk, monkeypatch):
         # a 150-node path and a 50-node cycle with interleaved indices: in
         # every chunk the cycle's sources stall while the path's still run
         lines = [f"p{i} p{i + 1}" for i in range(149)] + [f"c{i} c{(i + 1) % 50}" for i in range(50)]
         order = sorted(lines, key=lambda line: int(line.split()[0][1:]))
         g = parse_edge_list(order)
         assert g.node_ids[:4] == ["p0", "p1", "c0", "c1"]
+        monkeypatch.setattr(graph_module, "CLOSENESS_CHUNK", chunk)
         with pytest.raises(ValueError, match="connected graph"):
-            closeness_centrality(g, chunk=chunk)
+            closeness_centrality(g)
 
     def test_isolated_node_rejected(self):
         g = Graph.build(list("abcd"), [(0, 1, 1.0), (1, 2, 1.0)])
@@ -320,7 +321,7 @@ class TestCloseness:
             closeness_centrality(g)
 
     def test_bounds_and_star_equality(self, star5):
-        vals = closeness_centrality(star5).values
+        vals = closeness_centrality(star5)
         n = star5.n_nodes
         assert np.all(vals <= 1 / (n - 1) + 1e-15)
         # the hub is adjacent to everyone: upper bound is attained
@@ -334,14 +335,14 @@ class TestCloseness:
             n = g.n_nodes
             if n < 2:
                 continue
-            vals = closeness_centrality(g).values
+            vals = closeness_centrality(g)
             assert np.all(vals <= 1 / (n - 1) + 1e-15)
             assert np.all(vals >= 1 / ((n - 1) * (n - 1)))  # diameter < n
 
     def test_ignores_weights(self):
         light = parse_edge_list(["a b 0.1", "b c 10"])
         np.testing.assert_allclose(
-            closeness_centrality(light).values, [1 / 3, 1 / 2, 1 / 3]
+            closeness_centrality(light), [1 / 3, 1 / 2, 1 / 3]
         )
 
 
@@ -362,7 +363,9 @@ class TestClosenessAgainstNetworkx:
 
     def check(self, graph, chunk=512):
         totals = self.hop_totals(graph)
-        vals = closeness_centrality(graph, chunk=chunk).values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "CLOSENESS_CHUNK", chunk)
+            vals = closeness_centrality(graph)
         np.testing.assert_array_equal(vals, 1.0 / totals)
         np.testing.assert_array_equal(np.rint(1.0 / vals), totals)
 
@@ -385,7 +388,7 @@ class TestClosenessAgainstNetworkx:
         # sees 200 frontier neighbours at once: an 8-bit counter would wrap
         lines = [f"h l{i}" for i in range(300)] + [f"g l{i}" for i in range(200)]
         g = parse_edge_list(lines)
-        assert degree(g).values.max() == 300
+        assert degree(g).max() == 300
         self.check(g)
 
     @pytest.mark.parametrize("chunk", [1, 7, 20, 64])
@@ -454,7 +457,7 @@ class TestDegreeAndComponentsAgainstNetworkx:
         for n, edges, graph in self.cases():
             _, g = self.networkx_graph(n, edges)
             want = [g.degree(v) for v in range(n)]
-            np.testing.assert_array_equal(degree(graph).values, want)
+            np.testing.assert_array_equal(degree(graph), want)
             isolated += want.count(0)
             zero_weight += sum(w == 0.0 for _, _, w in edges)
         assert isolated > 0 and zero_weight > 0
@@ -473,7 +476,7 @@ class TestDegreeAndComponentsAgainstNetworkx:
             # the induced edges, zero-weight ones included
             sub = g.subgraph(want)
             assert lcc.n_edges == sub.number_of_edges()
-            np.testing.assert_array_equal(degree(lcc).values, [sub.degree(v) for v in want])
+            np.testing.assert_array_equal(degree(lcc), [sub.degree(v) for v in want])
         assert ties > 5
 
 
@@ -485,31 +488,30 @@ class TestSplitNodes:
 
     def test_sizes_and_determinism(self):
         g = self._labeled(10)
-        spec = SplitSpec(0.8, 99)
-        train, test = split_nodes(g, spec)
+        train, test = split_nodes(g, 0.8, 99)
         assert len(test) == 8 and len(train) == 2
-        train2, test2 = split_nodes(g, spec)
+        train2, test2 = split_nodes(g, 0.8, 99)
         np.testing.assert_array_equal(train, train2)
         np.testing.assert_array_equal(test, test2)
 
     def test_disjoint_exhaustive(self):
         g = self._labeled(23, seed=1)
-        train, test = split_nodes(g, SplitSpec(0.4, 3))
+        train, test = split_nodes(g, 0.4, 3)
         combined = np.sort(np.r_[train, test])
         np.testing.assert_array_equal(combined, np.arange(g.n_nodes))
 
     def test_different_seeds_differ(self):
         g = self._labeled(30, seed=2)
-        _, t1 = split_nodes(g, SplitSpec(0.5, 1))
-        _, t2 = split_nodes(g, SplitSpec(0.5, 2))
+        _, t1 = split_nodes(g, 0.5, 1)
+        _, t2 = split_nodes(g, 0.5, 2)
         assert not np.array_equal(t1, t2)
 
     def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            SplitSpec(1.0, 0)
-        with pytest.raises(ValueError):
-            SplitSpec(0.0, 0)
+        g = self._labeled(10)
+        for fraction in (1.0, 0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+                split_nodes(g, fraction, 0)
 
     def test_requires_labels(self, path3):
         with pytest.raises(ValueError, match="labeled"):
-            split_nodes(path3, SplitSpec(0.5, 0))
+            split_nodes(path3, 0.5, 0)

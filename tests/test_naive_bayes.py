@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+from dynstack import naive_bayes
 from dynstack.graph import GraphParseError
 from dynstack.naive_bayes import fit_nb, parse_feature_file, predict_nb
 
@@ -103,23 +104,18 @@ class TestFeatureFileRoundTrip:
 
 class TestFitNb:
     def test_smoothed_disjoint_terms(self):
-        # one doc per class, each with a single distinct term, alpha=1:
+        # one doc per class, each with a single distinct term, ALPHA = 1:
         # own-term likelihood (1+1)/(1+2) = 2/3
         x = features_from([[(0, 1)], [(1, 1)]], 2)
-        m = fit_nb(x, np.array([0, 1]), 2, alpha=1.0)
+        m = fit_nb(x, np.array([0, 1]), 2)
         np.testing.assert_allclose(np.exp(m.log_priors), [0.5, 0.5])
         np.testing.assert_allclose(np.exp(m.log_likelihoods[0]), [2 / 3, 1 / 3])
         np.testing.assert_allclose(np.exp(m.log_likelihoods[1]), [1 / 3, 2 / 3])
 
     def test_single_class_prior_point_mass(self):
         x = features_from([[(0, 1)], [(0, 2)]], 1)
-        m = fit_nb(x, np.array([0, 0]), 1, alpha=1.0)
+        m = fit_nb(x, np.array([0, 0]), 1)
         np.testing.assert_allclose(np.exp(m.log_priors), [1.0])
-
-    def test_alpha_zero_rejected(self):
-        x = features_from([[(0, 1)]], 1)
-        with pytest.raises(ValueError, match="alpha"):
-            fit_nb(x, np.array([0]), 1, alpha=0.0)
 
     def test_empty_training_rejected(self):
         with pytest.raises(ValueError):
@@ -130,12 +126,13 @@ class TestFitNb:
         with pytest.raises(ValueError, match="class"):
             fit_nb(x, np.array([0, 0]), 2)
 
-    def test_likelihood_rows_normalized(self):
+    def test_likelihood_rows_normalized(self, monkeypatch):
+        monkeypatch.setattr(naive_bayes, "ALPHA", 0.7)
         rng = np.random.default_rng(8)
         x = csr_matrix(rng.poisson(1.0, (30, 12)).astype(float))
         y = rng.integers(0, 3, 30)
         y[:3] = [0, 1, 2]
-        m = fit_nb(x, y, 3, alpha=0.7)
+        m = fit_nb(x, y, 3)
         np.testing.assert_allclose(np.exp(m.log_likelihoods).sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.exp(m.log_priors).sum(), 1.0, atol=1e-12)
 
@@ -149,7 +146,7 @@ class TestFitNb:
 class TestPredictNb:
     def _two_class_model(self):
         x = features_from([[(0, 1)], [(1, 1)]], 2)
-        return fit_nb(x, np.array([0, 1]), 2, alpha=1.0)
+        return fit_nb(x, np.array([0, 1]), 2)
 
     def test_empty_features_fall_back_to_priors(self):
         m = self._two_class_model()
@@ -158,7 +155,7 @@ class TestPredictNb:
 
     def test_symmetric_term_is_uninformative(self):
         x = features_from([[(0, 1)], [(0, 1)]], 1)
-        m = fit_nb(x, np.array([0, 1]), 2, alpha=1.0)
+        m = fit_nb(x, np.array([0, 1]), 2)
         probs = predict_nb(m, features_from([[(0, 4)]], 1))
         np.testing.assert_allclose(probs, [[0.5, 0.5]])
 
@@ -178,9 +175,10 @@ class TestPredictNb:
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_weight_scaling_keeps_argmax_under_uniform_priors(self):
+    def test_weight_scaling_keeps_argmax_under_uniform_priors(self, monkeypatch):
+        monkeypatch.setattr(naive_bayes, "ALPHA", 0.5)
         x = features_from([[(0, 3), (1, 1)], [(1, 3), (0, 1)]], 2)
-        m = fit_nb(x, np.array([0, 1]), 2, alpha=0.5)
+        m = fit_nb(x, np.array([0, 1]), 2)
         doc = features_from([[(0, 2), (1, 1)]], 2)
         doc_scaled = features_from([[(0, 2 * 7), (1, 1 * 7)]], 2)
         a = predict_nb(m, doc).argmax()

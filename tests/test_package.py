@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -86,3 +88,70 @@ def test_every_exported_name_has_a_caller():
         if name not in used
     ]
     assert unused == []
+
+
+# Settings that only tests set, kept for now: perfbench/workloads.py builds a
+# FitConfig for fit_dynamic, which reads newton_tol, and lambda_grid waits for
+# the re-spacing of the grid, which moves the benchmark's recorded outputs.
+SETTINGS_ONLY_TESTS_SET = {"stacking.FitConfig.lambda_grid", "stacking.FitConfig.newton_tol"}
+
+
+def _settings(module):
+    """``(qualified name, called name, position, keyword)`` of every defaulted
+    field of an exported dataclass and every defaulted parameter of an exported
+    function or public classmethod; keyword-only parameters have no position."""
+    out, callables = [], []
+    for export in getattr(module, "__all__", []):
+        obj = getattr(module, export)
+        if dataclasses.is_dataclass(obj):
+            fields = [f for f in dataclasses.fields(obj) if f.init]
+            out += [
+                (f"{export}.{f.name}", export, k, f.name)
+                for k, f in enumerate(fields)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING
+            ]
+        elif inspect.isclass(obj):
+            callables += [
+                (f"{export}.{name}", name, m.__func__, 1)
+                for name, m in vars(obj).items()
+                if isinstance(m, classmethod) and not name.startswith("_")
+            ]
+        elif inspect.isfunction(obj):
+            callables.append((export, export, obj, 0))
+    for qualname, name, fn, skip in callables:  # skip = 1 drops ``cls``
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        out += [
+            (f"{qualname}.{p.name}", name, k if p.kind is not p.KEYWORD_ONLY else None, p.name)
+            for k, p in enumerate(params)
+            if p.default is not p.empty
+        ]
+    return out
+
+
+def test_every_setting_is_set_by_a_caller():
+    # a defaulted parameter or field that no program passes is a setting only
+    # tests use: it goes, and its value becomes a module constant
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "dynstack").glob("*.py") if p.name != "__init__.py"]
+    sources += [p for d in ("demos", "perfbench") for p in (root / d).rglob("*.py")]
+    passed = set()  # (called name, position or keyword); "*" for a starred argument
+    for path in sources:
+        if "tests" in path.relative_to(root).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((name, k) for k in range(len(node.args)))
+                passed.update((name, kw.arg) for kw in node.keywords)  # arg None: **kwargs
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+    modules = [f"dynstack.{m.name}" for m in pkgutil.iter_modules(dynstack.__path__)]
+    unset = [
+        f"{module.removeprefix('dynstack.')}.{qualname}"
+        for module in modules
+        for qualname, name, position, keyword in _settings(importlib.import_module(module))
+        if not passed & {(name, position), (name, keyword), (name, "*"), (name, None)}
+    ]
+    assert sorted(set(unset) - SETTINGS_ONLY_TESTS_SET) == []
+    assert SETTINGS_ONLY_TESTS_SET <= set(unset)  # an exemption no longer needed goes too

@@ -4,8 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from dynstack import relational
 from dynstack.graph import Graph, attach_labels, parse_edge_list
-from dynstack.relational import IcaConfig, ica_run
+from dynstack.relational import ica_run
 
 from conftest import random_graph
 from oracles import (
@@ -67,8 +68,7 @@ class TestWvrnEstimate:
                     for j, w in zip(*neighbors(g, i))
                     if i < j
                 ],
-                class_names=[f"c{k}" for k in range(c)],
-            )
+            ).with_labels(np.full(g.n_nodes, -1), [f"c{k}" for k in range(c)])
             dists = {}
             for i in range(g.n_nodes):
                 if rng.uniform() < 0.7:
@@ -100,9 +100,7 @@ class TestWvrnEstimate:
                 for j, got in zip(*neighbors(g1, i))
                 if i < j
             ],
-            labels=g1.labels,
-            class_names=g1.class_names,
-        )
+        ).with_labels(g1.labels, g1.class_names)
         dists = {i: [1.0, 0.0] if i % 2 else [0.3, 0.7] for i in range(0, 8, 2)}
         s1, s2 = state_from(g1, dists), state_from(scaled, dists)
         for i in range(g1.n_nodes):
@@ -124,7 +122,9 @@ class TestWvrnEstimate:
                     for k, (a, b) in enumerate(pairs)
                     if mask & (1 << k)
                 ]
-                g = Graph.build([f"n{i}" for i in range(n)], edges, class_names=["a", "b"])
+                g = Graph.build([f"n{i}" for i in range(n)], edges).with_labels(
+                    np.full(n, -1), ["a", "b"]
+                )
                 adjacency = {
                     i: dict(zip(*(arr.tolist() for arr in neighbors(g, i))))
                     for i in range(n)
@@ -153,7 +153,7 @@ class TestIcaRun:
         )
         labels = g.labels.copy()
         labels[0] = -1
-        res = ica_run(g, labels, IcaConfig(order_seed=1))
+        res = ica_run(g, labels, seed=1)
         assert res.hard_labels[0] == g.labels[1]
         assert res.converged and res.n_sweeps <= 2
 
@@ -164,7 +164,7 @@ class TestIcaRun:
         labels = g2.labels.copy()
         idx_c = g2.node_ids.index("c")
         labels[idx_c] = -1
-        res = ica_run(g2, labels, IcaConfig())
+        res = ica_run(g2, labels)
         assert res.was_null[idx_c]
         np.testing.assert_allclose(res.probs[idx_c], [0.5, 0.5])
 
@@ -175,9 +175,8 @@ class TestIcaRun:
         )
         labels = g.labels.copy()
         # b and d unobserved; both see one X and one Y -> tie -> class 0
-        cfg = IcaConfig(order_seed=42)
-        res1 = ica_run(g, labels, cfg)
-        res2 = ica_run(g, labels, cfg)
+        res1 = ica_run(g, labels, seed=42)
+        res2 = ica_run(g, labels, seed=42)
         np.testing.assert_array_equal(res1.hard_labels, res2.hard_labels)
         np.testing.assert_array_equal(res1.probs, res2.probs)
         for nid in ("b", "d"):
@@ -189,7 +188,7 @@ class TestIcaRun:
         g = attach_labels(path3, [("a", "X")])
         labels = np.full(3, -1)
         with pytest.raises(ValueError, match="observed"):
-            ica_run(g, labels, IcaConfig())
+            ica_run(g, labels)
 
     def test_determinism_across_runs_on_random_graph(self):
         rng = np.random.default_rng(31)
@@ -198,26 +197,26 @@ class TestIcaRun:
         g = attach_labels(g, lab_rows)
         labels = g.labels.copy()
         labels[rng.permutation(40)[:30]] = -1
-        a = ica_run(g, labels, IcaConfig(order_seed=7))
-        b = ica_run(g, labels, IcaConfig(order_seed=7))
+        a = ica_run(g, labels, seed=7)
+        b = ica_run(g, labels, seed=7)
         np.testing.assert_array_equal(a.hard_labels, b.hard_labels)
         np.testing.assert_array_equal(a.probs, b.probs)
         assert a.n_sweeps == b.n_sweeps
 
-    def test_halts_within_iteration_cap(self):
+    def test_halts_within_iteration_cap(self, monkeypatch):
         rng = np.random.default_rng(37)
         g = random_graph(rng, 30, 0.15)
         g = attach_labels(g, [(nid, "XY"[i % 2]) for i, nid in enumerate(g.node_ids)])
         labels = g.labels.copy()
         labels[rng.permutation(30)[:24]] = -1
-        cfg = IcaConfig(max_iterations=3, order_seed=0)
-        res = ica_run(g, labels, cfg)
+        monkeypatch.setattr(relational, "MAX_SWEEPS", 3)
+        res = ica_run(g, labels, seed=0)
         assert res.n_sweeps <= 3
 
     def test_observed_nodes_keep_point_mass(self):
         g = attach_labels(parse_edge_list(["a b", "b c"]), [("a", "X"), ("c", "Y")])
         labels = g.labels.copy()
-        res = ica_run(g, labels, IcaConfig())
+        res = ica_run(g, labels)
         i_a, i_c = g.node_ids.index("a"), g.node_ids.index("c")
         np.testing.assert_array_equal(res.probs[i_a], [1.0, 0.0])
         np.testing.assert_array_equal(res.probs[i_c], [0.0, 1.0])
@@ -231,7 +230,7 @@ class TestIcaRun:
             parse_edge_list(["t a", "t b", "b y"]),
             [("a", "X"), ("y", "Y")],
         )
-        res = ica_run(g, g.labels, IcaConfig(order_seed=0))
+        res = ica_run(g, g.labels, seed=0)
         i_t, i_b = g.node_ids.index("t"), g.node_ids.index("b")
         assert res.hard_labels[i_b] == 0
         np.testing.assert_allclose(res.probs[i_t], [1.0, 0.0])
@@ -259,7 +258,7 @@ class TestIcaAgainstReference:
         ]
         c = int(rng.integers(2, 5))
         truth = rng.integers(0, c, size=n)
-        g = Graph.build([f"v{i}" for i in range(n)], edges, truth, "WXYZ"[:c])
+        g = Graph.build([f"v{i}" for i in range(n)], edges).with_labels(truth, "WXYZ"[:c])
         labels = truth.copy()
         labels[rng.uniform(size=n) < rng.uniform(0.3, 0.9)] = -1
         k = int(rng.integers(n))
@@ -268,8 +267,11 @@ class TestIcaAgainstReference:
 
     @staticmethod
     def check(g, labels, cap, order_seed, oracle=ica_reference):
-        """Assert ``ica_run`` equals the literal sweep ``oracle``; return its outcome."""
-        res = ica_run(g, labels, IcaConfig(max_iterations=cap, order_seed=order_seed))
+        """Assert ``ica_run`` capped at ``cap`` sweeps equals the literal sweep
+        ``oracle``; return its outcome."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relational, "MAX_SWEEPS", cap)
+            res = ica_run(g, labels, order_seed)
         probs, hard, was_null, sweeps, converged = oracle(g, labels, cap, order_seed)
         np.testing.assert_array_equal(res.probs, probs)
         np.testing.assert_array_equal(res.hard_labels, hard)
@@ -315,10 +317,10 @@ class TestIcaAgainstReference:
         # later calls read it back and still match the literal sweep
         rng = np.random.default_rng(59)
         g, labels = self.random_case(rng, lambda r: 1.0)
-        first = ica_run(g, labels, IcaConfig(order_seed=3))
+        first = ica_run(g, labels, seed=3)
         lists = g._lists
         assert lists is not None
-        second = ica_run(g, labels, IcaConfig(order_seed=3))
+        second = ica_run(g, labels, seed=3)
         assert g._lists is lists
         np.testing.assert_array_equal(second.probs, first.probs)
         np.testing.assert_array_equal(second.hard_labels, first.hard_labels)
@@ -331,10 +333,10 @@ class TestIcaAgainstReference:
     def test_graph_with_filled_neighbour_lists_pickles(self):
         # worker processes receive the graph pickled
         g, labels = self.random_case(np.random.default_rng(61), lambda r: 1.0)
-        expected = ica_run(g, labels, IcaConfig(order_seed=5))
+        expected = ica_run(g, labels, seed=5)
         clone = pickle.loads(pickle.dumps(g))
         assert clone._lists == g._lists
-        got = ica_run(clone, labels, IcaConfig(order_seed=5))
+        got = ica_run(clone, labels, seed=5)
         np.testing.assert_array_equal(got.probs, expected.probs)
         np.testing.assert_array_equal(got.hard_labels, expected.hard_labels)
 
@@ -346,15 +348,9 @@ class TestIcaAgainstReference:
         big = 2.0**53
         edges = [(4, 0, 1.0), (4, 1, 1.0), (4, 2, big), (4, 3, big + 2), (0, 5, 1.0), (1, 5, 1.0)]
         labels = np.array([-1, -1, 0, 1, -1, 0])
-        g = Graph.build(list("xyabtp"), edges, labels, "XY")
+        g = Graph.build(list("xyabtp"), edges).with_labels(labels, "XY")
         for seed in range(6):
             self.check(g, labels, 100, seed)
-        res = ica_run(g, labels, IcaConfig(order_seed=0))
+        res = ica_run(g, labels, seed=0)
         assert res.hard_labels[4] == 0
         np.testing.assert_array_equal(res.probs[4], [0.5, 0.5])
-
-
-class TestIcaConfig:
-    def test_max_iterations_validated(self):
-        with pytest.raises(ValueError):
-            IcaConfig(max_iterations=0)

@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from dynstack.splines import (
+    _deriv_all,
     assemble_block_penalty,
     basis_matrix,
     curvature_penalty,
@@ -90,7 +91,7 @@ class TestEvalBasis:
     def test_second_derivative_matches_scipy(self):
         b = make_basis(0.0, 3.0, 5, 3)
         u = np.random.default_rng(3).uniform(0, 3, 300)
-        mine = basis_matrix(b, u, deriv=2)
+        mine = _deriv_all(b.knots, b.degree, u, 2)
         for i in range(b.size):
             c = np.zeros(b.size)
             c[i] = 1.0

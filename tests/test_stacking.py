@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -307,6 +309,25 @@ class TestFitDynamic:
         for penalty in ("ridge", "lasso"):
             with pytest.raises(ValueError, match="penalty strength must be finite and >= 0"):
                 fit_static(data, "m3", penalty, strength=bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_strength_overflowing_its_penalty_weights_rejected(self):
+        # 2 * strength * weight overflowed inside Newton: a RuntimeWarning, then
+        # "non-finite objective" (dynamic) or "cannot solve a system holding infs"
+        data = make_data(n=300)
+        basis = default_basis(data.u)
+        top = float(np.linalg.eigvalsh(assemble_block_penalty(curvature_penalty(basis), 2))[-1])
+        edge = float(np.finfo(float).max) / 2  # the largest finite 2 * strength * weight, halved
+        for lam in (1e304, 1e306, 1.01 * edge / top):
+            with pytest.raises(ValueError, match=re.escape(f"penalty strength {lam} overflows")):
+                fit_dynamic(data, lam, basis)
+        for strength in (1e308, 1.01 * edge):
+            with pytest.raises(ValueError, match=re.escape(f"penalty strength {strength} overflows")):
+                fit_static(data, "m1", "ridge", strength=strength)
+        # just below the edge the fits run as before; lasso uses no weights
+        assert fit_dynamic(data, 0.99 * edge / top, basis).converged
+        assert fit_static(data, "m1", "ridge", strength=0.99 * edge).converged
+        assert fit_static(data, "m1", "lasso", strength=1e308).converged
 
     def test_underdetermined_warns(self):
         data = make_data(n=15)
