@@ -57,7 +57,7 @@ DESIGNS = (*STATIC_DESIGNS, "dynamic")
 MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
 LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
-SPAN_HESSIAN_ROWS = 1500  # the rows from which a span-by-span dynamic Hessian beats one product
+SPAN_HESSIAN_ROWS = 1500  # the rows from which a dynamic fit on knot-span blocks beats a dense one
 
 
 class ConvergenceError(RuntimeError):
@@ -271,15 +271,14 @@ def _newton_diag(
     config: FitConfig,
     coef0: np.ndarray | None = None,
     carry: dict | None = None,
-    lik_gram=None,
 ):
     """Minimize ``-loglik(X beta) + sum_k pen_diag[k] * beta_k^2`` by damped Newton.
 
     Returns ``(coef, objective_path, converged)``. Step halving enforces
     a non-increasing objective; convergence is a relative objective
-    change below ``config.newton_tol``. ``lik_gram``, when given, maps the
-    weights ``w`` to ``X' diag(w) X`` (see :func:`_span_hessian`); else
-    that product is formed from ``x``.
+    change below ``config.newton_tol``. A step needs only ``x @ b``,
+    ``x.T @ r`` and ``X' diag(w) X``, so ``x`` is an ndarray or a
+    :class:`_SpanDesign`, which answers the three span by span.
 
     ``carry`` passes state from one fit to the next along a penalty grid.
     On entry it may hold ``eta`` (``x @ coef0``) with its negative
@@ -289,7 +288,7 @@ def _newton_diag(
     and the line search still guards it. On return it holds the same three
     for the returned coefficients, ``hess`` being the last one used.
     """
-    d = x.shape[1]
+    d, gram = x.shape[1], getattr(x, "gram", None)
     beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
     carry = {} if carry is None else carry
 
@@ -313,7 +312,7 @@ def _newton_diag(
         grad = x.T @ (mu - y)
         if lik_hess is None:
             w = mu * (1.0 - mu)
-            lik_hess = (x * w[:, None]).T @ x if lik_gram is None else lik_gram(w)
+            lik_hess = (x * w[:, None]).T @ x if gram is None else gram(w)
         hess = lik_hess
         if pen_diag is not None:
             grad += pen2 * beta
@@ -539,70 +538,93 @@ def default_basis(u: np.ndarray, interior_knots: int = 6, degree: int = 3) -> BS
 
 
 def _problem(data: Level1Data, design: str, penalty: str, basis: BSplineBasis | None = None):
-    """``(x, pen, rot)``: the design a fit runs on, its per-coefficient penalty
-    weights (None without a penalty; ridge and lasso spare the intercept),
-    and the rotation back to model coefficients, ``coef = rot @ fitted``.
-    Only the curvature penalty rotates, into its eigenbasis (see
-    :func:`_penalty_eigenbasis`); every other ``rot`` is None.
+    """``(x, y, pen, rot)``: the design a fit runs on, the responses in its
+    row order, its per-coefficient penalty weights (None without a penalty;
+    ridge and lasso spare the intercept), and the rotation back to model
+    coefficients, ``coef = rot @ fitted``. Only the curvature penalty
+    rotates, into its eigenbasis (see :func:`_penalty_eigenbasis`); every
+    other ``rot`` is None. Above ``SPAN_HESSIAN_ROWS`` rows the rotated
+    design is a :class:`_SpanDesign`, whose rows are in knot-span order.
     """
-    x = design_matrix(data.z, data.u, design, basis)
-    if penalty == "curvature":
-        pen, rot = _penalty_eigenbasis(basis, data.p)
-        return x @ rot, pen, rot
-    return x, None if penalty == "none" else np.r_[0.0, np.ones(x.shape[1] - 1)], None
-
-
-def _span_hessian(x, u, basis: BSplineBasis | None, rot):
-    """``w -> x' diag(w) x`` summed knot span by knot span for a rotated
-    dynamic design ``x = X rot`` of more than ``SPAN_HESSIAN_ROWS`` rows;
-    None for an unrotated design or a smaller one.
-
-    A row of ``X`` whose ``u`` lies in knot span ``s`` is zero outside the
-    intercept and the ``degree + 1`` basis columns from ``s`` of each z
-    block, so ``X'WX`` is the sum over spans of ``X_s' W_s X_s`` on those
-    ``1 + p * (degree + 1)`` columns (the banded Hessian of a spline
-    design). The blocks ``X_s = x[rows_s] rot'[:, cols_s]`` are made once
-    and serve every Newton step on ``x``; only ``rot' (sum) rot`` is dense.
-    """
-    if rot is None or len(x) <= SPAN_HESSIAN_ROWS:
-        return None
-    d, k, spans = x.shape[1], basis.size, basis.size - basis.degree
-    span = knot_spans(basis, u)
+    x, y = design_matrix(data.z, data.u, design, basis), data.y.astype(float)
+    if penalty != "curvature":
+        return x, y, None if penalty == "none" else np.r_[0.0, np.ones(x.shape[1] - 1)], None
+    pen, rot = _penalty_eigenbasis(basis, data.p)
+    if data.n <= SPAN_HESSIAN_ROWS:
+        return x @ rot, y, pen, rot
+    d, k, span = x.shape[1], basis.size, knot_spans(basis, data.u)
     order = np.argsort(span, kind="stable")
-    bounds = np.searchsorted(span[order], np.arange(spans + 1))
-    z_blocks = 1 + k * np.arange((d - 1) // k)[:, None]
-    parts = []
-    for s in range(spans):
-        lo, hi = bounds[s], bounds[s + 1]
-        if lo < hi:
-            cols = np.r_[0, (z_blocks + s + np.arange(basis.degree + 1)).ravel()]
-            xs = np.asfortranarray(x[order[lo:hi]] @ rot.T[:, cols])
-            parts.append((lo, hi, xs, (cols[:, None] * d + cols).ravel()))
+    rows = np.split(order, np.searchsorted(span[order], np.arange(1, k - basis.degree)))
+    blocks = []
+    for s, r in enumerate(rows):  # the intercept, then columns s..s+degree of each z block
+        c = np.r_[0, (k * np.arange(data.p)[:, None] + s + np.arange(1, basis.degree + 2)).ravel()]
+        blocks.append((np.asfortranarray(x[np.ix_(r, c)]), c, (c[:, None] * d + c).ravel()))
+    return _SpanDesign(blocks, rot, order), y[order], pen, rot
 
-    def gram(w):
-        w = w[order]
-        total = np.zeros(d * d)
-        for lo, hi, xs, at in parts:
+
+class _SpanDesign:
+    """A rotated dynamic design ``x = X rot`` held as knot-span blocks ``X_s`` of ``X``.
+
+    A row whose ``u`` lies in knot span ``s`` is zero outside the intercept
+    and the ``degree + 1`` basis columns from ``s`` of each z block, so rows
+    sorted by span split into blocks on those ``1 + p * (degree + 1)`` columns
+    ``cols_s`` (a banded spline design). ``x @ b`` stacks ``X_s (rot b)[cols_s]``,
+    ``x.T @ r`` is ``rot' sum_s scatter(X_s' r_s)`` and ``gram(w)`` is ``rot'
+    sum_s scatter(X_s' W_s X_s) rot``. Row ``i`` is data row ``order[i]``; a
+    block is ``(X_s, cols_s, the flat positions of cols_s x cols_s)``.
+    """
+
+    def __init__(self, blocks, rot, order, transposed=False):
+        self.blocks, self.rot, self.order, self.transposed = blocks, rot, order, transposed
+        self.shape, self.cuts = (len(order), len(rot)), np.cumsum([0] + [len(b[0]) for b in blocks])
+
+    @property
+    def T(self):
+        return _SpanDesign(self.blocks, self.rot, self.order, not self.transposed)
+
+    def __matmul__(self, v):
+        spans = zip(self.cuts, self.cuts[1:], self.blocks)
+        if self.transposed:
+            out = np.zeros(len(self.rot))
+            for lo, hi, (xs, cols, _) in spans:
+                out[cols] += xs.T @ v[lo:hi]
+            return self.rot.T @ out
+        b, out = self.rot @ v, np.empty(self.shape[0])
+        for lo, hi, (xs, cols, _) in spans:
+            out[lo:hi] = xs @ b[cols]
+        return out
+
+    def gram(self, w):
+        total = np.zeros(self.shape[1] ** 2)
+        for lo, hi, (xs, _, at) in zip(self.cuts, self.cuts[1:], self.blocks):
             total[at] += ((xs * w[lo:hi, None]).T @ xs).ravel()
-        return rot.T @ total.reshape(d, d) @ rot
+        return self.rot.T @ total.reshape(self.rot.shape) @ self.rot
 
-    return gram
+    def take(self, keep):
+        """The rows where the boolean ``keep``, in this design's row order, holds."""
+        parts = zip(self.blocks, np.split(keep, self.cuts[1:-1]))
+        blocks = [(np.asfortranarray(xs[k]), cols, at) for (xs, cols, at), k in parts]
+        return _SpanDesign(blocks, self.rot, self.order[keep])
 
 
-def _fit(
-    x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None, lik_gram=None
-):
+def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
     """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
     ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
     ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)``, ``carry`` the state of
-    :func:`_newton_diag` or :func:`_lasso_logistic`, and ``lik_gram`` a
-    Newton Hessian builder from :func:`_span_hessian`. Returns
+    :func:`_lasso_null_fit` of ``(x, y)`` and ``carry`` the state of
+    :func:`_newton_diag` or :func:`_lasso_logistic`. Returns
     ``(coef, objective_path, converged)``."""
     if lasso and strength > 0:
         return _lasso_logistic(x, y, strength, coef0, null_fit, carry)
     pen_diag = strength * pen if pen is not None and strength > 0 else None
-    return _newton_diag(x, y, pen_diag, config, coef0, carry, lik_gram)
+    return _newton_diag(x, y, pen_diag, config, coef0, carry)
+
+
+def _check_overflow(strength, pen, lasso: bool) -> None:
+    """Raise unless the Newton weights ``2 * strength * pen`` of a quadratic penalty are finite."""
+    with np.errstate(over="ignore"):
+        if pen is not None and not lasso and np.isinf(2.0 * (strength * pen)).any():
+            raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
 
 
 def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, basis=None):
@@ -614,19 +636,14 @@ def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, b
     coefficients to infinity, so such a fit raises instead.
     """
     _check_spec(design, penalty, strength)
-    x, pen, rot = _problem(data, design, penalty if strength > 0 else "none", basis)
-    with np.errstate(over="ignore"):  # the Newton weights of a quadratic penalty
-        if pen is not None and penalty != "lasso" and np.isinf(2.0 * (strength * pen)).any():
-            raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
+    x, y, pen, rot = _problem(data, design, penalty if strength > 0 else "none", basis)
+    _check_overflow(strength, pen, penalty == "lasso")
     if data.n < x.shape[1]:
         warnings.warn(
             f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",
             stacklevel=3,
         )
-    gram = _span_hessian(x, data.u, basis, rot)
-    coef, path, converged = _fit(
-        x, data.y.astype(float), pen, strength, penalty == "lasso", config, lik_gram=gram
-    )
+    coef, path, converged = _fit(x, y, pen, strength, penalty == "lasso", config)
     if (pen is None or not pen.any()) and (not converged or np.abs(coef).max() > 1e2):
         raise ConvergenceError(
             "the unpenalized fit diverged; the classes may be separable -- "
@@ -657,7 +674,9 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
 
     Scores each grid value by the total held-out negative log-likelihood
     over shared folds; ties go to the larger value. Held-out scores need
-    only ``X beta``, so the fits stay in the basis :func:`_problem` gives.
+    only ``X beta``, so the fits stay in the basis :func:`_problem` gives; a
+    fold of a :class:`_SpanDesign` takes its rows out of the blocks built
+    once. The grid's largest value is checked for overflow before any fold.
     Each fold walks the grid warm-starting :func:`_fit` from the last
     coefficients and the state the last fit carries (linear predictor,
     log-likelihood, and the likelihood Hessian or gradient). A Newton walk
@@ -667,28 +686,29 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     is scored once.
     """
     _check_spec(design, penalty)
-    x, pen, rot = _problem(data, design, penalty, basis)
-    y, lasso = data.y.astype(float), penalty == "lasso"
+    x, y, pen, _ = _problem(data, design, penalty, basis)
+    lasso = penalty == "lasso"
+    _check_overflow(config.lambda_grid[-1], pen, lasso)
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
-    _assert_valid_folds(y, fold_idx)
+    _assert_valid_folds(data.y, fold_idx)
     scores = np.zeros(len(config.lambda_grid))
-    all_rows = np.arange(len(y))
     start = None
     for heldout in fold_idx:
-        fit_rows = np.setdiff1d(all_rows, heldout, assume_unique=True)
-        # drop the last fold's arrays so two never coexist, then gather the
-        # fold column by column into a column-major copy for faster Newton GEMMs
-        x_fit = carry = gram = None
-        x_fit = np.empty((len(fit_rows), x.shape[1]), order="F")
-        for j in range(x.shape[1]):
-            x_fit[:, j] = x[fit_rows, j]
-        gram = _span_hessian(x_fit, data.u[fit_rows], basis, rot)
-        y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
+        x_fit = carry = None  # drop the last fold's arrays so two never coexist
+        if isinstance(x, _SpanDesign):
+            keep = np.isin(x.order, heldout, invert=True)
+            x_fit, y_fit, x_out, y_out = x.take(keep), y[keep], x.take(~keep), y[~keep]
+        else:  # gather the fold column by column into a column-major copy for faster GEMMs
+            fit_rows = np.setdiff1d(np.arange(len(y)), heldout, assume_unique=True)
+            x_fit = np.empty((len(fit_rows), x.shape[1]), order="F")
+            for j in range(x.shape[1]):
+                x_fit[:, j] = x[fit_rows, j]
+            y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
         null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
         coef, carry, at_null = None if lasso else start, {}, False
         for gi, s in enumerate(config.lambda_grid):
             if not at_null:  # else the last fit was intercept-only, as is this one
-                coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry, gram)
+                coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
                 score = _neg_loglik(x_out @ coef, y_out)
                 at_null = lasso and 0 < s and null_fit[1] <= s + LASSO_KKT_TOL
             if gi == 0:

@@ -518,6 +518,45 @@ class TestSelectLambda:
             tracemalloc.stop()
         assert peak <= 3.5 * design_bytes
 
+    def test_peak_memory_without_a_dense_rotated_design(self):
+        import tracemalloc
+
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis
+
+        # above the gate the walk keeps only knot-span blocks: no rotated
+        # design and no dense fold copy, so dynamic_design sets the peak
+        data = make_data(case=3, n=4000, seed=34)
+        assert data.n > SPAN_HESSIAN_ROWS
+        basis = default_basis(data.u)
+        design_bytes = data.n * (1 + data.p * basis.size) * 8
+        _penalty_eigenbasis(basis, data.p)  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            select_lambda(data, FitConfig(), basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.9 * design_bytes
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_value_overflowing_its_penalty_weights_rejected(self, monkeypatch):
+        from dynstack import stacking
+
+        # 2 * strength * weight overflowed in the fold whose walk reached the
+        # value: a RuntimeWarning, then "non-finite objective at the starting
+        # point" (dynamic) or "cannot solve a system holding infs" (ridge)
+        data = make_data(n=300)
+        real_fit = stacking._fit
+        monkeypatch.setattr(stacking, "_fit", lambda *a: pytest.fail("a fold ran"))
+        with pytest.raises(ValueError, match=re.escape("penalty strength 1e+306 overflows")):
+            select_lambda(data, FitConfig(lambda_grid=[1.0, 1e306]), default_basis(data.u), 0)
+        with pytest.raises(ValueError, match=re.escape("penalty strength 1e+308 overflows")):
+            select_strength(data, "m1", "ridge", FitConfig(lambda_grid=[1.0, 1e308]), 0)
+        monkeypatch.setattr(stacking, "_fit", real_fit)
+        # lasso uses no weights, so its grid may reach the largest float
+        _, report = select_strength(data, "m1", "lasso", FitConfig(lambda_grid=[1.0, 1e308]), 0)
+        assert np.isfinite([v for _, v in report]).all()
+
 
 class TestNewtonCarry:
     """The state a cross-validation grid walk hands from one Newton fit to the next."""
@@ -603,7 +642,7 @@ def span_u(kind, rng, basis, n=400):
 
 
 class TestSpanHessian:
-    """The likelihood Hessian of a large dynamic design, summed knot span by knot span."""
+    """A large dynamic design held as knot-span blocks, and the Newton walk on them."""
 
     @pytest.mark.parametrize("kind", ["uniform", "skewed", "knots_and_outside"])
     @pytest.mark.parametrize("interior", [0, 1, 6])
@@ -612,53 +651,74 @@ class TestSpanHessian:
     def test_span_sum_equals_the_dense_gram(self, monkeypatch, p, degree, interior, kind):
         from dynstack import stacking
 
+        # x @ b, x.T @ r and X'WX, each summed span by span, on all rows and on a fold
         monkeypatch.setattr(stacking, "SPAN_HESSIAN_ROWS", 0)
         rng = np.random.default_rng(1000 * p + 100 * degree + 10 * interior)
         basis = make_basis(0.0, 1.0, interior, degree)
         u = span_u(kind, rng, basis)
         z = rng.uniform(0, 1, (len(u), p))
-        w = rng.uniform(0, 0.25, len(u))
-        _, rot = stacking._penalty_eigenbasis(basis, p)
-        x = dynamic_design(z, u, basis) @ rot
-        dense = (x * w[:, None]).T @ x
-        spans = stacking._span_hessian(x, u, basis, rot)(w)
-        assert np.abs(spans - dense).max() <= 1e-12 * np.abs(dense).max()
+        data = Level1Data(rng.integers(0, 2, len(u)), z, u, [f"z{j}" for j in range(p)])
+        spans, y, _, rot = stacking._problem(data, "dynamic", "curvature", basis)
+        assert isinstance(spans, stacking._SpanDesign)
+        assert np.array_equal(np.sort(spans.order), np.arange(len(u)))
+        assert np.array_equal(y, data.y[spans.order])
+        dense = (dynamic_design(z, u, basis) @ rot)[spans.order]
+        keep = rng.uniform(0, 1, len(u)) < 0.9
+        for x, rows in ((spans, dense), (spans.take(keep), dense[keep])):
+            b, r = rng.normal(size=x.shape[1]), rng.normal(size=len(rows))
+            w = rng.uniform(0, 0.25, len(rows))
+            gram = (rows * w[:, None]).T @ rows
+            for got, want in ((x @ b, rows @ b), (x.T @ r, rows.T @ r), (x.gram(w), gram)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_dense_product_at_and_below_the_gate(self):
-        from dynstack.stacking import SPAN_HESSIAN_ROWS, _penalty_eigenbasis, _span_hessian
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _problem, _SpanDesign
 
         basis = make_basis(0.0, 1.0, 6, 3)
-        _, rot = _penalty_eigenbasis(basis, 2)
         u = np.linspace(0.0, 1.0, SPAN_HESSIAN_ROWS + 1)
-        x = dynamic_design(np.ones((len(u), 2)), u, basis) @ rot
-        assert _span_hessian(x[1:], u[1:], basis, rot) is None
-        assert _span_hessian(x, u, basis, rot) is not None
-        assert _span_hessian(x, u, basis, None) is None  # an unpenalized fit
-        # so the 1,800-row folds of test_matches_cold_started_oracle_cv check
-        # select_lambda on span Hessians against the IRLS cold oracle
-        assert 2000 - 2000 // 10 > SPAN_HESSIAN_ROWS
+        data = Level1Data(np.arange(len(u)) % 2, np.full((len(u), 2), 0.5), u, ["a", "b"])
+        at_gate = data.subset(slice(1, None))
+        assert type(_problem(at_gate, "dynamic", "curvature", basis)[0]) is np.ndarray
+        assert isinstance(_problem(data, "dynamic", "curvature", basis)[0], _SpanDesign)
+        assert type(_problem(data, "dynamic", "none", basis)[0]) is np.ndarray  # unpenalized
+        # so test_matches_cold_started_oracle_cv checks select_lambda on span
+        # designs against the IRLS cold oracle
+        assert 2000 > SPAN_HESSIAN_ROWS
 
-    def test_blocks_built_once_per_fold_and_final_fit(self, monkeypatch):
+    def test_blocks_built_once_per_select_lambda_and_final_fit(self, monkeypatch):
         from dynstack import stacking
-        from dynstack.stacking import SPAN_HESSIAN_ROWS
+        from dynstack.stacking import SPAN_HESSIAN_ROWS, _SpanDesign
 
-        made, used = [], set()
-
-        def counted(*args):
-            gram = real(*args)
-            made.append(gram)
-            k = len(made) - 1
-            return None if gram is None else lambda w: used.add(k) or gram(w)
-
-        real = stacking._span_hessian
-        monkeypatch.setattr(stacking, "_span_hessian", counted)
-        data = make_data(case=3, n=2 * SPAN_HESSIAN_ROWS, seed=43)  # 1.5x the gate a fold
+        sorts, grams = [], []
+        real_spans, real_gram = stacking.knot_spans, _SpanDesign.gram
+        monkeypatch.setattr(stacking, "knot_spans", lambda *a: sorts.append(1) or real_spans(*a))
+        monkeypatch.setattr(_SpanDesign, "gram", lambda *a: grams.append(len(a[1])) or real_gram(*a))
+        data = make_data(case=3, n=2 * SPAN_HESSIAN_ROWS, seed=43)
         cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 5), cv_folds=4)
         basis = default_basis(data.u)
         lam, _ = select_lambda(data, cfg, basis, seed=43)
+        # one sort into spans; every fold's Newton steps run on blocks of it
+        assert len(sorts) == 1 and set(grams) == {data.n - data.n // 4}
         fit_dynamic(data, lam, basis, cfg)
-        # one builder per fold and one for the final fit, each used by its Newton steps
-        assert len(made) == 5 and None not in made and used == set(range(5))
+        assert len(sorts) == 2 and set(grams) == {data.n - data.n // 4, data.n}
+
+    @pytest.mark.parametrize("cv_seed", [1, 2, 3])
+    def test_span_and_dense_walks_agree(self, monkeypatch, cv_seed):
+        from dynstack import stacking
+
+        data, heldout = make_data(case=3, n=4000, seed=46), make_data(case=3, n=500, seed=47)
+        basis = default_basis(data.u)
+        runs = []
+        for gate in (stacking.SPAN_HESSIAN_ROWS, data.n):  # the span path, then the dense one
+            monkeypatch.setattr(stacking, "SPAN_HESSIAN_ROWS", gate)
+            lam, report = select_lambda(data, FitConfig(), basis, seed=cv_seed)
+            probs = predict(fit_dynamic(data, lam, basis), heldout.z, heldout.u)
+            runs.append((lam, np.array([v for _, v in report]), probs))
+        (lam, scores, probs), (dense_lam, dense_scores, dense_probs) = runs
+        assert lam == dense_lam
+        np.testing.assert_allclose(scores, dense_scores, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(probs, dense_probs, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("lam", [1e-3, 10.0])
     def test_fit_above_the_gate_matches_irls(self, lam):
