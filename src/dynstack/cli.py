@@ -93,7 +93,6 @@ def _parse_file(parse, path, *args):
 
 def cmd_simulate(args) -> int:
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
-    config = FitConfig(cv_folds=args.folds)
     report = run_simulation(
         cases=(args.case,),
         methods=methods,
@@ -101,7 +100,7 @@ def cmd_simulate(args) -> int:
         reps=args.reps,
         seed=args.seed,
         threads=args.threads,
-        config=config,
+        folds=args.folds,
     )
     out = _out_dir(args)
     _write_csv(
@@ -134,7 +133,6 @@ def cmd_graph_experiment(args) -> int:
         spline_degree=args.spline_degree,
         bins=exp.ExperimentConfig.bins if args.bins is None else args.bins,
         threads=args.threads,
-        fit=FitConfig(cv_folds=args.folds),
     )
     if args.covariate == "degree" and args.bins is not None:
         print(
@@ -218,8 +216,8 @@ def cmd_stack_fit(args) -> int:
         flag = "--" + flag.replace("_", "-")
         print(f"error: {flag} does not apply to --model {args.model}", file=sys.stderr)
         return 2
-    data = read_level1(args.level1)
     config = FitConfig(cv_folds=args.folds)
+    data = read_level1(args.level1)
     strength, cv_report = args.strength, None
     resolved = {} if penalty == "none" else {"strength": "cv" if strength is None else strength}
     if static:

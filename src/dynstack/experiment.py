@@ -15,7 +15,7 @@ scores NaN in its repetition, and any other error stops the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class ExperimentConfig:
     spline_degree: int = 3
     bins: int = 100
     threads: int = 1
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        FitConfig(cv_folds=self.folds)  # the fold check of every cross-validation
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
 
@@ -146,7 +146,8 @@ def run_graph_repetition(
 
     basis = default_basis(level1.u, cfg.interior_knots, cfg.spline_degree)
     where = f"repetition seed {rep_seed}"
-    models = {m: fit_method(m, level1, cfg.fit, cv_seed, where, basis) for m in METHODS}
+    config = FitConfig(cv_folds=cfg.folds)
+    models = {m: fit_method(m, level1, config, cv_seed, where, basis) for m in METHODS}
 
     # test rows: every classifier trained on the full training set
     z_test = np.column_stack([fn(train, test)[:, 0] for fn in level0.values()])

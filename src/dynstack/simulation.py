@@ -233,7 +233,7 @@ def run_simulation(
     reps: int = 50,
     seed: int = 0,
     threads: int = 1,
-    config: FitConfig = FitConfig(),
+    folds: int = 10,
 ) -> SimReport:
     """Repeat the train/test experiment and aggregate AUC per method.
 
@@ -247,6 +247,7 @@ def run_simulation(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    config = FitConfig(cv_folds=folds)
     rep_seeds = child_seeds(seed, len(cases) * reps)
     jobs = [
         (case, n, rep_seeds[ci * reps + r], methods, config)

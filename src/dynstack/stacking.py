@@ -58,6 +58,7 @@ MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
 LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
 SPAN_HESSIAN_ROWS = 1500  # the rows from which a dynamic fit on knot-span blocks beats a dense one
+LAMBDA_GRID = np.logspace(-4.0, 4.0, 21)  # the penalty strengths every cross-validation scores
 
 
 class ConvergenceError(RuntimeError):
@@ -139,21 +140,12 @@ class Level1Data:
 class FitConfig:
     """Knobs for penalized fitting and penalty-strength selection."""
 
-    lambda_grid: np.ndarray = field(
-        default_factory=lambda: np.logspace(-4.0, 4.0, 21)
-    )
     cv_folds: int = 10
     newton_tol: float = 1e-8
 
     def __post_init__(self):
-        grid = np.sort(np.asarray(self.lambda_grid, dtype=float))
-        if grid.size == 0:
-            raise ValueError("lambda grid must be nonempty")
-        if not np.all(np.isfinite(grid) & (grid >= 0)):
-            raise ValueError("lambda grid must be finite and nonnegative")
         if self.cv_folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
-        object.__setattr__(self, "lambda_grid", grid)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +493,12 @@ def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndar
     z = np.atleast_2d(np.asarray(z, dtype=float))
     b = basis_matrix(basis, u)
     n, p = z.shape
-    cross = (z[:, :, None] * b[:, None, :]).reshape(n, p * basis.size)
-    return np.hstack([np.ones((n, 1)), cross])
+    out = np.empty((n, 1 + p * basis.size))
+    out[:, 0] = 1.0
+    cross = out[:, 1:].reshape(n, p, basis.size)
+    assert cross.base is out  # a copy would take the products out of ``out``
+    np.multiply(z[:, :, None], b[:, None, :], out=cross)
+    return out
 
 
 def design_matrix(z, u, design: str, basis: BSplineBasis | None = None) -> np.ndarray:
@@ -672,11 +668,11 @@ def _assert_valid_folds(y: np.ndarray, fold_idx: list[np.ndarray]) -> None:
 def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int, basis=None):
     """The cross-validation of :func:`select_lambda` and :func:`select_strength`.
 
-    Scores each grid value by the total held-out negative log-likelihood
-    over shared folds; ties go to the larger value. Held-out scores need
-    only ``X beta``, so the fits stay in the basis :func:`_problem` gives; a
-    fold of a :class:`_SpanDesign` takes its rows out of the blocks built
-    once. The grid's largest value is checked for overflow before any fold.
+    Scores each value of :data:`LAMBDA_GRID` by the total held-out negative
+    log-likelihood over shared folds; ties go to the larger value. Held-out
+    scores need only ``X beta``, so the fits stay in the basis :func:`_problem`
+    gives; a fold of a :class:`_SpanDesign` takes its rows out of the blocks
+    built once. The grid's largest value is checked for overflow before any fold.
     Each fold walks the grid warm-starting :func:`_fit` from the last
     coefficients and the state the last fit carries (linear predictor,
     log-likelihood, and the likelihood Hessian or gradient). A Newton walk
@@ -688,25 +684,24 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     _check_spec(design, penalty)
     x, y, pen, _ = _problem(data, design, penalty, basis)
     lasso = penalty == "lasso"
-    _check_overflow(config.lambda_grid[-1], pen, lasso)
+    _check_overflow(LAMBDA_GRID[-1], pen, lasso)
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
     _assert_valid_folds(data.y, fold_idx)
-    scores = np.zeros(len(config.lambda_grid))
+    scores = np.zeros(len(LAMBDA_GRID))
     start = None
     for heldout in fold_idx:
         x_fit = carry = None  # drop the last fold's arrays so two never coexist
+        keep = np.ones(len(y), dtype=bool)
+        keep[heldout] = False
         if isinstance(x, _SpanDesign):
-            keep = np.isin(x.order, heldout, invert=True)
-            x_fit, y_fit, x_out, y_out = x.take(keep), y[keep], x.take(~keep), y[~keep]
-        else:  # gather the fold column by column into a column-major copy for faster GEMMs
-            fit_rows = np.setdiff1d(np.arange(len(y)), heldout, assume_unique=True)
-            x_fit = np.empty((len(fit_rows), x.shape[1]), order="F")
-            for j in range(x.shape[1]):
-                x_fit[:, j] = x[fit_rows, j]
-            y_fit, x_out, y_out = y[fit_rows], x[heldout], y[heldout]
+            keep = keep[x.order]
+            x_fit, x_out = x.take(keep), x.take(~keep)
+        else:  # a column-major fold copy for faster GEMMs
+            x_fit, x_out = np.asfortranarray(x[keep]), x[~keep]
+        y_fit, y_out = y[keep], y[~keep]
         null_fit = _lasso_null_fit(x_fit, y_fit) if lasso else None
         coef, carry, at_null = None if lasso else start, {}, False
-        for gi, s in enumerate(config.lambda_grid):
+        for gi, s in enumerate(LAMBDA_GRID):
             if not at_null:  # else the last fit was intercept-only, as is this one
                 coef, _, _ = _fit(x_fit, y_fit, pen, s, lasso, config, coef, null_fit, carry)
                 score = _neg_loglik(x_out @ coef, y_out)
@@ -716,8 +711,8 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
             scores[gi] += score
 
     best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger value
-    report = list(zip(config.lambda_grid.tolist(), scores.tolist()))
-    return float(config.lambda_grid[best]), report
+    report = list(zip(LAMBDA_GRID.tolist(), scores.tolist()))
+    return float(LAMBDA_GRID[best]), report
 
 
 # ---------------------------------------------------------------------------
@@ -734,19 +729,12 @@ def fit_dynamic(
     return _fit_model(data, "dynamic", "curvature", lam, config, basis)
 
 
-def select_lambda(
-    data: Level1Data,
-    config: FitConfig = FitConfig(),
-    basis: BSplineBasis | None = None,
-    seed: int = 0,
-):
-    """Pick the dynamic model's penalty strength by J-fold cross-validation.
+def select_lambda(data: Level1Data, config: FitConfig, basis: BSplineBasis, seed: int = 0):
+    """Pick the dynamic model's penalty strength on ``basis`` by J-fold cross-validation.
 
     Returns ``(lam_star, report)`` with the full ``(lam, score)`` profile;
     see :func:`_cv_profile`.
     """
-    if basis is None:
-        basis = default_basis(data.u)
     return _cv_profile(data, "dynamic", "curvature", config, seed, basis)
 
 
@@ -762,7 +750,7 @@ def fit_static(
 
     ``penalty`` is "none" (plain logistic MLE), "ridge", or "lasso"; the
     intercept is never penalized. Leaving ``strength`` unset with a
-    penalty selects it by cross-validation over ``config.lambda_grid``.
+    penalty selects it by cross-validation over :data:`LAMBDA_GRID`.
     """
     if penalty == "none":
         strength = 0.0

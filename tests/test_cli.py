@@ -575,6 +575,23 @@ class TestFailedRunLeavesNoOutput:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "graph-experiment", "stack-fit"])
+    def test_one_fold_is_one_line_error_before_reading_inputs(self, tmp_path, capsys, command):
+        # the input files do not exist: the fold count is checked before any is read
+        missing = str(tmp_path / "missing.txt")
+        argv = {
+            "simulate": ["--case", "1"],
+            "graph-experiment": [
+                "--edges", missing, "--labels", missing, "--features", missing,
+                "--positive-label", "c",
+            ],
+            "stack-fit": ["--level1", missing],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--folds", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cross-validation needs at least 2 folds\n"
+        assert not out.exists()
+
 
 def parsed_flags(command):
     """Destinations of the options ``command`` accepts, without ``--out``."""

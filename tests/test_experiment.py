@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynstack import stacking
 from dynstack.experiment import (
     ExperimentConfig,
     binarize_labels,
@@ -10,18 +11,16 @@ from dynstack.experiment import (
     run_graph_repetition,
 )
 from dynstack.graph import attach_labels, parse_edge_list, split_nodes
-from dynstack.stacking import FitConfig
+
+
+@pytest.fixture(autouse=True)
+def small_grid(monkeypatch):
+    # the penalty grid of every small_cfg run; threads=2 workers fork and inherit it
+    monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-2, 3, 6))
 
 
 def small_cfg(**kw):
-    base = dict(
-        covariate="degree",
-        test_fraction=0.5,
-        reps=2,
-        folds=5,
-        seed=7,
-        fit=FitConfig(lambda_grid=np.logspace(-2, 3, 6), cv_folds=5),
-    )
+    base = dict(covariate="degree", test_fraction=0.5, reps=2, folds=5, seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
 

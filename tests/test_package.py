@@ -91,9 +91,8 @@ def test_every_exported_name_has_a_caller():
 
 
 # Settings that only tests set, kept for now: perfbench/workloads.py builds a
-# FitConfig for fit_dynamic, which reads newton_tol, and lambda_grid waits for
-# the re-spacing of the grid, which moves the benchmark's recorded outputs.
-SETTINGS_ONLY_TESTS_SET = {"stacking.FitConfig.lambda_grid", "stacking.FitConfig.newton_tol"}
+# FitConfig for fit_dynamic, which reads newton_tol.
+SETTINGS_ONLY_TESTS_SET = {"stacking.FitConfig.newton_tol"}
 
 
 def _settings(module):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dynstack.simulation as sim_mod
+from dynstack import stacking
 from dynstack.simulation import METHODS, auc, generate_case, run_simulation
 from dynstack.stacking import ConvergenceError, FitConfig, sigmoid
 from dynstack.stacking import fit_static as real_fit_static
@@ -104,9 +105,9 @@ class TestAuc:
 
 
 class TestRunSimulation:
-    def test_report_shape_and_determinism(self):
-        cfg = FitConfig(lambda_grid=np.logspace(-2, 2, 5), cv_folds=3)
-        kwargs = dict(cases=(1,), n=240, reps=3, seed=5, config=cfg)
+    def test_report_shape_and_determinism(self, monkeypatch):
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-2, 2, 5))
+        kwargs = dict(cases=(1,), n=240, reps=3, seed=5, folds=3)
         a = run_simulation(**kwargs)
         b = run_simulation(**kwargs)
         assert len(a.cells) == len(METHODS)
@@ -115,11 +116,12 @@ class TestRunSimulation:
         for key in a.raw:
             np.testing.assert_array_equal(a.raw[key], b.raw[key])
 
-    def test_threads_do_not_change_results(self):
-        cfg = FitConfig(lambda_grid=np.logspace(-2, 2, 3), cv_folds=3)
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # the worker processes fork, so they inherit the patched grid
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-2, 2, 3))
         kwargs = dict(
             cases=(2,), methods=("z1_only", "logistic_m1", "dynamic"),
-            n=240, reps=4, seed=9, config=cfg,
+            n=240, reps=4, seed=9, folds=3,
         )
         seq = run_simulation(threads=1, **kwargs)
         par = run_simulation(threads=2, **kwargs)
@@ -131,8 +133,7 @@ class TestRunSimulation:
         # their AUCs must come from the identical test labels, which we can
         # verify through determinism of the whole cell
         rep = run_simulation(
-            cases=(1,), methods=("z1_only", "z2_only"), n=200, reps=2, seed=3,
-            config=FitConfig(lambda_grid=np.array([1.0]), cv_folds=2),
+            cases=(1,), methods=("z1_only", "z2_only"), n=200, reps=2, seed=3, folds=2
         )
         assert rep.cell(1, "z1_only").n_reps == 2
         assert rep.cell(1, "z2_only").n_reps == 2
@@ -142,10 +143,7 @@ class TestRunSimulation:
             run_simulation(cases=(1,), methods=("bogus",), n=100, reps=2, seed=0)
 
     def test_sd_uses_sample_formula(self):
-        rep = run_simulation(
-            cases=(1,), methods=("random",), n=150, reps=5, seed=2,
-            config=FitConfig(lambda_grid=np.array([1.0]), cv_folds=2),
-        )
+        rep = run_simulation(cases=(1,), methods=("random",), n=150, reps=5, seed=2, folds=2)
         vals = rep.raw[(1, "random")]
         cell = rep.cell(1, "random")
         assert cell.sd_auc == pytest.approx(vals.std(ddof=1))
@@ -156,8 +154,12 @@ class TestRunSimulation:
 class TestFailurePolicy:
     KWARGS = dict(
         cases=(2,), methods=("z1_only", "logistic_m2", "ridge_m2", "lasso_m3", "dynamic"),
-        n=200, reps=3, seed=4, config=FitConfig(lambda_grid=np.logspace(-2, 2, 3), cv_folds=3),
+        n=200, reps=3, seed=4, folds=3,
     )
+
+    @pytest.fixture(autouse=True)
+    def three_point_grid(self, monkeypatch):
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-2, 2, 3))
 
     def test_diverged_fit_loses_only_its_cell(self, monkeypatch, caplog):
         clean = run_simulation(**self.KWARGS)

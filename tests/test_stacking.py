@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dynstack import stacking
 from dynstack.simulation import auc, generate_case, sigmoid
-from dynstack.splines import assemble_block_penalty, curvature_penalty, make_basis
+from dynstack.splines import assemble_block_penalty, basis_matrix, curvature_penalty, make_basis
 from dynstack.stacking import (
     STATIC_DESIGNS,
     ConvergenceError,
@@ -200,6 +201,35 @@ class TestBuildLevel1:
 
         with pytest.raises(ValueError, match=rf"classifier 'odd' .* in fold {fold};"):
             build_level1(np.arange(12) % 2, {"odd": fn}, np.zeros(12), folds=4, seed=0)
+
+
+class TestDynamicDesign:
+    @pytest.mark.parametrize("n,p", [(0, 2), (1, 0), (50, 1), (300, 3)])
+    def test_columns_are_the_intercept_then_each_z_times_the_basis(self, n, p):
+        # n = 0 and p = 0 leave no products, whose reshape must still be a view of the design
+        rng = np.random.default_rng(10 * n + p)
+        basis = make_basis(0.0, 1.0, 4, 3)
+        z, u = rng.uniform(0, 1, (n, p)), rng.uniform(-0.2, 1.2, n)
+        b = basis_matrix(basis, u)
+        want = np.hstack([np.ones((n, 1)), *(z[:, [j]] * b for j in range(p))])
+        got = dynamic_design(z, u, basis)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_peak_memory_without_a_copy_of_the_products(self):
+        import tracemalloc
+
+        # the design and the basis matrix (0.48x for p = 2); a second copy of
+        # the products, as an hstack of them makes, would read about 2.5
+        data = make_data(case=3, n=4000, seed=34)
+        basis = default_basis(data.u)
+        design_bytes = data.n * (1 + data.p * basis.size) * 8
+        tracemalloc.start()
+        try:
+            dynamic_design(data.z, data.u, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * design_bytes
 
 
 class TestFitDynamic:
@@ -422,49 +452,42 @@ def assert_matches_cold_oracle_cv(x, y, pen, cfg, seed, chosen, report):
     from dynstack.stacking import _cv_fold_indices
 
     n = len(y)
-    folds = _cv_fold_indices(n, cfg.cv_folds, seed)
+    folds, grid = _cv_fold_indices(n, cfg.cv_folds, seed), stacking.LAMBDA_GRID
     assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
-    scores = np.zeros(len(cfg.lambda_grid))
+    scores = np.zeros(len(grid))
     for heldout in folds:
         fit = np.setdiff1d(np.arange(n), heldout)
-        for gi, s in enumerate(cfg.lambda_grid):
+        for gi, s in enumerate(grid):
             coef = irls_logistic(x[fit], y[fit], pen=s * pen)
             scores[gi] += neg_loglik_reference(x[heldout] @ coef, y[heldout])
     best = len(scores) - 1 - int(np.argmin(scores[::-1]))  # ties go to the larger value
-    assert chosen == cfg.lambda_grid[best]
+    assert chosen == grid[best]
     np.testing.assert_allclose([v for _, v in report], scores, rtol=1e-8, atol=0)
 
 
 class TestSelectLambda:
-    def test_single_point_grid(self):
+    def test_single_point_grid(self, monkeypatch):
         data = make_data(n=120)
-        cfg = FitConfig(lambda_grid=np.array([3.7]), cv_folds=4)
-        lam, report = select_lambda(data, cfg)
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.array([3.7]))
+        lam, report = select_lambda(data, FitConfig(cv_folds=4), default_basis(data.u))
         assert lam == 3.7 and len(report) == 1
 
     def test_sine_data_picks_interior_lambda(self):
         data = make_data(case=3, n=1000, seed=4)
-        cfg = FitConfig(cv_folds=5)
-        lam, report = select_lambda(data, cfg, seed=1)
-        assert lam < cfg.lambda_grid.max()
+        lam, report = select_lambda(data, FitConfig(cv_folds=5), default_basis(data.u), seed=1)
+        assert lam < stacking.LAMBDA_GRID.max()
         scores = np.array([s for _, s in report])
         assert scores.argmin() not in (len(scores) - 1,)
 
-    def test_tie_prefers_larger_lambda(self):
+    def test_tie_prefers_larger_lambda(self, monkeypatch):
         # degree-1 basis has a zero curvature penalty, so every lambda ties
         data = make_data(n=100, seed=6)
         basis = make_basis(data.u.min(), data.u.max(), 2, 1)
-        cfg = FitConfig(lambda_grid=np.array([0.1, 10.0, 1000.0]), cv_folds=4)
-        lam, report = select_lambda(data, cfg, basis=basis, seed=0)
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.array([0.1, 10.0, 1000.0]))
+        lam, report = select_lambda(data, FitConfig(cv_folds=4), basis=basis, seed=0)
         assert lam == 1000.0
         scores = [s for _, s in report]
         assert max(scores) - min(scores) < 1e-6
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_bad_grid_value_rejected(self, bad):
-        # a NaN grid value used to be fitted unpenalized and scored as its own point
-        with pytest.raises(ValueError, match="lambda grid must be finite and nonnegative"):
-            FitConfig(lambda_grid=np.array([0.1, bad, 10.0]))
 
     def test_degenerate_folds_rejected(self):
         data = make_data(n=12)
@@ -473,16 +496,17 @@ class TestSelectLambda:
             np.r_[np.ones(11, dtype=int), 0], data.z, data.u, data.columns
         )
         with pytest.raises(ValueError, match="degenerate folds"):
-            select_lambda(bad, cfg)
+            select_lambda(bad, cfg, default_basis(bad.u))
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
-    def test_matches_cold_started_oracle_cv(self, seed):
+    def test_matches_cold_started_oracle_cv(self, monkeypatch, seed):
         from dynstack.stacking import _penalty_eigenbasis
 
         # damped Newton walking the grid on carried state, against IRLS from
         # zero on every fold and lambda
         data = make_data(case=3, n=2000, seed=seed)
-        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-4.0, 4.0, 7))
+        cfg = FitConfig()
         basis = default_basis(data.u)
         lam, report = select_lambda(data, cfg, basis, seed=seed)
 
@@ -491,9 +515,10 @@ class TestSelectLambda:
         assert_matches_cold_oracle_cv(x, data.y, pen, cfg, seed, lam, report)
 
     @pytest.mark.parametrize("design", ["m1", "m3"])
-    def test_ridge_strength_matches_cold_started_oracle_cv(self, design):
+    def test_ridge_strength_matches_cold_started_oracle_cv(self, monkeypatch, design):
         data = make_data(case=3, n=2000, seed=35)
-        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 7))
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-4.0, 4.0, 7))
+        cfg = FitConfig()
         strength, report = select_strength(data, design, "ridge", cfg, seed=35)
 
         x = design_matrix(data.z, data.u, design)
@@ -540,21 +565,21 @@ class TestSelectLambda:
 
     @pytest.mark.filterwarnings("error")
     def test_grid_value_overflowing_its_penalty_weights_rejected(self, monkeypatch):
-        from dynstack import stacking
-
         # 2 * strength * weight overflowed in the fold whose walk reached the
         # value: a RuntimeWarning, then "non-finite objective at the starting
         # point" (dynamic) or "cannot solve a system holding infs" (ridge)
         data = make_data(n=300)
         real_fit = stacking._fit
         monkeypatch.setattr(stacking, "_fit", lambda *a: pytest.fail("a fold ran"))
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.array([1.0, 1e306]))
         with pytest.raises(ValueError, match=re.escape("penalty strength 1e+306 overflows")):
-            select_lambda(data, FitConfig(lambda_grid=[1.0, 1e306]), default_basis(data.u), 0)
+            select_lambda(data, FitConfig(), default_basis(data.u), 0)
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.array([1.0, 1e308]))
         with pytest.raises(ValueError, match=re.escape("penalty strength 1e+308 overflows")):
-            select_strength(data, "m1", "ridge", FitConfig(lambda_grid=[1.0, 1e308]), 0)
+            select_strength(data, "m1", "ridge", FitConfig(), 0)
         monkeypatch.setattr(stacking, "_fit", real_fit)
         # lasso uses no weights, so its grid may reach the largest float
-        _, report = select_strength(data, "m1", "lasso", FitConfig(lambda_grid=[1.0, 1e308]), 0)
+        _, report = select_strength(data, "m1", "lasso", FitConfig(), 0)
         assert np.isfinite([v for _, v in report]).all()
 
 
@@ -603,8 +628,7 @@ class TestNewtonCarry:
 
         (fold, other), pen = self.two_folds(37)
         x, y = fold
-        cfg = FitConfig()
-        grid = cfg.lambda_grid
+        cfg, grid = FitConfig(), stacking.LAMBDA_GRID
         for prev, lam in zip(grid[::4], grid[1::4]):
             start, _, _ = _newton_diag(x, y, prev * pen, cfg)
             if wrong == "at_zero":
@@ -623,7 +647,7 @@ class TestNewtonCarry:
         basis = default_basis(a.u)
         before = fit_dynamic(a, 0.01, basis, cfg)
         first = select_lambda(a, cfg, basis, seed=1)
-        select_lambda(b, cfg, seed=1)
+        select_lambda(b, cfg, default_basis(b.u), seed=1)
         assert select_lambda(a, cfg, basis, seed=1) == first
         after = fit_dynamic(a, 0.01, basis, cfg)
         assert np.array_equal(after.coef, before.coef)
@@ -649,8 +673,6 @@ class TestSpanHessian:
     @pytest.mark.parametrize("degree", [0, 1, 3])
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_span_sum_equals_the_dense_gram(self, monkeypatch, p, degree, interior, kind):
-        from dynstack import stacking
-
         # x @ b, x.T @ r and X'WX, each summed span by span, on all rows and on a fold
         monkeypatch.setattr(stacking, "SPAN_HESSIAN_ROWS", 0)
         rng = np.random.default_rng(1000 * p + 100 * degree + 10 * interior)
@@ -687,7 +709,6 @@ class TestSpanHessian:
         assert 2000 > SPAN_HESSIAN_ROWS
 
     def test_blocks_built_once_per_select_lambda_and_final_fit(self, monkeypatch):
-        from dynstack import stacking
         from dynstack.stacking import SPAN_HESSIAN_ROWS, _SpanDesign
 
         sorts, grams = [], []
@@ -695,7 +716,8 @@ class TestSpanHessian:
         monkeypatch.setattr(stacking, "knot_spans", lambda *a: sorts.append(1) or real_spans(*a))
         monkeypatch.setattr(_SpanDesign, "gram", lambda *a: grams.append(len(a[1])) or real_gram(*a))
         data = make_data(case=3, n=2 * SPAN_HESSIAN_ROWS, seed=43)
-        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 4.0, 5), cv_folds=4)
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-4.0, 4.0, 5))
+        cfg = FitConfig(cv_folds=4)
         basis = default_basis(data.u)
         lam, _ = select_lambda(data, cfg, basis, seed=43)
         # one sort into spans; every fold's Newton steps run on blocks of it
@@ -705,8 +727,6 @@ class TestSpanHessian:
 
     @pytest.mark.parametrize("cv_seed", [1, 2, 3])
     def test_span_and_dense_walks_agree(self, monkeypatch, cv_seed):
-        from dynstack import stacking
-
         data, heldout = make_data(case=3, n=4000, seed=46), make_data(case=3, n=500, seed=47)
         basis = default_basis(data.u)
         runs = []
@@ -768,15 +788,13 @@ class TestLassoCarry:
 
         x, y, null_fit = self.fold(42, design)
         carry, warm, cold = {}, None, None
-        for strength in FitConfig().lambda_grid:
+        for strength in stacking.LAMBDA_GRID:
             warm, warm_path, warm_ok = _lasso_logistic(x, y, strength, warm, null_fit, carry)
             cold, cold_path, cold_ok = _lasso_logistic(x, y, strength, cold, null_fit)
             assert np.array_equal(warm, cold)
             assert warm_path == cold_path and warm_ok == cold_ok
 
     def test_no_carry_after_an_above_critical_or_unconverged_fit(self, monkeypatch):
-        from dynstack import stacking
-
         x, y, null_fit = self.fold(43)
         carry = {}
         coef, _, _ = stacking._lasso_logistic(x, y, 0.1, None, null_fit, carry)
@@ -790,18 +808,19 @@ class TestLassoCarry:
         _, _, converged = stacking._lasso_logistic(x, y, 1e-3, coef, null_fit, carry)
         assert not converged and carry == {}
 
-    def test_no_state_survives_a_call(self):
+    def test_no_state_survives_a_call(self, monkeypatch):
         a, b = make_data(case=3, n=600, seed=44), make_data(case=2, n=500, seed=45)
         # the grid stays below every fold's critical strength (12 or more here),
         # so each call ends on a fit whose state a leak would hand on
-        cfg = FitConfig(lambda_grid=np.logspace(-4.0, 0.0, 9), cv_folds=5)
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-4.0, 0.0, 9))
+        cfg = FitConfig(cv_folds=5)
         for design in STATIC_DESIGNS:
             first = select_strength(a, design, "lasso", cfg, seed=1)
             select_strength(b, design, "lasso", cfg, seed=1)
             assert select_strength(a, design, "lasso", cfg, seed=1) == first
 
     @pytest.mark.parametrize("case", [1, 2, 3])
-    def test_report_equals_the_reference_walk(self, case):
+    def test_report_equals_the_reference_walk(self, monkeypatch, case):
         from dynstack.stacking import _cv_fold_indices, _fit, _lasso_null_fit
 
         # 1001 rows make the first fold one row longer, so state carried across
@@ -810,12 +829,13 @@ class TestLassoCarry:
         # starts with an unpenalized Newton fit whose state the lasso fits inherit
         data = make_data(case=case, n=1001, seed=46 + case)
         grids = (
-            (FitConfig().lambda_grid, True),
+            (stacking.LAMBDA_GRID, True),
             (np.logspace(-4.0, 1.0, 11), False),
             (np.r_[0.0, 1e-2, 1.0, 1e2, 1e3], True),
         )
+        cfg = FitConfig()
         for grid, crosses in grids:
-            cfg = FitConfig(lambda_grid=grid)
+            monkeypatch.setattr(stacking, "LAMBDA_GRID", grid)
             folds = _cv_fold_indices(data.n, cfg.cv_folds, case)
             for design in STATIC_DESIGNS:
                 x = design_matrix(data.z, data.u, design)
@@ -888,11 +908,11 @@ class TestFitStatic:
         m = fit_static(train, "m1", "none")
         assert auc(predict(m, test.z, test.u), test.y) == pytest.approx(0.75, abs=0.03)
 
-    def test_strength_selection_returns_grid_value(self):
+    def test_strength_selection_returns_grid_value(self, monkeypatch):
         data = make_data(n=240, seed=15)
-        cfg = FitConfig(lambda_grid=np.logspace(-3, 3, 7), cv_folds=4)
-        strength, report = select_strength(data, "m1", "ridge", cfg, seed=2)
-        assert strength in cfg.lambda_grid
+        monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-3, 3, 7))
+        strength, report = select_strength(data, "m1", "ridge", FitConfig(cv_folds=4), seed=2)
+        assert strength in stacking.LAMBDA_GRID
         assert len(report) == 7
 
 
