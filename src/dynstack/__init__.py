@@ -5,92 +5,24 @@ A library for combining local (node-attribute) and relational
 weights are smooth spline functions of a node topology covariate, plus
 the static stacking baselines and seeded experiment drivers used to
 compare them.
+
+Each module's ``__all__`` is its list of public names, and this package
+re-exports all of them.
 """
 
-from .graph import (
-    Graph,
-    GraphParseError,
-    attach_labels,
-    closeness_centrality,
-    degree,
-    largest_connected_component,
-    parse_edge_list,
-    split_nodes,
-)
-from .metrics import accuracy, binned_accuracy, paired_comparison
-from .naive_bayes import NaiveBayesModel, fit_nb, parse_feature_file, predict_nb
-from .relational import IcaResult, ica_run
-from .simulation import METHODS, auc, generate_case, run_simulation
-from .splines import (
-    BSplineBasis,
-    assemble_block_penalty,
-    basis_matrix,
-    curvature_penalty,
-    make_basis,
-)
-from .stacking import (
-    ConvergenceError,
-    FitConfig,
-    Level1Data,
-    StackModel,
-    build_level1,
-    coefficient_curves,
-    default_basis,
-    fit_dynamic,
-    fit_static,
-    load_model,
-    predict,
-    read_level1,
-    save_model,
-    select_lambda,
-    select_strength,
-    write_level1,
-)
+from . import graph, metrics, naive_bayes, relational, simulation, splines, stacking
+from .graph import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .naive_bayes import *  # noqa: F403
+from .relational import *  # noqa: F403
+from .simulation import *  # noqa: F403
+from .splines import *  # noqa: F403
+from .stacking import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph",
-    "GraphParseError",
-    "attach_labels",
-    "closeness_centrality",
-    "degree",
-    "largest_connected_component",
-    "parse_edge_list",
-    "split_nodes",
-    "accuracy",
-    "binned_accuracy",
-    "paired_comparison",
-    "NaiveBayesModel",
-    "fit_nb",
-    "parse_feature_file",
-    "predict_nb",
-    "IcaResult",
-    "ica_run",
-    "METHODS",
-    "auc",
-    "generate_case",
-    "run_simulation",
-    "BSplineBasis",
-    "assemble_block_penalty",
-    "basis_matrix",
-    "curvature_penalty",
-    "make_basis",
-    "ConvergenceError",
-    "FitConfig",
-    "Level1Data",
-    "StackModel",
-    "build_level1",
-    "coefficient_curves",
-    "default_basis",
-    "fit_dynamic",
-    "fit_static",
-    "load_model",
-    "predict",
-    "read_level1",
-    "save_model",
-    "select_lambda",
-    "select_strength",
-    "write_level1",
-    "__version__",
-]
+    name
+    for module in (graph, metrics, naive_bayes, relational, simulation, splines, stacking)
+    for name in module.__all__
+] + ["__version__"]

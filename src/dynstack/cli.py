@@ -21,11 +21,12 @@ from .graph import (
     largest_connected_component,
     parse_edge_list,
     read_label_file,
-    write_covariate,
 )
 from .naive_bayes import parse_feature_file
 from .simulation import METHODS, parse_method, run_simulation, summarize
 from .stacking import (
+    DEFAULT_DEGREE,
+    DEFAULT_KNOTS,
     FitConfig,
     StackModel,
     coefficient_curves,
@@ -200,7 +201,8 @@ def cmd_centrality(args) -> int:
     graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
     values = exp.node_covariate(graph, args.kind)
     out = _out_dir(args)
-    write_covariate(out / "covariate.csv", graph, values)
+    rows = [[nid, repr(float(v))] for nid, v in zip(graph.node_ids, values)]
+    _write_csv(out / "covariate.csv", ["node_id", "value"], rows)
     _write_manifest(out, args)
     return 0
 
@@ -225,8 +227,8 @@ def cmd_stack_fit(args) -> int:
             strength, cv_report = select_strength(data, design, penalty, config, seed=args.seed)
         model = fit_static(data, design, penalty, strength, config, cv_seed=args.seed)
     else:
-        knots = 6 if args.knots is None else args.knots
-        degree = 3 if args.spline_degree is None else args.spline_degree
+        knots = DEFAULT_KNOTS if args.knots is None else args.knots
+        degree = DEFAULT_DEGREE if args.spline_degree is None else args.spline_degree
         resolved.update(knots=knots, spline_degree=degree)
         basis = default_basis(data.u, knots, degree)
         if strength is None:
@@ -321,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="closeness bins (default 100); degree is binned one integer per bin",
     )
-    p.add_argument("--knots", type=int, default=6)
-    p.add_argument("--spline-degree", type=int, default=3)
+    p.add_argument("--knots", type=int, default=DEFAULT_KNOTS)
+    p.add_argument("--spline-degree", type=int, default=DEFAULT_DEGREE)
     common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_graph_experiment)
 
@@ -336,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level1", required=True)
     p.add_argument("--model", choices=exp.METHODS, default="dynamic")
     p.add_argument("--strength", type=float, default=None, help="fixed penalty; default CV")
-    p.add_argument("--knots", type=int, default=None, help="dynamic model only; default 6")
-    p.add_argument("--spline-degree", type=int, default=None, help="dynamic model only; default 3")
+    only = "dynamic model only; default {}"
+    p.add_argument("--knots", type=int, default=None, help=only.format(DEFAULT_KNOTS))
+    p.add_argument("--spline-degree", type=int, default=None, help=only.format(DEFAULT_DEGREE))
     p.add_argument("--folds", type=int, default=10)
     common(p, seed=True)
     p.set_defaults(func=cmd_stack_fit)

@@ -23,12 +23,16 @@ from .graph import Graph, closeness_centrality, degree, split_nodes
 from .metrics import ComparisonResult, accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import SparseFeatures, fit_nb, predict_nb
 from .relational import ica_run
-from .simulation import child_seeds, fit_method, map_reps
+from .simulation import KINDS, child_seeds, fit_method, map_reps
 from .stacking import (
+    DEFAULT_DEGREE,
+    DEFAULT_KNOTS,
+    STATIC_DESIGNS,
     ConvergenceError,
     FitConfig,
     StackModel,
     build_level1,
+    check_folds,
     default_basis,
     predict,
 )
@@ -45,11 +49,7 @@ __all__ = [
     "STATIC_METHODS",
 ]
 
-STATIC_METHODS = tuple(
-    f"{kind}_{design}"
-    for kind in ("logistic", "lasso", "ridge")
-    for design in ("m1", "m2", "m3")
-)
+STATIC_METHODS = tuple(f"{kind}_{design}" for kind in KINDS for design in STATIC_DESIGNS)
 METHODS = ("dynamic", *STATIC_METHODS)
 
 
@@ -60,13 +60,13 @@ class ExperimentConfig:
     reps: int = 10
     folds: int = 10
     seed: int = 0
-    interior_knots: int = 6
-    spline_degree: int = 3
+    interior_knots: int = DEFAULT_KNOTS
+    spline_degree: int = DEFAULT_DEGREE
     bins: int = 100
     threads: int = 1
 
     def __post_init__(self):
-        FitConfig(cv_folds=self.folds)  # the fold check of every cross-validation
+        check_folds(self.folds)
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
 

@@ -24,7 +24,6 @@ __all__ = [
     "degree",
     "closeness_centrality",
     "split_nodes",
-    "write_covariate",
 ]
 
 CLOSENESS_CHUNK = 512  # sources one breadth-first search of closeness_centrality runs from
@@ -338,11 +337,3 @@ def split_nodes(graph: Graph, test_fraction: float, seed: int) -> tuple[np.ndarr
     train = np.sort(perm[n_test:])
     return train, test
 
-
-def write_covariate(path, graph: Graph, values: np.ndarray) -> None:
-    """Write ``node_id,value`` CSV for a per-node covariate."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "value"])
-        for nid, v in zip(graph.node_ids, values):
-            w.writerow([nid, repr(float(v))])

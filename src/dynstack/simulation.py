@@ -37,19 +37,12 @@ __all__ = ["SimDataset", "SimCell", "SimReport", "METHODS", "generate_case", "au
 
 log = logging.getLogger(__name__)
 
+KINDS = ("logistic", "lasso", "ridge")  # a static level-1 method is "<kind>_<design>"
 METHODS = (
     "random",
     "z1_only",
     "z2_only",
-    "logistic_m1",
-    "lasso_m1",
-    "ridge_m1",
-    "logistic_m2",
-    "lasso_m2",
-    "ridge_m2",
-    "logistic_m3",
-    "lasso_m3",
-    "ridge_m3",
+    *(f"{kind}_{design}" for design in STATIC_DESIGNS for kind in KINDS),
     "dynamic",
 )
 
@@ -169,11 +162,12 @@ def map_reps(fn, jobs, threads: int = 1) -> list:
 
 def parse_method(name: str) -> tuple[str, str]:
     """``(design, penalty)`` of level-1 method ``"dynamic"`` (curvature) or
-    ``"<logistic|lasso|ridge>_<m1|m2|m3>"`` (logistic is unpenalized)."""
+    ``"<kind>_<design>"``, kind in :data:`KINDS` (logistic is unpenalized)
+    and design in ``STATIC_DESIGNS``."""
     if name == "dynamic":
         return "dynamic", "curvature"
     kind, _, design = name.partition("_")
-    if kind in ("logistic", "lasso", "ridge") and design in STATIC_DESIGNS:
+    if kind in KINDS and design in STATIC_DESIGNS:
         return design, "none" if kind == "logistic" else kind
     raise ValueError(f"unknown method {name!r}")
 

@@ -50,12 +50,7 @@ class BSplineBasis:
         return len(self.knots) - self.degree - 1
 
 
-def make_basis(
-    u_lo: float,
-    u_hi: float,
-    interior_knots: int = 6,
-    degree: int = 3,
-) -> BSplineBasis:
+def make_basis(u_lo: float, u_hi: float, interior_knots: int, degree: int) -> BSplineBasis:
     """Build a clamped B-spline basis with uniform interior knots over ``[u_lo, u_hi]``.
 
     Parameters

@@ -41,6 +41,7 @@ __all__ = [
     "fit_dynamic",
     "predict",
     "coefficient_curves",
+    "default_basis",
     "select_lambda",
     "fit_static",
     "select_strength",
@@ -59,6 +60,7 @@ HESSIAN_JITTER = 1e-10
 LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
 SPAN_HESSIAN_ROWS = 1500  # the rows from which a dynamic fit on knot-span blocks beats a dense one
 LAMBDA_GRID = np.logspace(-4.0, 4.0, 21)  # the penalty strengths every cross-validation scores
+DEFAULT_KNOTS, DEFAULT_DEGREE = 6, 3  # default_basis: six uniform interior knots, cubic
 
 
 class ConvergenceError(RuntimeError):
@@ -144,8 +146,13 @@ class FitConfig:
     newton_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.cv_folds < 2:
-            raise ValueError("cross-validation needs at least 2 folds")
+        check_folds(self.cv_folds)
+
+
+def check_folds(folds: int) -> None:
+    """The fold check of every cross-validation, level 0 and level 1."""
+    if folds < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +180,7 @@ def build_level1(y, predictors, u, folds: int = 10, seed: int = 0) -> Level1Data
     y = np.asarray(y, dtype=np.int64)
     u = np.asarray(u, dtype=float)
     n = len(y)
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check_folds(folds)
     if len(u) != n:
         raise ValueError("y and u must be aligned")
     fold_idx = _cv_fold_indices(n, folds, seed)
@@ -523,8 +529,10 @@ def design_matrix(z, u, design: str, basis: BSplineBasis | None = None) -> np.nd
     return np.hstack(cols)
 
 
-def default_basis(u: np.ndarray, interior_knots: int = 6, degree: int = 3) -> BSplineBasis:
-    """Cubic basis with uniform interior knots over the training u range."""
+def default_basis(
+    u: np.ndarray, interior_knots: int = DEFAULT_KNOTS, degree: int = DEFAULT_DEGREE
+) -> BSplineBasis:
+    """Basis with uniform interior knots over the training u range."""
     u = np.asarray(u, dtype=float)
     lo, hi = float(u.min()), float(u.max())
     if lo == hi:

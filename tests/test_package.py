@@ -42,6 +42,38 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+PACKAGE_MODULES = ("graph", "metrics", "naive_bayes", "relational", "simulation", "splines", "stacking")
+
+# what ``dynstack`` exported when its __init__ listed the names by hand
+HAND_LISTED = """
+    Graph GraphParseError attach_labels closeness_centrality degree
+    largest_connected_component parse_edge_list split_nodes accuracy
+    binned_accuracy paired_comparison NaiveBayesModel fit_nb parse_feature_file
+    predict_nb IcaResult ica_run METHODS auc generate_case run_simulation
+    BSplineBasis assemble_block_penalty basis_matrix curvature_penalty make_basis
+    ConvergenceError FitConfig Level1Data StackModel build_level1
+    coefficient_curves default_basis fit_dynamic fit_static load_model predict
+    read_level1 save_model select_lambda select_strength write_level1 __version__
+""".split()
+
+
+def test_package_exports_each_module_public_list():
+    # each module's __all__ is the one list of its public names
+    lists = [importlib.import_module(f"dynstack.{m}").__all__ for m in PACKAGE_MODULES]
+    assert dynstack.__all__ == [name for names in lists for name in names] + ["__version__"]
+    assert len(set(dynstack.__all__)) == len(dynstack.__all__)
+
+
+def test_every_hand_listed_name_still_exported():
+    assert [n for n in HAND_LISTED if n not in dynstack.__all__ or not hasattr(dynstack, n)] == []
+
+
+def test_star_import_of_stacking_binds_default_basis():
+    scope = {}
+    exec("from dynstack.stacking import *", scope)
+    assert scope["default_basis"] is dynstack.default_basis
+
+
 def test_benchmark_tracer_bindings_resolve():
     # perfbench/tracing.py wraps functions at the module attributes their
     # callers look them up in; a binding that disappears (say, an import

@@ -207,3 +207,24 @@ class TestFailurePolicy:
         for name in ("logistic_m4", "elastic_m1", "dynamic_m1", "z1_only", "m1"):
             with pytest.raises(ValueError, match="unknown method"):
                 sim_mod.parse_method(name)
+
+    def test_both_method_lists_name_the_same_ten_stackers(self):
+        # reports list their rows in these orders: the simulation design-major,
+        # the graph experiment dynamic first and then kind-major
+        from dynstack.experiment import METHODS as LEVEL1_METHODS
+
+        assert METHODS == (
+            "random", "z1_only", "z2_only",
+            "logistic_m1", "lasso_m1", "ridge_m1",
+            "logistic_m2", "lasso_m2", "ridge_m2",
+            "logistic_m3", "lasso_m3", "ridge_m3",
+            "dynamic",
+        )
+        assert LEVEL1_METHODS == (
+            "dynamic",
+            "logistic_m1", "logistic_m2", "logistic_m3",
+            "lasso_m1", "lasso_m2", "lasso_m3",
+            "ridge_m1", "ridge_m2", "ridge_m3",
+        )
+        assert sorted(LEVEL1_METHODS) == sorted(METHODS[3:])
+        assert len({sim_mod.parse_method(m) for m in LEVEL1_METHODS}) == 10

@@ -176,6 +176,14 @@ class TestBuildLevel1:
             union |= held
         assert union == set(range(n))
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected_as_every_cross_validation_does(self, folds):
+        half = lambda fit, held: np.full((len(held), 2), 0.5)
+        with pytest.raises(ValueError, match="^cross-validation needs at least 2 folds$"):
+            build_level1(np.arange(10) % 2, {"c": half}, np.zeros(10), folds=folds, seed=0)
+        with pytest.raises(ValueError, match="^cross-validation needs at least 2 folds$"):
+            FitConfig(cv_folds=folds)
+
     def test_missing_class_error_advises_folds(self):
         def failing(fit_idx, heldout_idx):
             raise ValueError("no training node for class(es) [1]")
