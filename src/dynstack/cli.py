@@ -23,22 +23,18 @@ from .graph import (
     read_label_file,
 )
 from .naive_bayes import parse_feature_file
-from .simulation import METHODS, parse_method, run_simulation, summarize
+from .simulation import METHODS, fit_method, parse_method, run_simulation, summarize
 from .stacking import (
     DEFAULT_DEGREE,
     DEFAULT_KNOTS,
-    FitConfig,
     StackModel,
+    check_folds,
     coefficient_curves,
     default_basis,
-    fit_dynamic,
-    fit_static,
     load_model,
     predict,
     read_level1,
     save_model,
-    select_lambda,
-    select_strength,
 )
 
 
@@ -218,22 +214,16 @@ def cmd_stack_fit(args) -> int:
         flag = "--" + flag.replace("_", "-")
         print(f"error: {flag} does not apply to --model {args.model}", file=sys.stderr)
         return 2
-    config = FitConfig(cv_folds=args.folds)
+    check_folds(args.folds)
     data = read_level1(args.level1)
-    strength, cv_report = args.strength, None
+    strength, basis = args.strength, None
     resolved = {} if penalty == "none" else {"strength": "cv" if strength is None else strength}
-    if static:
-        if penalty != "none" and strength is None:
-            strength, cv_report = select_strength(data, design, penalty, config, seed=args.seed)
-        model = fit_static(data, design, penalty, strength, config, cv_seed=args.seed)
-    else:
+    if not static:
         knots = DEFAULT_KNOTS if args.knots is None else args.knots
         degree = DEFAULT_DEGREE if args.spline_degree is None else args.spline_degree
         resolved.update(knots=knots, spline_degree=degree)
         basis = default_basis(data.u, knots, degree)
-        if strength is None:
-            strength, cv_report = select_lambda(data, config, basis, seed=args.seed)
-        model = fit_dynamic(data, strength, basis, config)
+    model, cv_report = fit_method(args.model, data, args.folds, args.seed, basis, strength)
     out = _out_dir(args)
     save_model(out / "model.txt", model)
     if cv_report is not None:

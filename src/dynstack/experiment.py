@@ -9,8 +9,9 @@ accuracies, paired comparisons against the dynamic model, and per-bin
 accuracy differences across the covariate range.
 
 The dynamic model and the nine static baselines are fitted through
-:func:`dynstack.simulation.fit_method`: a fit that does not converge
-scores NaN in its repetition, and any other error stops the run.
+:func:`dynstack.simulation.fit_method`, with the repetition's fold count
+and CV seed: a fit that does not converge scores NaN in its repetition,
+and any other error stops the run.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from .graph import Graph, closeness_centrality, degree, split_nodes
 from .metrics import ComparisonResult, accuracy, binned_accuracy, paired_comparison
 from .naive_bayes import SparseFeatures, fit_nb, predict_nb
 from .relational import ica_run
-from .simulation import KINDS, child_seeds, fit_method, map_reps
+from .simulation import KINDS, child_seeds, fit_or_warn, map_reps
 from .stacking import (
     DEFAULT_DEGREE,
     DEFAULT_KNOTS,
     STATIC_DESIGNS,
     ConvergenceError,
-    FitConfig,
     StackModel,
     build_level1,
     check_folds,
@@ -146,8 +146,7 @@ def run_graph_repetition(
 
     basis = default_basis(level1.u, cfg.interior_knots, cfg.spline_degree)
     where = f"repetition seed {rep_seed}"
-    config = FitConfig(cv_folds=cfg.folds)
-    models = {m: fit_method(m, level1, config, cv_seed, where, basis) for m in METHODS}
+    models = {m: fit_or_warn(m, level1, cfg.folds, cv_seed, where, basis) for m in METHODS}
 
     # test rows: every classifier trained on the full training set
     z_test = np.column_stack([fn(train, test)[:, 0] for fn in level0.values()])

@@ -7,9 +7,11 @@ covariate, case 2 scales the first score's weight linearly in it, and
 case 3 uses a sine-shaped weight the static stackers cannot represent.
 The runner repeats fresh-data experiments, scoring every method by test
 AUC, and aggregates means and standard deviations across repetitions.
-Both experiment drivers fit their level-1 methods through
-:func:`fit_method`: a fit that does not converge scores NaN in its
-repetition (``n_reps`` counts the others), and any other error stops the run.
+Every level-1 fit, in both experiment drivers and ``stack-fit``, goes
+through :func:`fit_method`, which alone decides whether to cross-validate
+the penalty strength. In the drivers a fit that does not converge scores
+NaN in its repetition (``n_reps`` counts the others), and any other error
+stops the run.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stacking
 from .stacking import (
     STATIC_DESIGNS,
     ConvergenceError,
     FitConfig,
     Level1Data,
+    check_folds,
     default_basis,
     fit_dynamic,
     fit_static,
@@ -33,7 +37,10 @@ from .stacking import (
     sigmoid,
 )
 
-__all__ = ["SimDataset", "SimCell", "SimReport", "METHODS", "generate_case", "auc", "run_simulation"]
+__all__ = [
+    "SimDataset", "SimCell", "SimReport", "METHODS", "generate_case", "auc", "fit_method",
+    "run_simulation",
+]
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +60,6 @@ class SimDataset:
     z1: np.ndarray
     z2: np.ndarray
     u: np.ndarray
-    case: int
-    n: int
 
     def to_level1(self) -> Level1Data:
         return Level1Data(self.y, np.column_stack([self.z1, self.z2]), self.u, ["z1", "z2"])
@@ -82,7 +87,7 @@ def generate_case(case: int, n: int, seed) -> SimDataset:
     else:
         logit = -3.0 + 3.0 * np.sin(6.0 * u) * z1 + 3.0 * z2 + w
     y = (rng.uniform(0.0, 1.0, n) < sigmoid(logit)).astype(np.int64)
-    return SimDataset(y, z1, z2, u, case, n)
+    return SimDataset(y, z1, z2, u)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -131,10 +136,6 @@ class SimReport:
     cells: list[SimCell]
     raw: dict[tuple[int, str], np.ndarray]  # per-repetition AUC, NaN = failed
 
-    @property
-    def complete(self) -> bool:
-        return all(not np.isnan(v).any() for v in self.raw.values())
-
     def cell(self, case: int, method: str) -> SimCell:
         for c in self.cells:
             if c.case == case and c.method == method:
@@ -172,18 +173,31 @@ def parse_method(name: str) -> tuple[str, str]:
     raise ValueError(f"unknown method {name!r}")
 
 
-def fit_method(name, train, config, cv_seed, where, basis=None):
-    """Fit level-1 method ``name`` (see :func:`parse_method`) on ``train``,
-    dynamic with CV lambda on ``basis`` (default :func:`default_basis`). A
-    :class:`ConvergenceError` logs one warning naming ``where`` and returns
-    None; any other error propagates."""
+def fit_method(name, train, folds, seed, basis=None, strength=None):
+    """Fit level-1 method ``name`` (see :func:`parse_method`) on ``train``, the
+    dynamic one on ``basis`` (default :func:`default_basis`). Without a
+    ``strength`` the penalty is chosen by ``folds``-fold cross-validation
+    seeded with ``seed``. Returns ``(model, cv_report)``; the report is None
+    when no cross-validation ran."""
     design, penalty = parse_method(name)
+    config = FitConfig(cv_folds=folds)
+    report = None
+    if design == "dynamic":
+        basis = default_basis(train.u) if basis is None else basis
+        if strength is None:
+            strength, report = select_lambda(train, config, basis, seed=seed)
+        return fit_dynamic(train, strength, basis, config), report
+    if strength is None and penalty != "none":
+        # looked up on stacking, the only binding perfbench/tracing.py wraps
+        strength, report = stacking.select_strength(train, design, penalty, config, seed)
+    return fit_static(train, design, penalty, strength, config), report
+
+
+def fit_or_warn(name, train, folds, seed, where, basis=None):
+    """The drivers' :func:`fit_method`: a :class:`ConvergenceError` logs one
+    warning naming ``where`` and returns None; any other error propagates."""
     try:
-        if design == "dynamic":
-            basis = default_basis(train.u) if basis is None else basis
-            lam, _ = select_lambda(train, config, basis, seed=cv_seed)
-            return fit_dynamic(train, lam, basis, config)
-        return fit_static(train, design, penalty, config=config, cv_seed=cv_seed)
+        return fit_method(name, train, folds, seed, basis)[0]
     except ConvergenceError as err:
         log.warning("%s: %s failed (%s)", where, name, err)
         return None
@@ -197,7 +211,7 @@ def summarize(vals: np.ndarray) -> tuple[float, float, int]:
     return mean, sd, len(ok)
 
 
-def _run_repetition(case, n, rep_seed, methods, config):
+def _run_repetition(case, n, rep_seed, methods, folds):
     """One fresh-data experiment; returns per-method AUC (NaN on failure)."""
     data_seed, split_seed, rand_seed, cv_seed = child_seeds(rep_seed, 4)
     data = generate_case(case, n, data_seed).to_level1()
@@ -214,7 +228,7 @@ def _run_repetition(case, n, rep_seed, methods, config):
         elif name == "z2_only":
             scores = test.z[:, 1]
         else:
-            model = fit_method(name, train, config, cv_seed, f"case {case} seed {rep_seed}")
+            model = fit_or_warn(name, train, folds, cv_seed, f"case {case} seed {rep_seed}")
             scores = None if model is None else predict(model, test.z, test.u)
         out[name] = float("nan") if scores is None else auc(scores, test.y)
     return out
@@ -241,10 +255,10 @@ def run_simulation(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    config = FitConfig(cv_folds=folds)
+    check_folds(folds)
     rep_seeds = child_seeds(seed, len(cases) * reps)
     jobs = [
-        (case, n, rep_seeds[ci * reps + r], methods, config)
+        (case, n, rep_seeds[ci * reps + r], methods, folds)
         for ci, case in enumerate(cases)
         for r in range(reps)
     ]

@@ -747,33 +747,17 @@ def select_lambda(data: Level1Data, config: FitConfig, basis: BSplineBasis, seed
 
 
 def fit_static(
-    data: Level1Data,
-    design: str = "m1",
-    penalty: str = "none",
-    strength: float | None = None,
-    config: FitConfig = FitConfig(),
-    cv_seed: int = 0,
+    data: Level1Data, design: str, penalty: str, strength: float, config: FitConfig = FitConfig()
 ) -> StackModel:
-    """Fit a constant-weight generalizer.
+    """Fit a static generalizer at a fixed penalty ``strength``.
 
-    ``penalty`` is "none" (plain logistic MLE), "ridge", or "lasso"; the
-    intercept is never penalized. Leaving ``strength`` unset with a
-    penalty selects it by cross-validation over :data:`LAMBDA_GRID`.
+    ``penalty`` is "none" (plain logistic MLE, ``strength`` ignored),
+    "ridge", or "lasso"; the intercept is never penalized.
     """
-    if penalty == "none":
-        strength = 0.0
-    elif strength is None:
-        strength, _ = select_strength(data, design, penalty, config, cv_seed)
-    return _fit_model(data, design, penalty, strength, config)
+    return _fit_model(data, design, penalty, 0.0 if penalty == "none" else strength, config)
 
 
-def select_strength(
-    data: Level1Data,
-    design: str,
-    penalty: str,
-    config: FitConfig = FitConfig(),
-    seed: int = 0,
-):
+def select_strength(data: Level1Data, design: str, penalty: str, config: FitConfig, seed: int = 0):
     """Cross-validated penalty strength for a static design; mirrors
     :func:`select_lambda` (shared folds, held-out likelihood, ties to the
     larger value)."""
@@ -830,10 +814,10 @@ def write_level1(path, data: Level1Data) -> None:
             fh.write(f"z_{j + 1} = {name}\n")
 
 
-def _bad_level1_line(path, width: int, has_y: bool) -> str:
+def _bad_level1_line(path, width: int, has_y: bool) -> str | None:
     """Name the first data line that does not hold ``width`` finite numbers,
     whose z values are not probabilities or, when ``has_y``, whose first
-    field is not exactly 0 or 1."""
+    field is not exactly 0 or 1; None when every line holds them."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -851,7 +835,7 @@ def _bad_level1_line(path, width: int, has_y: bool) -> str:
                 return f"{where}: y must be 0 or 1, got {rec[0]!r}"
             if not _probabilities(row[int(has_y) : -1]):
                 return f"{where}: z values must be probabilities in [0, 1], got {rec}"
-    return f"{path}: no data rows"
+    return None
 
 
 def read_level1(path, require_y: bool = True) -> Level1Data:
@@ -866,20 +850,10 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
         if header[-1] != "u" or (require_y and header[0] != "y"):
             raise ValueError(f"{path}: unexpected level-1 header {header!r}")
         rows = [rec for rec in reader if rec]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     has_y = header[0] == "y"
     zcols = len(header) - 1 - int(has_y)
-    try:
-        body = np.asarray(rows, dtype=float)
-        ok = body.ndim == 2 and body.shape[1] == len(header) and np.isfinite(body).all()
-        ok = ok and (not has_y or np.isin(body[:, 0], (0.0, 1.0)).all())
-        ok = ok and _probabilities(body[:, int(has_y) : -1])
-    except ValueError:
-        ok = False
-    if not ok:  # only a bad file pays for the line-by-line search
-        raise ValueError(_bad_level1_line(path, len(header), has_y))
-    y = body[:, 0].astype(np.int64) if has_y else np.zeros(len(body), dtype=np.int64)
-    z = body[:, int(has_y) : int(has_y) + zcols]
-    u = body[:, -1]
     columns = [f"z_{j + 1}" for j in range(zcols)]
     sidecar = path.with_name(path.name + ".provenance.txt")
     if sidecar.exists():
@@ -887,7 +861,12 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
         columns = [line.split("=", 1)[1].strip() for line in lines if "=" in line]
         if len(columns) != zcols:
             raise ValueError(f"{sidecar}: {len(columns)} names for {zcols} z columns")
-    return Level1Data(y, z, u, columns)
+    try:  # a ragged body, or rows of another width, fail the cast or the reshape
+        body = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        y = body[:, 0] if has_y else np.zeros(len(body), dtype=np.int64)
+        return Level1Data(y, body[:, int(has_y) : -1], body[:, -1], columns)
+    except ValueError as err:  # only a bad file pays for the line search; else a name is bad
+        raise ValueError(_bad_level1_line(path, len(header), has_y) or f"{sidecar}: {err}") from None
 
 
 def save_model(path, model: StackModel) -> None:

@@ -368,21 +368,24 @@ class TestStackCommands:
 
     @pytest.mark.parametrize("name", LEVEL1_METHODS)
     def test_model_name_fits_as_fit_method(self, level1_file, tmp_path, name):
-        # stack-fit --model <name> makes the fit that both experiment drivers make
+        # stack-fit --model <name> writes fit_method's model, and its CV profile
+        # is the one select_lambda or select_strength gives at the same seed
         out = tmp_path / "fit"
         argv = ["stack-fit", "--level1", str(level1_file), "--model", name, "--folds", "3"]
         assert main([*argv, "--seed", "4", "--out", str(out)]) == 0
         data, config = read_level1(level1_file), FitConfig(cv_folds=3)
-        save_model(tmp_path / "expected.txt", fit_method(name, data, config, 4, "test"))
+        model, report = fit_method(name, data, 3, 4)
+        save_model(tmp_path / "expected.txt", model)
         assert (out / "model.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
         design, penalty = parse_method(name)
         if penalty == "none":
-            assert not (out / "cv_report.csv").exists()
+            assert report is None and not (out / "cv_report.csv").exists()
             return
         if design == "dynamic":
             _, profile = select_lambda(data, config, default_basis(data.u), seed=4)
         else:
             _, profile = select_strength(data, design, penalty, config, seed=4)
+        assert report == profile
         assert read_csv(out / "cv_report.csv")[1:] == [[repr(s), repr(v)] for s, v in profile]
 
     def test_curves_on_static_model_fails(self, level1_file, tmp_path):

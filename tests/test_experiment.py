@@ -103,6 +103,37 @@ class TestRepetition:
         np.testing.assert_array_equal(a.model.coef, b.model.coef)
 
 
+@pytest.mark.parametrize("driver", ["simulation", "graph"])
+def test_fits_are_looked_up_where_the_benchmark_tracer_wraps_them(
+    planted_network, planted_features, monkeypatch, driver
+):
+    # perfbench/tracing.py wraps select_strength on stacking and the three fits
+    # on simulation; a fit reached through another binding drops out of its
+    # layer metrics without an error
+    import dynstack.simulation as sim_mod
+
+    calls = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(stacking, "select_strength")
+    for name in ("fit_static", "select_lambda", "fit_dynamic"):
+        spy(sim_mod, name)
+    if driver == "simulation":
+        sim_mod.run_simulation(cases=(3,), n=300, reps=1, seed=5, folds=5)
+    else:
+        g = binarize_labels(planted_network.graph, "topic/positive")
+        run_graph_repetition(g, planted_features, node_covariate(g, "degree"), 5, small_cfg())
+    assert calls == {"select_strength": 6, "fit_static": 9, "select_lambda": 1, "fit_dynamic": 1}
+
+
 class TestExperimentDriver:
     def test_report_aggregation(self, planted_network, planted_features):
         rep = run_graph_experiment(
@@ -127,10 +158,10 @@ class TestExperimentDriver:
         import dynstack.simulation as sim_mod  # the method table looks fits up here
         from dynstack.stacking import ConvergenceError, fit_static as real_fit_static
 
-        def flaky_fit_static(data, design="m1", penalty="none", **kw):
+        def flaky_fit_static(data, design, penalty, *rest):
             if penalty == "none" and design == "m3":
                 raise ConvergenceError("separable")
-            return real_fit_static(data, design, penalty, **kw)
+            return real_fit_static(data, design, penalty, *rest)
 
         monkeypatch.setattr(sim_mod, "fit_static", flaky_fit_static)
         rep = run_graph_experiment(

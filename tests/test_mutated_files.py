@@ -19,7 +19,6 @@ from dynstack.graph import attach_labels, parse_edge_list, read_label_file
 from dynstack.naive_bayes import parse_feature_file
 from dynstack.simulation import fit_method, generate_case
 from dynstack.stacking import (
-    FitConfig,
     default_basis,
     fit_dynamic,
     load_model,
@@ -120,7 +119,7 @@ def valid_files(tmp_path_factory):
     data = generate_case(3, 40, 2).to_level1()
     write_level1(root / "level1.csv", data)
     save_model(root / "dynamic.txt", fit_dynamic(data, 1.0, default_basis(data.u)))
-    ridge = fit_method("ridge_m3", data, FitConfig(cv_folds=3), 0, "test")
+    ridge, _ = fit_method("ridge_m3", data, 3, 0)
     save_model(root / "ridge_m3.txt", ridge)
     return root
 

@@ -122,8 +122,9 @@ def test_every_exported_name_has_a_caller():
     assert unused == []
 
 
-# Settings that only tests set, kept for now: perfbench/workloads.py builds a
-# FitConfig for fit_dynamic, which reads newton_tol.
+# Settings that only tests set, kept for now: criterion 3 and the Newton tests
+# tighten FitConfig.newton_tol, and FitConfig stays a class while
+# perfbench/workloads.py builds one to pass to select_lambda and fit_dynamic.
 SETTINGS_ONLY_TESTS_SET = {"stacking.FitConfig.newton_tol"}
 
 

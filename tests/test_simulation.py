@@ -4,7 +4,7 @@ import pytest
 import dynstack.simulation as sim_mod
 from dynstack import stacking
 from dynstack.simulation import METHODS, auc, generate_case, run_simulation
-from dynstack.stacking import ConvergenceError, FitConfig, sigmoid
+from dynstack.stacking import ConvergenceError, sigmoid
 from dynstack.stacking import fit_static as real_fit_static
 
 from oracles import brute_force_auc
@@ -23,7 +23,7 @@ class TestGenerateCase:
         # sin(0) = 0: at u = 0 the first score's weight vanishes
         assert 3 * np.sin(6 * 0.0) == 0.0
         d = generate_case(3, 10, 1)
-        assert d.case == 3 and d.n == 10
+        assert len(d.y) == len(d.z1) == len(d.z2) == len(d.u) == 10
 
     def test_deterministic_per_seed(self):
         a, b = generate_case(2, 500, 42), generate_case(2, 500, 42)
@@ -148,7 +148,7 @@ class TestRunSimulation:
         cell = rep.cell(1, "random")
         assert cell.sd_auc == pytest.approx(vals.std(ddof=1))
         assert cell.mean_auc == pytest.approx(vals.mean())
-        assert rep.complete
+        assert not any(np.isnan(v).any() for v in rep.raw.values())
 
 
 class TestFailurePolicy:
@@ -165,12 +165,12 @@ class TestFailurePolicy:
         clean = run_simulation(**self.KWARGS)
         calls = []
 
-        def first_logistic_m2_diverges(data, design="m1", penalty="none", **kw):
+        def first_logistic_m2_diverges(data, design, penalty, *rest):
             if (design, penalty) == ("m2", "none"):
                 calls.append(design)
                 if len(calls) == 1:
                     raise ConvergenceError("separable")
-            return real_fit_static(data, design, penalty, **kw)
+            return real_fit_static(data, design, penalty, *rest)
 
         monkeypatch.setattr(sim_mod, "fit_static", first_logistic_m2_diverges)
         with caplog.at_level("WARNING", logger="dynstack.simulation"):
@@ -199,7 +199,26 @@ class TestFailurePolicy:
         train = generate_case(1, 100, 0).to_level1()
         for name in ("logistic_m4", "elastic_m1", "dynamic_m1", "z1_only"):
             with pytest.raises(ValueError, match="unknown method"):
-                sim_mod.fit_method(name, train, FitConfig(), 0, "test")
+                sim_mod.fit_method(name, train, 10, 0)
+
+    def test_fit_method_raises_a_diverged_fit(self, monkeypatch):
+        def diverges(*args):
+            raise ConvergenceError("separable")
+
+        monkeypatch.setattr(sim_mod, "fit_static", diverges)
+        train = generate_case(1, 100, 0).to_level1()
+        with pytest.raises(ConvergenceError, match="separable"):
+            sim_mod.fit_method("logistic_m2", train, 3, 0)
+
+    def test_fit_method_at_a_fixed_strength_runs_no_cross_validation(self, monkeypatch):
+        monkeypatch.setattr(stacking, "select_strength", None)  # a call would raise
+        monkeypatch.setattr(sim_mod, "select_lambda", None)
+        train = generate_case(2, 200, 0).to_level1()
+        for name, strength in (("ridge_m2", 0.5), ("lasso_m3", 0.01), ("dynamic", 1.0)):
+            model, report = sim_mod.fit_method(name, train, 3, 0, strength=strength)
+            assert report is None and model.strength == strength
+        model, report = sim_mod.fit_method("logistic_m1", train, 3, 0)
+        assert report is None and model.strength == 0.0
 
     def test_parse_method_gives_design_and_penalty(self):
         got = [sim_mod.parse_method(m) for m in ("dynamic", "logistic_m1", "lasso_m2", "ridge_m3")]

@@ -115,6 +115,13 @@ class TestLevel1Data:
         with pytest.raises(ValueError, match="provenance.txt: 3 names for 2 z columns"):
             read_level1(path)
 
+    def test_sidecar_with_empty_name_names_the_sidecar(self, tmp_path):
+        path = tmp_path / "lvl1.csv"
+        write_level1(path, make_data(n=20))
+        (tmp_path / "lvl1.csv.provenance.txt").write_text("z_1 = a\nz_2 =\n")
+        with pytest.raises(ValueError, match="^.*lvl1.csv.provenance.txt: provenance name ''"):
+            read_level1(path)
+
     def test_empty_file_names_file(self, tmp_path):
         path = tmp_path / "level1.csv"
         path.write_text("")
@@ -300,7 +307,7 @@ class TestFitDynamic:
         train = generate_case(1, 2000, 11).to_level1()
         test = generate_case(1, 2000, 12).to_level1()
         dyn = fit_dynamic(train, 1e12, default_basis(train.u))
-        logistic = fit_static(train, "m1", "none")
+        logistic = fit_static(train, "m1", "none", 0.0)
         a_dyn = auc(predict(dyn, test.z, test.u), test.y)
         a_log = auc(predict(logistic, test.z, test.u), test.y)
         assert abs(a_dyn - a_log) < 0.01
@@ -312,7 +319,7 @@ class TestFitDynamic:
             data = random_binary_data(rng)
             basis = make_basis(data.u.min(), data.u.max(), 0, 0)
             dyn = fit_dynamic(data, 0.0, basis, cfg)
-            stat = fit_static(data, "m1", "none", config=cfg)
+            stat = fit_static(data, "m1", "none", 0.0, cfg)
             p_dyn = predict(dyn, data.z, data.u)
             p_stat = predict(stat, data.z, data.u)
             assert np.abs(p_dyn - p_stat).max() < 1e-6
@@ -872,9 +879,9 @@ class TestFitStatic:
     def test_unknown_design_and_penalty_rejected(self):
         data = make_data(n=50)
         with pytest.raises(ValueError, match="design"):
-            fit_static(data, "m9", "none")
+            fit_static(data, "m9", "none", 0.0)
         with pytest.raises(ValueError, match="penalty"):
-            fit_static(data, "m1", "elastic")
+            fit_static(data, "m1", "elastic", 1.0)
 
     def test_huge_ridge_shrinks_to_prior(self):
         rng = np.random.default_rng(10)
@@ -913,7 +920,7 @@ class TestFitStatic:
     def test_case1_m1_auc_near_reported_value(self):
         train = generate_case(1, 2000, 31).to_level1()
         test = generate_case(1, 2000, 32).to_level1()
-        m = fit_static(train, "m1", "none")
+        m = fit_static(train, "m1", "none", 0.0)
         assert auc(predict(m, test.z, test.u), test.y) == pytest.approx(0.75, abs=0.03)
 
     def test_strength_selection_returns_grid_value(self, monkeypatch):
@@ -1088,7 +1095,7 @@ class TestObjectivePath:
             x = design_matrix(data.z, data.u, design)
             ones = np.r_[0.0, np.ones(x.shape[1] - 1)]
             crit = float(np.abs(x[:, 1:].T @ (data.y - data.y.mean())).max())
-            m = fit_static(data, design, "none")
+            m = fit_static(data, design, "none", 0.0)
             assert m.objective_path[-1] == self.objective(x, data.y, m.coef)
             m = fit_static(data, design, "ridge", strength=2.0)
             assert m.objective_path[-1] == self.objective(x, data.y, m.coef, ridge=2.0 * ones)
@@ -1257,7 +1264,7 @@ class TestModelFiles:
         if kind == "dynamic":
             model = fit_dynamic(data, 1.0, default_basis(data.u))
         else:
-            model = fit_static(data, "m2", "none")
+            model = fit_static(data, "m2", "none", 0.0)
         path = tmp_path / "model.txt"
         save_model(path, model)
         lines = path.read_text().splitlines()

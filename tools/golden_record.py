@@ -47,6 +47,19 @@ RUNS = [
     ("stackfit_logistic_m1", [*_FIT, "{root}/inputs/level1_1200.csv", "--model", "logistic_m1"]),
     ("stack_predict", ["stack-predict", "--model", _MODEL, "--data", "{root}/inputs/level1_1200.csv"]),
     ("curves", ["curves", "--model", _MODEL]),
+    ("stackfit_dynamic_fixed", [*_FIT, "{root}/inputs/level1_1200.csv", "--strength", "1.0"]),
+    (
+        "stackfit_ridge_m2_fixed",
+        [*_FIT, "{root}/inputs/level1_1200.csv", "--model", "ridge_m2", "--strength", "0.5"],
+    ),
+    (
+        "stackfit_lasso_m3_folds5",
+        [*_FIT, "{root}/inputs/level1_1200.csv", "--model", "lasso_m3", "--folds", "5"],
+    ),
+    (
+        "simulate_case2_folds5",
+        ["simulate", "--case", "2", "--n", "400", "--reps", "2", "--folds", "5", "--raw"],
+    ),
 ]
 
 
