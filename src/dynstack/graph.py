@@ -9,10 +9,13 @@ with -1 meaning unobserved.
 from __future__ import annotations
 
 import csv
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+
+# scipy.sparse loads where a matrix is built: runs without a graph never import it
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Graph",
@@ -91,6 +94,8 @@ class Graph:
                 f"the parallel edges between {node_ids[i[k]]!r} and {node_ids[j[k]]!r} "
                 "sum to a non-finite weight"
             )
+        from scipy.sparse import csr_matrix
+
         adj = csr_matrix((np.r_[total, total], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         adj.sort_indices()
         return cls(node_ids, adj.indptr, adj.indices, adj.data, np.full(n, -1, dtype=np.int64), ())
@@ -131,6 +136,8 @@ class Graph:
         return self._lists
 
     def adjacency(self) -> csr_matrix:
+        from scipy.sparse import csr_matrix
+
         n = self.n_nodes
         return csr_matrix((self._weights, self._indices, self._indptr), shape=(n, n))
 
@@ -258,6 +265,8 @@ def largest_connected_component(graph: Graph) -> Graph:
     """
     if graph.n_nodes == 0:
         raise ValueError("empty graph has no components")
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, comp = connected_components(graph.adjacency(), directed=False)
     sizes = np.bincount(comp, minlength=n_comp)
     # component ids are assigned in node-index order, so the first argmax

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "accuracy",
@@ -134,6 +133,8 @@ def paired_comparison(acc_a: np.ndarray, acc_b: np.ndarray) -> ComparisonResult:
         if mean == 0.0:
             return ComparisonResult(mean, 0.5, True)
         return ComparisonResult(mean, 0.0 if mean > 0 else 1.0, True)
+    from scipy.special import stdtr
+
     t = mean / (sd / np.sqrt(n))
     p = float(stdtr(n - 1, -t))  # Student t survival function at t
     return ComparisonResult(mean, p, False)

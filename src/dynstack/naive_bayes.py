@@ -10,12 +10,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.special import logsumexp
 
 from .graph import GraphParseError
+
+# scipy loads in the functions that use it: runs without a graph never import it
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["SparseFeatures", "NaiveBayesModel", "parse_feature_file", "fit_nb", "predict_nb"]
 
@@ -73,6 +76,8 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
             rows.append(index[node_id])
             cols.append(vocab.setdefault(term, len(vocab)))
             vals.append(w)
+    from scipy.sparse import csr_matrix
+
     matrix = csr_matrix(
         (np.asarray(vals, dtype=float), (rows, cols)), shape=(len(node_ids), len(vocab))
     )
@@ -142,6 +147,8 @@ def predict_nb(model: NaiveBayesModel, features: csr_matrix) -> np.ndarray:
             f"feature width {features.shape[1]} does not match vocabulary "
             f"size {vocab_size}"
         )
+    from scipy.special import logsumexp
+
     scores = model.log_priors[None, :] + (features @ model.log_likelihoods.T)
     norm = logsumexp(scores, axis=1, keepdims=True)
     if not np.isfinite(norm).all():

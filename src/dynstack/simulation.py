@@ -17,7 +17,6 @@ stops the run.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +155,8 @@ def map_reps(fn, jobs, threads: int = 1) -> list:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, *zip(*jobs), chunksize=1))
     return [fn(*job) for job in jobs]

@@ -13,11 +13,20 @@ import pytest
 import dynstack
 
 
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    dynstack; returns the last line it prints."""
+    src = str(Path(dynstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats costs more than the rest of `import dynstack`;
     # auc and the paired t-test do without it
-    src = str(Path(dynstack.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, dynstack\n"
         "from dynstack.metrics import paired_comparison\n"
@@ -26,10 +35,76 @@ def test_import_leaves_scipy_stats_unloaded():
         "paired_comparison([0.8, 0.9, 0.7], [0.7, 0.7, 0.8])\n"
         "print('scipy.stats' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _run_fresh(code) == "False"
+
+
+# modules that only graph, naive Bayes, p-value or multi-process code needs
+FEATURE_MODULES = ("scipy.sparse", "scipy.special", "concurrent.futures.process")
+
+
+def test_level1_path_leaves_feature_modules_unloaded(tmp_path):
+    # the simulation study and stack-fit / stack-predict build no graph: they
+    # run without scipy.sparse, scipy.special or a process pool in memory
+    code = f"""
+import sys
+from pathlib import Path
+import dynstack
+from dynstack.cli import main
+from dynstack.simulation import generate_case, run_simulation
+from dynstack.stacking import write_level1
+
+run_simulation(cases=(3,), n=200, reps=1, folds=3)
+out = Path({str(tmp_path)!r})
+write_level1(out / "level1.csv", generate_case(3, 300, 5).to_level1())
+assert main(["stack-fit", "--level1", str(out / "level1.csv"), "--folds", "3",
+             "--out", str(out / "fit")]) == 0
+assert main(["stack-predict", "--model", str(out / "fit" / "model.txt"),
+             "--data", str(out / "level1.csv"), "--out", str(out / "pred")]) == 0
+print(sorted(m for m in sys.modules
+             if any(m == f or m.startswith(f + ".") for f in {FEATURE_MODULES!r})))
+"""
+    assert _run_fresh(code) == "[]"
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+
+
+# graph, naive Bayes and p-value calls whose scipy imports run inside them
+DEFERRED_CALLS = """
+from dynstack.graph import largest_connected_component, parse_edge_list
+from dynstack.metrics import paired_comparison
+from dynstack.naive_bayes import fit_nb, parse_feature_file, predict_nb
+
+graph = parse_edge_list(["a b", "b c 2.0", "c a", "d e", "c f 0.5", "g d"])
+lcc = largest_connected_component(graph)
+features = parse_feature_file(
+    ["a w1:1 w2:2", "b w2:1.5", "c w1:3 w3:1", "f w3:2 w1:0.25"], lcc.node_ids
+)
+model = fit_nb(features.matrix, [0, 1, 0, 1], 2)
+probs = predict_nb(model, features.matrix)
+test = paired_comparison([0.8, 0.9, 0.7, 0.85], [0.7, 0.7, 0.8, 0.75])
+result = (
+    lcc.node_ids,
+    [a.tobytes().hex() for a in (lcc._indptr, lcc._indices, lcc._weights)],
+    [a.tobytes().hex() for a in (features.matrix.data, features.matrix.indices)],
+    [a.tobytes().hex() for a in (model.log_priors, model.log_likelihoods, probs)],
+    [test.mean_diff.hex(), test.p_value.hex()],
+)
+"""
+
+
+def test_deferred_scipy_imports_give_in_process_values():
+    # first thing in a fresh interpreter, each call imports what it needs
+    # itself and returns the bits it returns here
+    code = (
+        "import sys\n"
+        "import dynstack\n"
+        "assert not {'scipy.sparse', 'scipy.special'} & set(sys.modules)\n"
+        f"{DEFERRED_CALLS}\n"
+        "print(repr(result))"
     )
-    assert out.stdout.strip() == "False"
+    scope = {}
+    exec(DEFERRED_CALLS, scope)
+    assert ast.literal_eval(_run_fresh(code)) == scope["result"]
+    assert scope["result"][0] == ["a", "b", "c", "f"]
 
 
 @pytest.mark.parametrize(
