@@ -3,6 +3,8 @@
 Every subcommand writes its artifacts plus a ``manifest.txt`` recording
 the fully resolved parameters; rerunning with the same flags (or the
 flags read back from a manifest) reproduces the outputs byte for byte.
+A run that fails writes nothing: :func:`main` exits 1, or 2 for a flag the
+command cannot use, after one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .stacking import (
 )
 
 
+class _UsageError(ValueError):
+    """A flag the command cannot use; :func:`main` exits 2 on it."""
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -46,35 +52,21 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_manifest(out: Path, args, omit=(), **resolved) -> None:
+def _manifest(args, omit=(), **resolved) -> str:
     """Record every parsed flag but ``--out`` and ``omit``; ``resolved`` overrides values."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", *omit)}
     params.update(resolved)
     lines = [f"command = {args.command}"]
     lines += [f"{k} = {_fmt_value(v)}" for k, v in sorted(params.items())]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _out_dir(args) -> Path:
-    """Create ``--out``; called only once a command has an output to write."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_curves(path: Path, model: StackModel, points: int) -> None:
+def _curves(model: StackModel, points: int):
     """``points`` rows over the model's domain: ``u``, then each weight curve there."""
     grid = np.linspace(model.basis.u_lo, model.basis.u_hi, points)
     curves = coefficient_curves(model, grid)
     rows = [[repr(float(u))] + [repr(float(v)) for v in row] for u, row in zip(grid, curves)]
-    _write_csv(path, ["u"] + list(model.columns), rows)
+    return ["u"] + list(model.columns), rows
 
 
 def _parse_file(parse, path, *args):
@@ -86,9 +78,11 @@ def _parse_file(parse, path, *args):
 
 
 # ---------------------------------------------------------------------------
+# Each command returns ``(files, manifest text)`` or raises. ``files`` maps a
+# file name to a CSV ``(header, rows)`` or to a writer taking the file's path.
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     report = run_simulation(
         cases=(args.case,),
@@ -99,27 +93,26 @@ def cmd_simulate(args) -> int:
         threads=args.threads,
         folds=args.folds,
     )
-    out = _out_dir(args)
-    _write_csv(
-        out / "simulation_report.csv",
-        ["case", "method", "mean_auc", "sd_auc", "n_reps"],
-        [
-            [c.case, c.method, repr(c.mean_auc), repr(c.sd_auc), c.n_reps]
-            for c in report.cells
-        ],
-    )
+    files = {
+        "simulation_report.csv": (
+            ["case", "method", "mean_auc", "sd_auc", "n_reps"],
+            [
+                [c.case, c.method, repr(c.mean_auc), repr(c.sd_auc), c.n_reps]
+                for c in report.cells
+            ],
+        )
+    }
     if args.raw:
         rows = []
         for (case, method), vals in report.raw.items():
             rows += [
                 [case, method, r, repr(float(v))] for r, v in enumerate(vals)
             ]
-        _write_csv(out / "simulation_raw.csv", ["case", "method", "rep", "auc"], rows)
-    _write_manifest(out, args, methods=list(methods))
-    return 0
+        files["simulation_raw.csv"] = (["case", "method", "rep", "auc"], rows)
+    return files, _manifest(args, methods=list(methods))
 
 
-def cmd_graph_experiment(args) -> int:
+def cmd_graph_experiment(args):
     cfg = exp.ExperimentConfig(
         covariate=args.covariate,
         test_fraction=args.test_fraction,
@@ -132,12 +125,9 @@ def cmd_graph_experiment(args) -> int:
         threads=args.threads,
     )
     if args.covariate == "degree" and args.bins is not None:
-        print(
-            "error: --bins does not apply to --covariate degree, "
-            "which is binned one integer per bin",
-            file=sys.stderr,
+        raise _UsageError(
+            "--bins does not apply to --covariate degree, which is binned one integer per bin"
         )
-        return 2
     graph = attach_labels(_parse_file(parse_edge_list, args.edges), read_label_file(args.labels))
     features = _parse_file(parse_feature_file, args.features, graph.node_ids)
     original_index = {nid: i for i, nid in enumerate(graph.node_ids)}
@@ -154,56 +144,44 @@ def cmd_graph_experiment(args) -> int:
     try:
         report = exp.run_graph_experiment(graph, features, args.positive_label, cfg)
     except ValueError as err:
-        if "connected" in str(err):
-            raise SystemExit(
-                f"error: {err}\nPass --lcc to reduce the graph to its largest "
-                "connected component first."
-            ) from err
-        raise
+        if "connected" not in str(err):
+            raise
+        raise ValueError(f"{err}; pass --lcc to do so") from err
 
-    out = _out_dir(args)
     acc_rows = []
     for m in report.methods:
         mean, sd, n_reps = summarize(report.accuracies[m])
         acc_rows.append([m, *("" if np.isnan(v) else repr(v) for v in (mean, sd)), n_reps])
-    _write_csv(
-        out / "accuracy_report.csv",
-        ["method", "mean_accuracy", "sd_accuracy", "n_reps"],
-        acc_rows,
-    )
-    _write_csv(
-        out / "paired_comparisons.csv",
-        ["method_a", "method_b", "mean_diff", "p_value"],
-        [
-            ["dynamic", m, repr(c.mean_diff), repr(c.p_value)]
-            for m, c in report.comparisons.items()
-        ],
-    )
     delta_rows = []
     for m, deltas in report.bin_delta_correct.items():
         for lo, hi, cnt, d in zip(report.bin_lo, report.bin_hi, report.bin_counts, deltas):
             delta_rows.append([m, repr(float(lo)), repr(float(hi)), repr(float(cnt)), repr(float(d))])
-    _write_csv(
-        out / "binned_deltas.csv",
-        ["method", "bin_lo", "bin_hi", "mean_count", "mean_delta_correct"],
-        delta_rows,
-    )
-    _write_curves(out / "coefficient_curves.csv", report.model, 200)
-    _write_manifest(out, args, bins=cfg.bins)
-    return 0
+    files = {
+        "accuracy_report.csv": (["method", "mean_accuracy", "sd_accuracy", "n_reps"], acc_rows),
+        "paired_comparisons.csv": (
+            ["method_a", "method_b", "mean_diff", "p_value"],
+            [
+                ["dynamic", m, repr(c.mean_diff), repr(c.p_value)]
+                for m, c in report.comparisons.items()
+            ],
+        ),
+        "binned_deltas.csv": (
+            ["method", "bin_lo", "bin_hi", "mean_count", "mean_delta_correct"],
+            delta_rows,
+        ),
+        "coefficient_curves.csv": _curves(report.model, 200),
+    }
+    return files, _manifest(args, bins=cfg.bins)
 
 
-def cmd_centrality(args) -> int:
+def cmd_centrality(args):
     graph = largest_connected_component(_parse_file(parse_edge_list, args.edges))
     values = exp.node_covariate(graph, args.kind)
-    out = _out_dir(args)
     rows = [[nid, repr(float(v))] for nid, v in zip(graph.node_ids, values)]
-    _write_csv(out / "covariate.csv", ["node_id", "value"], rows)
-    _write_manifest(out, args)
-    return 0
+    return {"covariate.csv": (["node_id", "value"], rows)}, _manifest(args)
 
 
-def cmd_stack_fit(args) -> int:
+def cmd_stack_fit(args):
     design, penalty = parse_method(args.model)
     static = design != "dynamic"
     # a flag the chosen model never reads would still be written to the manifest
@@ -212,8 +190,7 @@ def cmd_stack_fit(args) -> int:
     flag = next((f for f in unread if getattr(args, f) is not None), None)
     if flag is not None:
         flag = "--" + flag.replace("_", "-")
-        print(f"error: {flag} does not apply to --model {args.model}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{flag} does not apply to --model {args.model}")
     check_folds(args.folds)
     data = read_level1(args.level1)
     strength, basis = args.strength, None
@@ -224,43 +201,34 @@ def cmd_stack_fit(args) -> int:
         resolved.update(knots=knots, spline_degree=degree)
         basis = default_basis(data.u, knots, degree)
     model, cv_report = fit_method(args.model, data, args.folds, args.seed, basis, strength)
-    out = _out_dir(args)
-    save_model(out / "model.txt", model)
+    files = {"model.txt": lambda path: save_model(path, model)}
     if cv_report is not None:
-        _write_csv(
-            out / "cv_report.csv",
+        files["cv_report.csv"] = (
             ["penalty_strength", "heldout_nll"],
             [[repr(lam), repr(score)] for lam, score in cv_report],
         )
-    _write_manifest(out, args, unread, chosen_strength=model.strength, **resolved)
-    return 0
+    return files, _manifest(args, unread, chosen_strength=model.strength, **resolved)
 
 
-def cmd_stack_predict(args) -> int:
+def cmd_stack_predict(args):
     model = load_model(args.model)
     data = read_level1(args.data, require_y=False)
+    if data.p != model.p:
+        raise ValueError(
+            f"{args.data} has {data.p} z columns; {args.model} was fitted on {model.p}"
+        )
     probs = predict(model, data.z, data.u)
-    out = _out_dir(args)
-    _write_csv(
-        out / "predictions.csv",
-        ["row", "probability"],
-        [[i, repr(float(p))] for i, p in enumerate(probs)],
-    )
-    _write_manifest(out, args)
-    return 0
+    rows = [[i, repr(float(p))] for i, p in enumerate(probs)]
+    return {"predictions.csv": (["row", "probability"], rows)}, _manifest(args)
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args):
     if args.points < 1:
-        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--points must be >= 1, got {args.points}")
     model = load_model(args.model)
     if model.design != "dynamic":
-        raise SystemExit("error: coefficient curves require a dynamic model file")
-    out = _out_dir(args)
-    _write_curves(out / "curves.csv", model, args.points)
-    _write_manifest(out, args)
-    return 0
+        raise ValueError(f"{args.model}: coefficient curves require a dynamic model file")
+    return {"curves.csv": _curves(model, args.points)}, _manifest(args)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; only here is ``--out`` created and written, once the
+    command has returned, and only here does an error become an exit status."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        files, manifest = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if callable(content):
+                content(out / name)
+                continue
+            header, rows = content
+            with open(out / name, "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        (out / "manifest.txt").write_text(manifest)
     except (OSError, ValueError, RuntimeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -167,7 +167,9 @@ def parse_edge_list(lines) -> Graph:
 
     Blank lines and lines starting with ``#`` are skipped. Repeated pairs
     merge by weight sum; node ids are interned in first-seen order.
-    Malformed lines raise :class:`GraphParseError` with the line number.
+    Malformed lines raise :class:`GraphParseError` with the line number,
+    as does the line whose weight takes a merged sum past the float range;
+    ``lines`` is a sequence, read again to find that line.
     """
     ids: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
@@ -194,7 +196,22 @@ def parse_edge_list(lines) -> Graph:
             if tok not in ids:
                 ids[tok] = len(ids)
         edges.append((ids[a], ids[b], w))
-    return Graph.build(list(ids), edges)
+    names = list(ids)
+    try:
+        return Graph.build(names, edges)
+    except GraphParseError:  # every line passed, so a merged sum overflowed: find its line
+        sums: dict[tuple[int, int], float] = {}
+        for k, (i, j, w) in enumerate(edges):  # in input order, as Graph.build adds them
+            pair = (min(i, j), max(i, j))
+            sums[pair] = sums.get(pair, 0.0) + w
+            if sums[pair] == np.inf:
+                break
+        read = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
+        a, b = (names[v] for v in pair)
+        raise GraphParseError(
+            f"line {read[k]}: the parallel edges between {a!r} and {b!r} "
+            "sum to a non-finite weight"
+        ) from None
 
 
 class _LabelRows(list):

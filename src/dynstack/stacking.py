@@ -847,12 +847,14 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [""])
-        if header[-1] != "u" or (require_y and header[0] != "y"):
-            raise ValueError(f"{path}: unexpected level-1 header {header!r}")
+        has_y = header[0] == "y"
+        if header[-1] != "u" or (require_y and not has_y) or len(header) < 2 + has_y:
+            raise ValueError(
+                f"{path}: unexpected level-1 header {header!r}; expected y,z_1,...,z_p,u, p >= 1"
+            )
         rows = [rec for rec in reader if rec]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    has_y = header[0] == "y"
     zcols = len(header) - 1 - int(has_y)
     columns = [f"z_{j + 1}" for j in range(zcols)]
     sidecar = path.with_name(path.name + ".provenance.txt")

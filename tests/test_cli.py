@@ -1,15 +1,19 @@
 import argparse
+import ast
 import csv
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dynstack import cli
 from dynstack.cli import build_parser, main
 from dynstack.experiment import METHODS as LEVEL1_METHODS
 from dynstack.simulation import METHODS, fit_method, generate_case, parse_method
 from dynstack.stacking import (
     FitConfig,
+    Level1Data,
     default_basis,
     load_model,
     read_level1,
@@ -253,8 +257,13 @@ class TestGraphExperimentCommand:
         [
             ("edges", "a b\nb c d e\n", r"edges.txt line 2: expected 'id1 id2 \[weight\]'"),
             ("features", "a w:1\nb w:1\nc w:x\n", "features.txt line 3: non-numeric weight"),
+            (
+                "edges",
+                "a b 1e308\nb a 1e308\n",
+                "edges.txt line 2: the parallel edges between 'a' and 'b' sum to a non-finite",
+            ),
         ],
-        ids=["edges", "features"],
+        ids=["edges", "features", "edge-sum"],
     )
     def test_bad_input_line_names_file(self, tmp_path, capsys, kind, bad, message):
         files = {"edges": "a b\nb c\n", "labels": "a,p\nb,q\nc,p\n", "features": "a w:1\n"}
@@ -306,16 +315,16 @@ class TestGraphExperimentCommand:
         labels.write_text("a,p\nb,q\nc,p\nx,q\ny,p\n")
         feats = tmp_path / "features.txt"
         feats.write_text("a w:1\nb w:1\nc w:1\nx w:1\ny w:1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "graph-experiment",
-                    "--edges", str(edges), "--labels", str(labels),
-                    "--features", str(feats), "--covariate", "closeness",
-                    "--positive-label", "p", "--out", str(tmp_path / "gx"),
-                ]
-            )
-        assert "--lcc" in str(exc.value)
+        code = main(
+            [
+                "graph-experiment",
+                "--edges", str(edges), "--labels", str(labels),
+                "--features", str(feats), "--covariate", "closeness",
+                "--positive-label", "p", "--out", str(tmp_path / "gx"),
+            ]
+        )
+        assert code == 1
+        assert "--lcc" in capsys.readouterr().err
 
 
 class TestStackCommands:
@@ -388,7 +397,7 @@ class TestStackCommands:
         assert report == profile
         assert read_csv(out / "cv_report.csv")[1:] == [[repr(s), repr(v)] for s, v in profile]
 
-    def test_curves_on_static_model_fails(self, level1_file, tmp_path):
+    def test_curves_on_static_model_fails(self, level1_file, tmp_path, capsys):
         out = tmp_path / "fitstat"
         assert main(
             [
@@ -396,8 +405,23 @@ class TestStackCommands:
                 "--out", str(out),
             ]
         ) == 0
-        with pytest.raises(SystemExit, match="dynamic"):
-            main(["curves", "--model", str(out / "model.txt"), "--out", str(tmp_path / "c")])
+        argv = ["curves", "--model", str(out / "model.txt"), "--out", str(tmp_path / "c")]
+        assert main(argv) == 1
+        assert "dynamic" in capsys.readouterr().err
+
+    def test_predict_with_other_z_width_names_both_files(self, level1_file, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        argv = ["stack-fit", "--level1", str(level1_file), "--model", "logistic_m1"]
+        assert main([*argv, "--out", str(fit_out)]) == 0
+        data = read_level1(level1_file)
+        one = tmp_path / "one.csv"
+        write_level1(one, Level1Data(data.y, data.z[:, :1], data.u, data.columns[:1]))
+        model = fit_out / "model.txt"
+        pred_out = tmp_path / "pred"
+        argv = ["stack-predict", "--model", str(model), "--data", str(one)]
+        assert main([*argv, "--out", str(pred_out)]) == 1
+        assert capsys.readouterr().err == f"error: {one} has 1 z columns; {model} was fitted on 2\n"
+        assert not pred_out.exists()
 
     @pytest.mark.parametrize(
         "flags,unread",
@@ -578,6 +602,54 @@ class TestFailedRunLeavesNoOutput:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "bins-with-degree", "unread-fit-flag", "curves-points", "disconnected-closeness",
+            "curves-static-model", "level1-without-z",
+        ],
+    )
+    def test_every_failure_is_one_line_and_no_output(self, tmp_path, capsys, case):
+        # main creates --out only once the command has returned; a flag the
+        # command cannot use exits 2, any other failure 1
+        missing = tmp_path / "missing.txt"
+        (tmp_path / "edges.txt").write_text("a b\nb c\nx y\n")
+        (tmp_path / "labels.csv").write_text("a,p\nb,q\nc,p\nx,q\ny,p\n")
+        (tmp_path / "features.txt").write_text("a w:1\nb w:1\nc w:1\nx w:1\ny w:1\n")
+        (tmp_path / "no_z.csv").write_text("y,u\n1,0.5\n0,0.25\n")
+        data = generate_case(1, 60, 1).to_level1()
+        save_model(tmp_path / "static.txt", fit_method("logistic_m1", data, 2, 0)[0])
+        graph = [
+            "graph-experiment", "--labels", tmp_path / "labels.csv",
+            "--features", tmp_path / "features.txt", "--positive-label", "p",
+        ]
+        code, names, argv = {
+            "bins-with-degree": (
+                2, "--bins", [*graph, "--edges", missing, "--covariate", "degree", "--bins", "5"]
+            ),
+            "unread-fit-flag": (
+                2,
+                "--knots",
+                ["stack-fit", "--level1", missing, "--model", "ridge_m1", "--knots", "4"],
+            ),
+            "curves-points": (2, "--points", ["curves", "--model", missing, "--points", "0"]),
+            "disconnected-closeness": (1, "--lcc", [*graph, "--edges", tmp_path / "edges.txt"]),
+            "curves-static-model": (
+                1, "static.txt: coefficient curves", ["curves", "--model", tmp_path / "static.txt"]
+            ),
+            "level1-without-z": (
+                1,
+                "no_z.csv: unexpected level-1 header",
+                ["stack-fit", "--level1", tmp_path / "no_z.csv"],
+            ),
+        }[case]
+        out = tmp_path / "out"
+        assert main([*map(str, argv), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert names in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "graph-experiment", "stack-fit"])
     def test_one_fold_is_one_line_error_before_reading_inputs(self, tmp_path, capsys, command):
         # the input files do not exist: the fold count is checked before any is read
@@ -594,6 +666,24 @@ class TestFailedRunLeavesNoOutput:
         assert main([command, *argv, "--folds", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: cross-validation needs at least 2 folds\n"
         assert not out.exists()
+
+
+def test_only_main_writes_or_exits():
+    # a command returns its files and manifest text or raises; main alone
+    # creates --out, writes, prints and picks the exit status
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("print", "mkdir", "open", "write_text", "_write_csv", "exit"):
+                    found.append(f"{fn.name} calls {name}")
+            elif isinstance(node, ast.Raise) and "SystemExit" in ast.unparse(node):
+                found.append(f"{fn.name} raises SystemExit")
+    assert found == []
 
 
 def parsed_flags(command):

@@ -51,6 +51,22 @@ class TestParseEdgeList:
         g = parse_edge_list(["# header", "", "a b", "  ", "# a c"])
         assert g.n_nodes == 2 and g.n_edges == 1
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["a b 1e308", "b a 1e308"], "line 2: the parallel edges between 'a' and 'b'"),
+            (
+                ["# w", "c d 1e308", "a b 1e308", "", "d c 1e308", "b a 1e308"],
+                "line 5: the parallel edges between 'c' and 'd'",
+            ),
+        ],
+        ids=["second line", "first overflow in file order"],
+    )
+    def test_overflowing_parallel_edges_name_their_line(self, lines, message):
+        # the line whose weight takes the pair's sum past the float range
+        with pytest.raises(GraphParseError, match=f"^{message} sum to a non-finite weight$"):
+            parse_edge_list(lines)
+
     def test_first_seen_id_order(self):
         g = parse_edge_list(["x y", "a x"])
         assert g.node_ids == ["x", "y", "a"]

@@ -106,6 +106,18 @@ class TestLevel1Data:
         with pytest.raises(ValueError, match=message):
             read_level1(path)
 
+    @pytest.mark.parametrize(
+        "header,require_y",
+        [("y,u", True), ("y,u", False), ("u", False)],
+        ids=["y-u", "y-u-predict", "u"],
+    )
+    def test_header_without_z_column_rejected(self, tmp_path, header, require_y):
+        # y,u used to load, then fail in the fit or write an intercept-only model
+        path = tmp_path / "level1.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected level-1 header"):
+            read_level1(path, require_y=require_y)
+
     def test_sidecar_with_wrong_name_count_rejected(self, tmp_path):
         # it used to be dropped in silence, leaving the columns named z_1..z_p
         path = tmp_path / "lvl1.csv"
