@@ -33,7 +33,29 @@ CLOSENESS_CHUNK = 512  # sources one breadth-first search of closeness_centralit
 
 
 class GraphParseError(ValueError):
-    """Malformed edge or label input."""
+    """Malformed edge or label input. ``record`` is the index of the edge at
+    which a merged weight stopped being finite, when that was the fault."""
+
+    record: int | None = None
+
+
+def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The distinct ``keys`` in ascending order, each one's finite ``weights``
+    added in record order from 0.0, and the index of the first record at
+    which a running sum stops being finite (None when none does)."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # bincount adds in record order; it gives int64 for no records
+    sums = np.bincount(inverse, weights, len(distinct)).astype(float, copy=False)
+    bad = ~np.isfinite(sums)
+    if not bad.any():
+        return distinct, sums, None
+    at = np.flatnonzero(bad[inverse])
+    at = at[np.argsort(inverse[at], kind="stable")]  # grouped by key, each in record order
+    with np.errstate(over="ignore"):  # cumsum adds in record order too
+        return distinct, sums, min(
+            int(group[np.argmax(~np.isfinite(np.cumsum(weights[group])))])
+            for group in np.split(at, np.flatnonzero(np.diff(inverse[at])) + 1)
+        )
 
 
 class Graph:
@@ -65,7 +87,8 @@ class Graph:
         Parallel edges are merged by summing their weights in input order;
         self-loops, NaN, fractional or out-of-range indices, negative,
         infinite or NaN weights and a merged weight that overflows to
-        infinity are rejected.
+        infinity are rejected; the overflow names the pair of the first edge
+        at which a running sum does.
         Zero-weight edges are stored, so they count toward the degree.
         Every node is unlabeled; :meth:`with_labels` adds labels.
         """
@@ -84,16 +107,15 @@ class Graph:
             edge = ", ".join(repr(v).removesuffix(".0") for v in e[k].tolist())
             raise GraphParseError(f"edges[{k}] = ({edge}) is {what[fault[k] - 1]}")
         lo, hi = np.sort(e[:, :2], axis=1).astype(np.int64).T
-        pairs, inverse = np.unique(lo * n + hi, return_inverse=True)
-        # bincount adds each pair's weights in input order, starting from 0.0
-        total = np.bincount(inverse, weights=e[:, 2], minlength=len(pairs))
-        i, j = np.divmod(pairs, n)
-        if not np.isfinite(total).all():
-            k = int(np.argmax(~np.isfinite(total)))
-            raise GraphParseError(
-                f"the parallel edges between {node_ids[i[k]]!r} and {node_ids[j[k]]!r} "
+        pairs, total, first = _merge(lo * n + hi, w)
+        if first is not None:
+            err = GraphParseError(
+                f"the parallel edges between {node_ids[lo[first]]!r} and {node_ids[hi[first]]!r} "
                 "sum to a non-finite weight"
             )
+            err.record = first
+            raise err
+        i, j = np.divmod(pairs, n)
         from scipy.sparse import csr_matrix
 
         adj = csr_matrix((np.r_[total, total], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
@@ -168,8 +190,8 @@ def parse_edge_list(lines) -> Graph:
     Blank lines and lines starting with ``#`` are skipped. Repeated pairs
     merge by weight sum; node ids are interned in first-seen order.
     Malformed lines raise :class:`GraphParseError` with the line number,
-    as does the line whose weight takes a merged sum past the float range;
-    ``lines`` is a sequence, read again to find that line.
+    as does the first line whose weight takes a merged sum past the float
+    range; ``lines`` is a sequence, read again to find that line.
     """
     ids: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
@@ -196,22 +218,11 @@ def parse_edge_list(lines) -> Graph:
             if tok not in ids:
                 ids[tok] = len(ids)
         edges.append((ids[a], ids[b], w))
-    names = list(ids)
     try:
-        return Graph.build(names, edges)
-    except GraphParseError:  # every line passed, so a merged sum overflowed: find its line
-        sums: dict[tuple[int, int], float] = {}
-        for k, (i, j, w) in enumerate(edges):  # in input order, as Graph.build adds them
-            pair = (min(i, j), max(i, j))
-            sums[pair] = sums.get(pair, 0.0) + w
-            if sums[pair] == np.inf:
-                break
+        return Graph.build(list(ids), edges)
+    except GraphParseError as err:  # every line passed, so a merged sum overflowed
         read = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
-        a, b = (names[v] for v in pair)
-        raise GraphParseError(
-            f"line {read[k]}: the parallel edges between {a!r} and {b!r} "
-            "sum to a non-finite weight"
-        ) from None
+        raise GraphParseError(f"line {read[err.record]}: {err}") from None
 
 
 class _LabelRows(list):

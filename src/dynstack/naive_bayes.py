@@ -8,13 +8,12 @@ never zero out a class.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import GraphParseError
+from .graph import GraphParseError, _merge
 
 # scipy loads in the functions that use it: runs without a graph never import it
 if TYPE_CHECKING:
@@ -48,7 +47,8 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
 
     Rows align with ``node_ids``; nodes absent from the file get empty
     feature vectors. Terms are interned in first-seen order, and a term
-    repeated for one node sums its weights, which must stay finite.
+    repeated for one node sums its weights in file order; the first line
+    at which such a sum overflows the float range raises.
     """
     index = {nid: i for i, nid in enumerate(node_ids)}
     vocab: dict[str, int] = {}
@@ -76,31 +76,21 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
             rows.append(index[node_id])
             cols.append(vocab.setdefault(term, len(vocab)))
             vals.append(w)
+    vocabulary, shape = list(vocab), (len(node_ids), len(vocab))
+    keys = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
+    entries, sums, first = _merge(keys, np.asarray(vals, dtype=float))
+    if first is not None:
+        lineno = starts[bisect.bisect_right([at for _, at in starts], first) - 1][0]
+        term = vocabulary[cols[first]]
+        raise GraphParseError(
+            f"line {lineno}: the weights of term {term!r} sum to a non-finite value"
+        )
     from scipy.sparse import csr_matrix
 
-    matrix = csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)), shape=(len(node_ids), len(vocab))
-    )
-    matrix.sum_duplicates()
-    if not np.isfinite(matrix.data).all():
-        raise GraphParseError(_overflow(matrix, rows, cols, vals, starts, list(vocab)))
-    return SparseFeatures(matrix, list(vocab))
-
-
-def _overflow(matrix, rows, cols, vals, starts, vocabulary) -> str:
-    """Name the first non-finite entry of ``matrix`` by its term and by the
-    line on which that node's weights for it, summed in file order, overflow
-    (the line of its last weight if rounding kept that sum finite)."""
-    k = int(np.argmax(~np.isfinite(matrix.data)))
-    pair = (int(np.searchsorted(matrix.indptr, k, side="right")) - 1, int(matrix.indices[k]))
-    total = 0.0
-    for t, rc in enumerate(zip(rows, cols)):
-        if rc == pair:
-            total, last = total + vals[t], t
-            if math.isinf(total):
-                break
-    lineno = starts[bisect.bisect_right([first for _, first in starts], last) - 1][0]
-    return f"line {lineno}: the weights of term {vocabulary[pair[1]]!r} sum to a non-finite value"
+    # the merged entries are distinct and sorted by node, then term: CSR order already
+    node, column = np.divmod(entries, shape[1])
+    indptr = np.searchsorted(node, np.arange(shape[0] + 1))
+    return SparseFeatures(csr_matrix((sums, column, indptr), shape=shape), vocabulary)
 
 
 def fit_nb(features: csr_matrix, labels: np.ndarray, n_classes: int) -> NaiveBayesModel:

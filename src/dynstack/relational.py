@@ -36,28 +36,47 @@ class IcaResult:
     converged: bool
 
 
-def _sweep(graph, labels, test_nodes, rng):
-    """ICA on running per-class sums of the known neighbours' edge weights.
+def ica_run(graph: Graph, labels: np.ndarray, seed: int = 0) -> IcaResult:
+    """Iterative classification over the unobserved nodes of ``graph``.
+
+    ``labels`` marks observed nodes with their class index and unobserved
+    ones with -1. Each sweep visits the unobserved nodes in a fresh random
+    order drawn from ``seed``, committing each to a point mass on the
+    argmax of its neighbor average (ties to the lowest class index);
+    updates are visible to later nodes in the same sweep. Observed nodes
+    are never revisited. After the final sweep one extra soft pass reports
+    each unobserved node's neighbor average from the terminal hard states,
+    which is what feeds stacking.
 
     Every known node holds a point mass, so a node's neighbour average is
-    its per-class known weight over its total known weight. The sums add
-    the graph's exact integer weights, so they are exact in any order. A
-    commit adds to (and, on a relabel, subtracts from) only its
-    neighbours' sums.
+    its per-class known weight over its total known weight. Each node keeps
+    these running sums of its known neighbours' edge weights, taken as the
+    exact integers of ``Graph._neighbor_lists``, so the argmax is decided
+    on exact values and each reported probability is the correctly rounded
+    ratio of exact sums, whatever the weights. A commit adds to (and, on a
+    relabel, subtracts from) only its neighbours' sums.
     """
+    labels = np.asarray(labels, dtype=np.int64)
     n, c = len(labels), graph.class_count
+    if c < 1:
+        raise ValueError("graph has no label classes")
+    test_nodes = np.flatnonzero(labels < 0)
+    if len(test_nodes) == n:
+        raise ValueError("collective inference needs at least one observed node")
+
+    observed = np.flatnonzero(labels >= 0)
     nbrs, nwts = graph._neighbor_lists()
     hard = np.where(labels >= 0, labels, -1).tolist()
     sums = [[0] * c for _ in range(n)]
     total = [0] * n
-    for j in np.flatnonzero(labels >= 0).tolist():
+    for j in observed.tolist():
         label = hard[j]
         for i, w in zip(nbrs[j], nwts[j]):
             sums[i][label] += w
             total[i] += w
 
-    sweeps = 0
-    converged = False
+    rng = np.random.default_rng(seed)
+    sweeps, converged = 0, False
     while sweeps < MAX_SWEEPS:
         sweeps += 1
         changed = False
@@ -85,46 +104,13 @@ def _sweep(graph, labels, test_nodes, rng):
             break
 
     test = test_nodes.tolist()
-    null = np.array([not total[i] for i in test], dtype=bool)
+    was_null = np.zeros(n, dtype=bool)
+    was_null[test_nodes] = [not total[i] for i in test]
     # int / int is the correctly rounded ratio, whatever the sizes
-    soft = [[s / total[i] for s in sums[i]] if total[i] else [0.0] * c for i in test]
-    return np.array(hard, dtype=np.int64), np.array(soft).reshape(-1, c), null, sweeps, converged
-
-
-def ica_run(graph: Graph, labels: np.ndarray, seed: int = 0) -> IcaResult:
-    """Iterative classification over the unobserved nodes of ``graph``.
-
-    ``labels`` marks observed nodes with their class index and unobserved
-    ones with -1. Each sweep visits the unobserved nodes in a fresh random
-    order drawn from ``seed``, committing each to a point mass on the
-    argmax of its neighbor average (ties to the lowest class index);
-    updates are visible to later nodes in the same sweep. Observed nodes
-    are never revisited. After the final sweep one extra soft pass reports
-    each unobserved node's neighbor average from the terminal hard states,
-    which is what feeds stacking.
-
-    Each node keeps running per-class sums of its known neighbours' edge
-    weights, taken as the exact integers of ``Graph._neighbor_lists``, so
-    the argmax is decided on exact values and each reported probability
-    is the correctly rounded ratio of exact sums, whatever the weights.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    c = graph.class_count
-    if c < 1:
-        raise ValueError("graph has no label classes")
-    test_nodes = np.flatnonzero(labels < 0)
-    if len(test_nodes) == len(labels):
-        raise ValueError("collective inference needs at least one observed node")
-
-    out = np.zeros((len(labels), c))
-    observed = np.flatnonzero(labels >= 0)
-    out[observed, labels[observed]] = 1.0
-    rng = np.random.default_rng(seed)
-    hard, soft, null, sweeps, converged = _sweep(graph, labels, test_nodes, rng)
-    out[test_nodes] = soft
-    nulls = test_nodes[null]
-    out[nulls] = 1.0 / c
-    hard[nulls] = 0
-    was_null = np.zeros(len(labels), dtype=bool)
-    was_null[nulls] = True
-    return IcaResult(out, hard, was_null, sweeps, converged)
+    soft = [[s / total[i] for s in sums[i]] if total[i] else [1.0 / c] * c for i in test]
+    probs = np.zeros((n, c))
+    probs[test_nodes] = np.array(soft).reshape(-1, c)
+    probs[observed, labels[observed]] = 1.0
+    hard = np.array(hard, dtype=np.int64)
+    hard[was_null] = 0
+    return IcaResult(probs, hard, was_null, sweeps, converged)

@@ -108,6 +108,8 @@ class Level1Data:
         u = np.asarray(self.u, dtype=float)
         if z.shape[0] != len(y) or len(u) != len(y):
             raise ValueError("y, z, u must be aligned")
+        if z.shape[1] < 1:
+            raise ValueError("z has no columns; level-1 data needs p >= 1")
         if not np.all(np.isfinite(z)):
             row, col = np.argwhere(~np.isfinite(z))[0]
             raise ValueError(
@@ -935,6 +937,8 @@ def _parse_model(text: list[str]) -> StackModel:
     if not np.isfinite(coef).all():
         raise ValueError("'coef' holds a non-finite value")
     p = int(get("p"))
+    if p < 1:
+        raise ValueError(f"p = {p}; a model needs p >= 1")
     if len(columns) != p:
         raise ValueError(f"{len(columns)} 'column' lines for p = {p}")
     basis = None

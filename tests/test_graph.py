@@ -59,8 +59,12 @@ class TestParseEdgeList:
                 ["# w", "c d 1e308", "a b 1e308", "", "d c 1e308", "b a 1e308"],
                 "line 5: the parallel edges between 'c' and 'd'",
             ),
+            (
+                ["b c 1e308", "a b 1e308", "c b 1e308", "b a 1e308"],
+                "line 3: the parallel edges between 'b' and 'c'",
+            ),
         ],
-        ids=["second line", "first overflow in file order"],
+        ids=["second line", "first overflow in file order", "first overflow, later pair first"],
     )
     def test_overflowing_parallel_edges_name_their_line(self, lines, message):
         # the line whose weight takes the pair's sum past the float range
@@ -155,6 +159,10 @@ class TestBuild:
             parse_edge_list(["a c 1", "a b 1e308", "c b 1", "b a 1e308"])
         with pytest.raises(GraphParseError, match="between 'b' and 'c'"):
             Graph.build(["a", "b", "c"], [(0, 1, 1.0), (2, 1, 1.5e308), (1, 2, 1.5e308)])
+        # both pairs overflow; b-c does so first, on edges[2], though a-b sorts first
+        edges = [(1, 2, 1e308), (0, 1, 1e308), (2, 1, 1e308), (1, 0, 1e308)]
+        with pytest.raises(GraphParseError, match="^the parallel edges between 'b' and 'c' sum"):
+            Graph.build(["a", "b", "c"], edges)
 
 
 class TestAttachLabels:

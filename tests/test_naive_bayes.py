@@ -51,6 +51,10 @@ class TestParseFeatureFile:
             parse_feature_file(lines, ["a", "b"])
         with pytest.raises(GraphParseError, match="line 1: the weights of term 't' sum"):
             parse_feature_file(["a t:1e308 t:1e308", "b t:1"], ["a", "b"])
+        # both sums overflow; b's term t does so first, on line 3
+        lines = ["b t:1e308", "a u:1e308", "b t:1e308", "a u:1e308"]
+        with pytest.raises(GraphParseError, match="^line 3: the weights of term 't' sum"):
+            parse_feature_file(lines, ["a", "b"])
 
 
 # ids and terms are whitespace-free printable ASCII; ids do not open a comment
@@ -64,13 +68,14 @@ _terms = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
 @st.composite
 def _feature_files(draw):
     """``(node_ids, lines, tokens)``: every node id, the file's lines, and its
-    ``(id, term, weight)`` tokens in file order. A node's term appears at most
-    twice, so its summed weight does not depend on the order of addition."""
+    ``(id, term, weight)`` tokens in file order. A node's term appears up to
+    four times, so its summed weight can depend on the order of addition."""
     node_ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
     pairs = st.tuples(st.sampled_from(node_ids), _terms)
     weights = st.floats(0.0, allow_infinity=False, allow_subnormal=True)
     entries = draw(st.lists(pairs, max_size=12, unique=True))
-    repeats = draw(st.lists(st.sampled_from(entries), max_size=4, unique=True)) if entries else []
+    copies = draw(st.lists(st.integers(0, 3), min_size=len(entries), max_size=len(entries)))
+    repeats = [entry for entry, k in zip(entries, copies) for _ in range(k)]
     tokens = draw(st.permutations([(nid, term, draw(weights)) for nid, term in entries + repeats]))
     lines = []
     for k, (nid, term, w) in enumerate(tokens):  # a node's consecutive tokens may share a line

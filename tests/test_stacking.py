@@ -60,6 +60,12 @@ class TestLevel1Data:
         with pytest.raises(ValueError, match="provenance"):
             Level1Data(np.array([0, 1]), np.zeros((2, 2)), np.zeros(2), ["a"])
 
+    def test_no_z_column_rejected(self):
+        # it used to load, then fit an intercept-only logistic_m1 model or fail
+        # in the dynamic fit with "p must be >= 1"
+        with pytest.raises(ValueError, match="^z has no columns; level-1 data needs p >= 1$"):
+            Level1Data(np.array([0, 1, 0, 1]), np.zeros((4, 0)), np.zeros(4), [])
+
     def test_fractional_y_rejected_before_the_integer_cast(self):
         with pytest.raises(ValueError, match="binary"):
             Level1Data([0.5, 1, 0], np.zeros((3, 1)), np.zeros(3), ["a"])
@@ -1237,6 +1243,15 @@ class TestModelFiles:
                 lines.append(line)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="model.txt: " + message):
+            load_model(path)
+
+    def test_model_without_z_column_rejected(self, tmp_path):
+        # an intercept-only static model with p = 0 used to load
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "dynstack-model 2\ndesign = m1\npenalty = none\nstrength = 0\np = 0\ncoef = 0.5\n"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: p = 0; a model needs p >= 1$"):
             load_model(path)
 
     def test_non_model_file_rejected(self, tmp_path):
