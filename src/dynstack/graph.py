@@ -29,7 +29,10 @@ __all__ = [
     "split_nodes",
 ]
 
-CLOSENESS_CHUNK = 512  # sources one breadth-first search of closeness_centrality runs from
+# sources per breadth-first search of closeness_centrality; the median call on
+# the six 5,000-node benchmark networks (2-core VM) took 0.095 s at 512, 0.058 s
+# at 1,024, 0.057 s at 2,048 and 0.070 s at 5,000, and the buffers grow with it
+CLOSENESS_CHUNK = 1024
 
 
 class GraphParseError(ValueError):
@@ -321,9 +324,15 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     which a stored zero-weight edge is still one hop. The graph must be
     connected (run :func:`largest_connected_component` first). A
     single-node graph gets the value 0 by convention. The search runs from
-    ``CLOSENESS_CHUNK`` = k sources at once and keeps one bit per source:
-    the seen and frontier sets are n x ceil(k/64) words each, and a level
-    gathers one (stored entries) x ceil(k/64) word array.
+    ``CLOSENESS_CHUNK`` = k sources at once, one bit per source (Then et al.
+    2014), on rows in descending degree order, read in the ELL + CSR layout
+    of Bell & Garland 2009: slot d holds the d-th neighbour of each node of
+    degree > d (a prefix of the rows) for each d that 64 or more nodes
+    reach, and the further neighbours of the fewer than 64 hubs left form
+    one CSR tail. A level gathers slot 0, ORs each further slot into its
+    prefix and the tail into the hubs' rows with one ``reduceat``. The seen,
+    frontier and gathered sets are n x ceil(k/64) words each, a slot's gather
+    at most that, and the tail's gather one row per entry (n - 2 on a star).
     """
     n = graph.n_nodes
     if n == 0:
@@ -331,8 +340,19 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     indptr, indices = graph._indptr, graph._indices
-    if not np.diff(indptr).all():  # an isolated node; reduceat needs no empty rows
+    deg = np.diff(indptr)
+    if not deg.all():  # an isolated node; slot 0 and reduceat need no empty rows
         raise ValueError(_DISCONNECTED)
+    order = np.argsort(-deg, kind="stable")  # row r of the search is node order[r]
+    rank = np.argsort(order)  # node v is row rank[v]
+    deg, starts = deg[order], indptr[:-1][order]
+    above = n - np.cumsum(np.bincount(deg))  # above[d]: nodes of degree > d
+    width = max(1, int(np.count_nonzero(above >= 64)))  # slots 0 .. width-1
+    slots = [rank[indices[starts[: above[d]] + d]] for d in range(width)]
+    hubs = int(above[width])  # rows with neighbours past the last slot
+    rest = deg[:hubs] - width
+    ptr = np.cumsum(rest) - rest  # each hub's first entry in the tail
+    tail = rank[indices[np.repeat(starts[:hubs] + width - ptr, rest) + np.arange(rest.sum())]]
     # hop distance is symmetric, so a node's total over every source is
     # its own total distance: count each node's newly reached sources
     totals = np.zeros(n, dtype=np.int64)
@@ -342,11 +362,16 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
         # bit s of row lo + s: source s has seen itself
         seen = np.zeros((n, (k + 63) // 64), dtype=np.uint64)
         seen[lo + src, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
-        front = seen.copy()
+        front, buf = seen.copy(), np.empty_like(seen)
         hop, reached = 0, k
         while reached < n * k:
             hop += 1
-            front = np.bitwise_or.reduceat(front[indices], indptr[:-1], axis=0)
+            np.take(front, slots[0], axis=0, out=buf)
+            for slot in slots[1:]:
+                buf[: len(slot)] |= front[slot]
+            if hubs:
+                buf[:hubs] |= np.bitwise_or.reduceat(front[tail], ptr, axis=0)
+            front, buf = buf, front
             front &= ~seen
             if not front.any():  # every source stalled short of n nodes
                 raise ValueError(_DISCONNECTED)
@@ -354,7 +379,7 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
             counts = np.bitwise_count(front).sum(axis=1, dtype=np.int64)
             totals += hop * counts
             reached += int(counts.sum())
-    return 1.0 / totals
+    return (1.0 / totals)[rank]
 
 
 def split_nodes(graph: Graph, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

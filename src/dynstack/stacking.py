@@ -771,9 +771,14 @@ def predict(model: StackModel, z, u) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != model.p:
         raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
-    rows = np.atleast_1d(np.asarray(u)).shape[0]
-    if z.shape[0] != rows:
-        raise ValueError(f"z has {z.shape[0]} rows, u has {rows}")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if z.shape[0] != len(u):
+        raise ValueError(f"z has {z.shape[0]} rows, u has {len(u)}")
+    zu = np.column_stack([z, u])
+    if not np.isfinite(zu).all():  # NaN would pass through every design silently
+        row, col = np.argwhere(~np.isfinite(zu))[0]
+        name = f"z column {col + 1}" if col < model.p else "u"
+        raise ValueError(f"{name} holds {zu[row, col]} in row {row + 1}; z and u must be finite")
     x = design_matrix(z, u, model.design, model.basis)
     if x.shape[1] != len(model.coef):
         raise ValueError(

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _path = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", _path)
 bench_record = importlib.util.module_from_spec(_spec)
@@ -48,3 +50,26 @@ def test_line_counts_per_module_and_their_change(tmp_path):
     old, new = {"src_lines": {"total": 5}}, {"src_lines": counts}
     assert bench_record._lines_moved(old, new) == "src/dynstack 5 -> 3 lines"
     assert bench_record._lines_moved({}, new).endswith("3 lines; none counted in the older file")
+
+
+def test_pytest_counts_read_from_the_last_summary_line():
+    out = "....s.\nslowest durations\n1.2s call t.py::x\n597 passed, 1 skipped in 71.84s (0:01:11)\n"
+    assert bench_record._pytest_counts(out) == {"passed": 597, "skipped": 1}
+    got = bench_record._pytest_counts("== 3 failed, 40 passed, 2 warnings in 9.01s ==\n")
+    assert got == {"passed": 40, "skipped": 0, "failed": 3, "warnings": 2}
+    with pytest.raises(ValueError, match="no pytest summary"):
+        bench_record._pytest_counts("ERROR: file or directory not found: nowhere\n")
+
+
+def test_tier1_wall_time_and_counts_compared():
+    def doc(wall, passed):
+        return {"workloads": {}, "tier1": {"wall_s": wall, "passed": passed, "skipped": 1}}
+
+    assert bench_record._moved(doc(60.0, 587), doc(64.0, 597)) == []
+    (line,) = bench_record._moved(doc(60.0, 587), doc(72.0, 597))
+    assert line.split()[:2] == ["tier1", "wall_s"] and line.endswith("60 -> 72 s (+20%)")
+    assert bench_record._moved({"workloads": {}}, doc(72.0, 597)) == []
+    assert bench_record._tier1_moved(doc(60.0, 587), doc(72.0, 597)) == (
+        "tier1 587 passed, 1 skipped -> 597 passed, 1 skipped"
+    )
+    assert bench_record._tier1_moved({}, doc(72.0, 597)).endswith("none recorded in the older file")

@@ -439,6 +439,46 @@ class TestClosenessAgainstNetworkx:
         # 64-bit word, a partial last chunk, and one chunk for all nodes
         self.check(connected_200, chunk=chunk)
 
+    # The search reads neighbour slot d (the d-th neighbour of every node of
+    # degree > d) for each d that at least 64 nodes reach, and the hubs'
+    # neighbours past the last slot from one CSR tail.
+    @staticmethod
+    def slots_and_hubs(graph):
+        deg = degree(graph)
+        width = max(1, sum(np.count_nonzero(deg > d) >= 64 for d in range(int(deg.max()))))
+        return width, int(np.count_nonzero(deg > width))
+
+    def test_cycle_fills_two_slots_and_no_tail(self):
+        g = parse_edge_list([f"v{i} v{(i + 1) % 200}" for i in range(200)])
+        assert self.slots_and_hubs(g) == (2, 0)
+        self.check(g)
+
+    def test_star_hub_alone_in_the_tail(self):
+        g = parse_edge_list([f"hub leaf{i}" for i in range(3000)])
+        assert self.slots_and_hubs(g) == (1, 1)
+        vals = closeness_centrality(g)  # hub: 3000 hops; a leaf: 1 + 2 * 2999
+        np.testing.assert_array_equal(vals, [1 / 3000] + [1 / 5999] * 3000)
+
+    @pytest.fixture(scope="class")
+    def barabasi_albert(self):
+        nx = pytest.importorskip("networkx")
+        h = nx.barabasi_albert_graph(600, 3, seed=27)
+        return parse_edge_list([f"n{a} n{b}" for a, b in h.edges()])
+
+    @pytest.mark.parametrize("chunk", [64, 65, 1024])
+    def test_slots_and_a_tail_of_hubs(self, barabasi_albert, chunk):
+        width, hubs = self.slots_and_hubs(barabasi_albert)
+        assert width > 3 and hubs > 5
+        self.check(barabasi_albert, chunk=chunk)
+
+    def test_value_per_node_id_is_independent_of_line_order(self, barabasi_albert):
+        g = barabasi_albert
+        lines = [f"{g.node_ids[a]} {g.node_ids[b]}" for a, b in np.argwhere(np.triu(g.adjacency().toarray()))]
+        shuffled = parse_edge_list([lines[i] for i in np.random.default_rng(5).permutation(len(lines))])
+        assert shuffled.node_ids != g.node_ids
+        by_id = dict(zip(shuffled.node_ids, closeness_centrality(shuffled).tolist()))
+        assert [by_id[v] for v in g.node_ids] == closeness_centrality(g).tolist()
+
 
 class TestDegreeAndComponentsAgainstNetworkx:
     """``degree`` and ``largest_connected_component`` match networkx on graphs

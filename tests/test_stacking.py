@@ -438,6 +438,20 @@ class TestPredictDynamic:
         with pytest.raises(ValueError, match="z has 3 rows, u has 4"):
             predict(model, np.zeros((3, 2)), np.zeros(4))
 
+    def test_nan_z_names_column_and_row(self):
+        data = make_data(n=50)
+        model = fit_dynamic(data, 1.0, default_basis(data.u))
+        z = np.full((3, 2), 0.5)
+        z[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^z column 2 holds nan in row 3; z and u must be finite$"):
+            predict(model, z, np.full(3, 0.5))
+
+    def test_infinite_u_names_row(self):
+        data = make_data(n=50)
+        model = fit_dynamic(data, 1.0, default_basis(data.u))
+        with pytest.raises(ValueError, match=r"^u holds inf in row 2; z and u must be finite$"):
+            predict(model, np.full((3, 2), 0.5), [0.5, np.inf, 0.5])
+
     def test_outputs_in_unit_interval(self):
         data = make_data(n=300, seed=21)
         model = fit_dynamic(data, 0.01, default_basis(data.u))
@@ -1181,6 +1195,20 @@ class TestPredictStatic:
         m = StackModel("m3", "none", 0.0, np.zeros(6), 2, ["z1", "z2"])
         with pytest.raises(ValueError, match="z has 5 rows, u has 2"):
             predict(m, np.zeros((5, 2)), np.zeros(2))
+
+    def test_nan_z_names_column_and_row(self):
+        m = StackModel("m2", "ridge", 1.0, np.zeros(4), 2, ["z1", "z2"])
+        z = np.full((4, 2), 0.5)
+        z[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^z column 1 holds nan in row 2; z and u must be finite$"):
+            predict(m, z, np.zeros(4))
+
+    def test_infinite_u_names_row(self):
+        # m1 never reads u, yet the row is as bad as in Level1Data
+        for m in (StackModel("m2", "ridge", 1.0, np.zeros(4), 2, ["z1", "z2"]),
+                  StackModel("m1", "none", 0.0, np.zeros(3), 2, ["z1", "z2"])):
+            with pytest.raises(ValueError, match=r"^u holds -inf in row 4; z and u must be finite$"):
+                predict(m, np.full((4, 2), 0.5), [0.0, 0.1, 0.2, -np.inf])
 
 
 class TestModelFiles:

@@ -10,10 +10,13 @@ the repository root holds the environment of the first run, the median and
 quartiles over the seeds of each end-to-end metric, the median of each
 per-layer metric, the median ``host_probe_s`` (a fixed pure-Python loop
 timed after every unit) over the units of the ``--trace 0`` runs, and the
-line count of each ``src/dynstack`` module with their total. When an earlier
+line count of each ``src/dynstack`` module with their total. It then runs
+the Tier-1 tests once, with ROADMAP.md's verify command, and records their
+wall time and passed and skipped counts as ``tier1``. When an earlier
 ``BENCH_*.json`` exists, the probe's ratio against the latest one is printed
 first, so host drift is not read as code movement, then the change in the
-``src/dynstack`` line count, then every metric that moved by more than 10%.
+``src/dynstack`` line count and in the Tier-1 counts, then every metric that
+moved by more than 10%, Tier-1 wall time among them.
 Compare files made on the same machine only.
 ``perfbench/`` and ``BENCHMARK.json`` are read, never written. Standard
 library only.
@@ -23,16 +26,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
 MOVED = 0.10
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]  # with src on PYTHONPATH
 
 
 def _run(workload: str, seed: int, trace: int, seconds: float, out: str) -> tuple[dict, dict]:
@@ -45,6 +51,25 @@ def _run(workload: str, seed: int, trace: int, seconds: float, out: str) -> tupl
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = json.loads((Path(out) / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return result, record
+
+
+def _pytest_counts(output: str) -> dict:
+    """The counts on the summary line pytest prints last, such as
+    ``597 passed, 1 skipped in 71.84s (0:01:11)``; passed and skipped are 0
+    when absent."""
+    summary = output.strip().splitlines()[-1].strip("= ").split(" in ")[0]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    if not counts:
+        raise ValueError(f"no pytest summary in {summary!r}")
+    return {"passed": 0, "skipped": 0, **counts}
+
+
+def _tier1() -> dict:
+    """One Tier-1 run: its wall time in seconds and its counts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, **_pytest_counts(done.stdout)}
 
 
 def _summary(results: list[dict], spread: bool) -> dict:
@@ -74,6 +99,9 @@ def _moved(old: dict, new: dict) -> list[str]:
                 if (before == 0 and after != 0) or (before != 0 and abs(after / before - 1) > MOVED):
                     change = "new" if before == 0 else f"{after / before - 1:+.0%}"
                     lines.append(f"{workload:17s} {name:45s} {before:.4g} -> {after:.4g} {m['unit']} ({change})")
+    before, after = old.get("tier1", {}).get("wall_s"), new.get("tier1", {}).get("wall_s")
+    if before and after and abs(after / before - 1) > MOVED:
+        lines.append(f"{'tier1':17s} {'wall_s':45s} {before:.4g} -> {after:.4g} s ({after / before - 1:+.0%})")
     return lines
 
 
@@ -105,6 +133,15 @@ def _lines_moved(old: dict, new: dict) -> str:
     return f"src/dynstack {before} -> {after} lines"
 
 
+def _tier1_moved(old: dict, new: dict) -> str:
+    """The Tier-1 counts of two BENCH files, or a note that the older has none."""
+    after = new["tier1"]
+    now = f"{after['passed']} passed, {after['skipped']} skipped"
+    if "tier1" not in old:
+        return f"tier1 {now}; none recorded in the older file"
+    return f"tier1 {old['tier1']['passed']} passed, {old['tier1']['skipped']} skipped -> {now}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
@@ -129,6 +166,8 @@ def main(argv=None) -> int:
                 "per_layer": _summary(runs[1], spread=False),
                 "host_probe_s": statistics.median(probes),
             }
+    doc["tier1"] = _tier1()
+    print(f"tier1: {doc['tier1']}", flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}")
@@ -144,6 +183,7 @@ def main(argv=None) -> int:
         print(f"against {last.name}:")
         print("\n".join(_probe_ratios(old, doc)))
         print(_lines_moved(old, doc))
+        print(_tier1_moved(old, doc))
         moved = _moved(old, doc)
         print(f"{len(moved)} metrics moved by more than {MOVED:.0%}")
         print("\n".join(moved))
