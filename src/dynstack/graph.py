@@ -330,9 +330,9 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     degree > d (a prefix of the rows) for each d that 64 or more nodes
     reach, and the further neighbours of the fewer than 64 hubs left form
     one CSR tail. A level gathers slot 0, ORs each further slot into its
-    prefix and the tail into the hubs' rows with one ``reduceat``. The seen,
-    frontier and gathered sets are n x ceil(k/64) words each, a slot's gather
-    at most that, and the tail's gather one row per entry (n - 2 on a star).
+    prefix and the tail into the hubs' rows with one ``reduceat`` per run of
+    hubs holding at most n tail entries. The seen, frontier and gathered sets
+    are n x ceil(k/64) words each, and a slot's or a run's gather at most that.
     """
     n = graph.n_nodes
     if n == 0:
@@ -353,6 +353,11 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     rest = deg[:hubs] - width
     ptr = np.cumsum(rest) - rest  # each hub's first entry in the tail
     tail = rank[indices[np.repeat(starts[:hubs] + width - ptr, rest) + np.arange(rest.sum())]]
+    ends, blocks, a = ptr + rest, [], 0  # runs of hubs holding at most n tail entries each
+    for h in range(1, hubs + 1):
+        if h == hubs or ends[h] - ptr[a] > n:
+            blocks.append((a, h, tail[ptr[a] : ends[h - 1]], ptr[a:h] - ptr[a]))
+            a = h
     # hop distance is symmetric, so a node's total over every source is
     # its own total distance: count each node's newly reached sources
     totals = np.zeros(n, dtype=np.int64)
@@ -369,8 +374,8 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
             np.take(front, slots[0], axis=0, out=buf)
             for slot in slots[1:]:
                 buf[: len(slot)] |= front[slot]
-            if hubs:
-                buf[:hubs] |= np.bitwise_or.reduceat(front[tail], ptr, axis=0)
+            for a, b, entries, at in blocks:
+                buf[a:b] |= np.bitwise_or.reduceat(front[entries], at, axis=0)
             front, buf = buf, front
             front &= ~seen
             if not front.any():  # every source stalled short of n nodes

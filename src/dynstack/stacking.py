@@ -8,7 +8,9 @@ minimizes the negative Bernoulli log-likelihood plus a curvature penalty
 Newton iteration; ``lam`` is picked by cross-validation. The static
 baselines are the same model with constant (m1, m2) or straight-line
 (m3) weights and optional ridge or lasso shrinkage: every generalizer is
-one :class:`StackModel` on one :func:`design_matrix`.
+one :class:`StackModel` on one :func:`design_matrix`, fitted by one damped
+proximal-Newton core, :func:`_fit`, and cross-validated by one driver,
+:func:`_cv_profile`.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ class Level1Data:
         if not _probabilities(z):
             raise ValueError("z entries must be probabilities in [0, 1]")
         if not np.all(np.isfinite(u)):
-            raise ValueError("u must be finite")
+            row = np.flatnonzero(~np.isfinite(u))[0]
+            raise ValueError(f"u holds {u[row]} in row {row + 1}; u must be finite")
         if len(self.columns) != z.shape[1]:
             raise ValueError("one provenance entry per z column required")
         for name in self.columns:  # the sidecar and the model file store stripped lines
@@ -215,7 +218,7 @@ def build_level1(y, predictors, u, folds: int = 10, seed: int = 0) -> Level1Data
 
 
 # ---------------------------------------------------------------------------
-# shared damped-Newton core
+# pieces of the one damped proximal-Newton core, :func:`_fit`
 
 
 def _solve_spd(a: np.ndarray, g: np.ndarray, jitter: float) -> np.ndarray:
@@ -264,93 +267,6 @@ def _penalty_eigenbasis(basis: BSplineBasis, p: int) -> tuple[np.ndarray, np.nda
     return np.where(s > 1e-9 * max(float(s[-1]), 0.0), s, 0.0), rot
 
 
-def _newton_diag(
-    x: np.ndarray,
-    y: np.ndarray,
-    pen_diag: np.ndarray | None,
-    config: FitConfig,
-    coef0: np.ndarray | None = None,
-    carry: dict | None = None,
-):
-    """Minimize ``-loglik(X beta) + sum_k pen_diag[k] * beta_k^2`` by damped Newton.
-
-    Returns ``(coef, objective_path, converged)``. Step halving enforces
-    a non-increasing objective; convergence is a relative objective
-    change below ``config.newton_tol``. A step needs only ``x @ b``,
-    ``x.T @ r`` and ``X' diag(w) X``, so ``x`` is an ndarray or a
-    :class:`_SpanDesign`, which answers the three span by span.
-
-    ``carry`` passes state from one fit to the next along a penalty grid.
-    On entry it may hold ``eta`` (``x @ coef0``) with its negative
-    log-likelihood ``nll``, and ``hess``, a likelihood Hessian ``X'WX`` of
-    ``x`` at a nearby point, which the first step uses in place of a fresh
-    one; any positive definite matrix keeps that step a descent direction,
-    and the line search still guards it. On return it holds the same three
-    for the returned coefficients, ``hess`` being the last one used.
-    """
-    d, gram = x.shape[1], getattr(x, "gram", None)
-    beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    carry = {} if carry is None else carry
-
-    def penalty(b):
-        return 0.0 if pen_diag is None else float(pen_diag @ (b * b))
-
-    pen2 = None if pen_diag is None else 2.0 * pen_diag
-    if "eta" in carry:  # popped, so the old vector is freed once the fit moves on
-        eta, nll = carry.pop("eta"), carry.pop("nll")
-    else:
-        eta = x @ beta
-        nll = _neg_loglik(eta, y)
-    f = nll + penalty(beta)
-    if not np.isfinite(f):
-        raise ConvergenceError("non-finite objective at the starting point")
-    path = [f]
-    converged = False
-    lik_hess = carry.get("hess")
-    for _ in range(MAX_NEWTON_ITER):
-        mu = sigmoid(eta)
-        grad = x.T @ (mu - y)
-        if lik_hess is None:
-            w = mu * (1.0 - mu)
-            lik_hess = (x * w[:, None]).T @ x if gram is None else gram(w)
-        hess = lik_hess
-        if pen_diag is not None:
-            grad += pen2 * beta
-            hess = lik_hess.copy()
-            hess.flat[:: d + 1] += pen2
-        step = _solve_spd(hess, -grad, HESSIAN_JITTER)
-        carry["hess"], lik_hess = lik_hess, None
-
-        t = 1.0
-        for _ in range(60):
-            cand = beta + t * step
-            eta_cand = x @ cand
-            nll_cand = _neg_loglik(eta_cand, y)
-            f_cand = nll_cand + penalty(cand)
-            if math.isfinite(f_cand) and f_cand <= f:
-                break
-            t *= 0.5
-        else:
-            # no descent left at float precision: already at the optimum
-            converged = True
-            break
-        beta, eta, nll = cand, eta_cand, nll_cand
-        path.append(f_cand)
-        if abs(f - f_cand) <= config.newton_tol * (1.0 + abs(f)):
-            f = f_cand
-            converged = True
-            break
-        f = f_cand
-    if not np.isfinite(f):
-        raise ConvergenceError("objective diverged to a non-finite value")
-    carry["eta"], carry["nll"] = eta, nll
-    return beta, path, converged
-
-
-# ---------------------------------------------------------------------------
-# lasso core
-
-
 def _lasso_working_solve(gram, c, strength, b0):
     """Exact ``argmin_b b'Gb/2 - c'b + strength * |b[1:]|_1``, intercept free.
 
@@ -392,70 +308,6 @@ def _lasso_null_fit(x, y):
     intercept_only = np.r_[np.log(ybar / (1 - ybar)), np.zeros(x.shape[1] - 1)]
     mu0 = sigmoid(x @ intercept_only)
     return intercept_only, np.abs(x[:, 1:].T @ (y - mu0)).max(initial=0.0)
-
-
-def _lasso_logistic(x, y, strength, coef0=None, null_fit=None, carry=None):
-    """L1-penalized logistic fit (intercept free).
-
-    Proximal Newton: each outer step solves the weighted least-squares
-    working problem with the L1 term exactly, backtracks along the resulting
-    direction until the true objective does not increase, and stops when
-    the exact subgradient optimality conditions hold.
-
-    ``carry`` passes state along a strength grid as in :func:`_newton_diag`:
-    on entry it may hold ``eta`` (``x @ coef0``) and ``nll`` there, as the
-    Newton core leaves them, and also ``mu`` and the likelihood gradient
-    ``grad``. A fit that converges leaves all four for the returned
-    coefficients, any other fit leaves it empty. At and above the critical
-    strength the fit is the intercept-only one, whatever ``coef0``.
-    """
-    intercept_only, critical = _lasso_null_fit(x, y) if null_fit is None else null_fit
-    carry = {} if carry is None else carry
-    eta, mu, grad, nll = (carry.pop(k, None) for k in ("eta", "mu", "grad", "nll"))
-    carry.clear()  # a Newton fit at strength 0 also leaves its Hessian
-    if critical <= strength + LASSO_KKT_TOL:
-        return intercept_only, [_neg_loglik(x @ intercept_only, y)], True
-
-    beta = intercept_only if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    eta = x @ beta if eta is None else eta
-    nll = _neg_loglik(eta, y) if nll is None else nll
-    path = [nll + strength * np.abs(beta[1:]).sum()]
-    converged = False
-    for _ in range(MAX_NEWTON_ITER):
-        if mu is None:
-            mu = sigmoid(eta)
-            grad = x.T @ (mu - y)
-        active = beta[1:] != 0.0
-        stat = np.abs(grad[1:] + strength * np.sign(beta[1:]))
-        if (
-            abs(grad[0]) <= LASSO_KKT_TOL
-            and (stat[active] <= LASSO_KKT_TOL).all()
-            and (np.abs(grad[1:][~active]) <= strength + LASSO_KKT_TOL).all()
-        ):
-            carry.update(eta=eta, mu=mu, grad=grad, nll=nll)
-            converged = True
-            break
-
-        # working least-squares problem, solved exactly on its d x d Gram matrix
-        w = np.maximum(mu * (1.0 - mu), 1e-8)
-        gram = (x * w[:, None]).T @ x
-        target = gram @ beta - grad  # X'W z_work
-        direction = _lasso_working_solve(gram, target, strength, beta) - beta
-
-        # damp the proximal step if the true objective would rise
-        t = 1.0
-        f_prev = path[-1]
-        for _ in range(61):  # the last try, at t = 2**-60, is taken whatever its value
-            cand = beta + t * direction
-            eta = x @ cand
-            nll = _neg_loglik(eta, y)
-            f_cand = nll + strength * np.abs(cand[1:]).sum()
-            if math.isfinite(f_cand) and f_cand <= f_prev + 1e-12 * (1 + abs(f_prev)):
-                break
-            t *= 0.5
-        beta, mu = cand, None
-        path.append(f_cand)
-    return beta, path, converged
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +466,101 @@ class _SpanDesign:
 
 
 def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
-    """Logistic fit with penalty ``strength * sum_k pen[k] * b_k^2``, or
-    ``strength * |b|_1`` on the coordinates ``pen`` penalizes when ``lasso``;
-    ``pen`` None is plain logistic. ``null_fit`` may pass in
-    :func:`_lasso_null_fit` of ``(x, y)`` and ``carry`` the state of
-    :func:`_newton_diag` or :func:`_lasso_logistic`. Returns
-    ``(coef, objective_path, converged)``."""
-    if lasso and strength > 0:
-        return _lasso_logistic(x, y, strength, coef0, null_fit, carry)
-    pen_diag = strength * pen if pen is not None and strength > 0 else None
-    return _newton_diag(x, y, pen_diag, config, coef0, carry)
+    """Minimize ``-loglik(x b) + strength * sum_k pen[k] * b_k^2``, or with
+    ``lasso`` ``strength * |b|_1`` on the coordinates ``pen`` penalizes, by
+    damped proximal Newton; ``pen`` None or ``strength`` 0 is plain logistic.
+
+    Each step minimizes the penalized quadratic model: a Cholesky solve, or
+    for the lasso :func:`_lasso_working_solve` on weights floored at 1e-8.
+    Step halving keeps the objective from rising (the lasso allows a 1e-12
+    relative slack), and a fit with no descent left is at its optimum. A
+    quadratic fit stops on a relative objective change below
+    ``config.newton_tol``, a lasso fit when its optimality conditions hold,
+    and from the critical strength up (``null_fit`` may pass in
+    :func:`_lasso_null_fit` of ``(x, y)``) the lasso fit is intercept-only.
+    ``x`` is an ndarray or a :class:`_SpanDesign`. Returns ``(coef,
+    objective_path, converged)``.
+
+    ``carry`` hands state along a penalty grid. A fit leaves in it ``eta`` =
+    ``x @ coef`` with its negative log-likelihood ``nll``, ``mu`` and the
+    likelihood gradient ``grad`` there when they were computed, and ``hess``,
+    the last likelihood Hessian used; an intercept-only lasso fit leaves it
+    empty. A fit handed a carry takes the first four as its start's, and a
+    quadratic fit takes its first step on ``hess``: any positive definite
+    matrix gives a descent direction, and the line search still guards it.
+    """
+    carry = {} if carry is None else carry
+    # popped, so the old vectors are freed once the fit moves on
+    eta, nll, mu, grad, lik_hess = (carry.pop(k, None) for k in ("eta", "nll", "mu", "grad", "hess"))
+    lasso = lasso and strength > 0
+    if lasso:
+        intercept_only, critical = _lasso_null_fit(x, y) if null_fit is None else null_fit
+        if critical <= strength + LASSO_KKT_TOL:
+            return intercept_only, [_neg_loglik(x @ intercept_only, y)], True
+        coef0 = intercept_only if coef0 is None else coef0
+        lik_hess = None  # the lasso floors its weights, so it forms its own
+    d, gram = x.shape[1], getattr(x, "gram", None)
+    beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+    pen_diag = strength * pen if pen is not None and strength > 0 and not lasso else None
+
+    def objective(b, nll):
+        if lasso:
+            return nll + strength * np.abs(b[1:]).sum()
+        return nll if pen_diag is None else nll + float(pen_diag @ (b * b))
+
+    if eta is None:
+        eta = x @ beta
+        nll = _neg_loglik(eta, y)
+    f = objective(beta, nll)
+    if not math.isfinite(f):
+        raise ConvergenceError("non-finite objective at the starting point")
+    path, converged = [f], False
+    for _ in range(MAX_NEWTON_ITER):
+        if mu is None:
+            mu = sigmoid(eta)
+            grad = x.T @ (mu - y)
+        if lasso and abs(grad[0]) <= LASSO_KKT_TOL and (
+            np.abs(grad[1:] + strength * np.sign(beta[1:]))
+            <= np.where(beta[1:] != 0.0, 0.0, strength) + LASSO_KKT_TOL
+        ).all():
+            converged = True
+            break
+        if lik_hess is None:
+            w = np.maximum(mu * (1.0 - mu), 1e-8) if lasso else mu * (1.0 - mu)
+            lik_hess = (x * w[:, None]).T @ x if gram is None else gram(w)
+        if lasso:
+            step = _lasso_working_solve(lik_hess, lik_hess @ beta - grad, strength, beta) - beta
+        elif pen_diag is None:
+            step = _solve_spd(lik_hess, -grad, HESSIAN_JITTER)
+        else:
+            hess = lik_hess.copy()
+            hess.flat[:: d + 1] += 2.0 * pen_diag
+            step = _solve_spd(hess, -(grad + 2.0 * pen_diag * beta), HESSIAN_JITTER)
+        carry["hess"], lik_hess = lik_hess, None
+
+        t, slack = 1.0, 1e-12 * (1 + abs(f)) if lasso else 0.0
+        for _ in range(61):
+            cand = beta + t * step
+            eta_cand = x @ cand
+            nll_cand = _neg_loglik(eta_cand, y)
+            f_cand = objective(cand, nll_cand)
+            if math.isfinite(f_cand) and f_cand <= f + slack:
+                break
+            t *= 0.5
+        else:  # no descent left at float precision: already at the optimum
+            converged = True
+            break
+        beta, eta, nll, mu = cand, eta_cand, nll_cand, None
+        path.append(f_cand)
+        done = not lasso and abs(f - f_cand) <= config.newton_tol * (1.0 + abs(f))
+        f = f_cand
+        if done:
+            converged = True
+            break
+    carry.update(eta=eta, nll=nll)
+    if mu is not None:
+        carry.update(mu=mu, grad=grad)
+    return beta, path, converged
 
 
 def _check_overflow(strength, pen, lasso: bool) -> None:
@@ -683,9 +620,10 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     scores need only ``X beta``, so the fits stay in the basis :func:`_problem`
     gives; a fold of a :class:`_SpanDesign` takes its rows out of the blocks
     built once. The grid's largest value is checked for overflow before any fold.
-    Each fold walks the grid warm-starting :func:`_fit` from the last
-    coefficients and the state the last fit carries (linear predictor,
-    log-likelihood, and the likelihood Hessian or gradient). A Newton walk
+    Each fold walks the grid warm-starting the one Newton core, :func:`_fit`,
+    from the last coefficients and the one state every fit carries (linear
+    predictor, log-likelihood, the probabilities and likelihood gradient when
+    computed, and the last likelihood Hessian). A quadratic-penalty walk
     starts each fold from the previous fold's first-grid coefficients; a
     lasso walk starts every fold from its intercept-only fit, which is also
     its fit at every strength from the fold's critical one up, so that fit

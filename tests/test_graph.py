@@ -459,6 +459,29 @@ class TestClosenessAgainstNetworkx:
         vals = closeness_centrality(g)  # hub: 3000 hops; a leaf: 1 + 2 * 2999
         np.testing.assert_array_equal(vals, [1 / 3000] + [1 / 5999] * 3000)
 
+    def test_tail_of_63_full_hubs_in_bounded_runs(self):
+        # 63 hubs joined to each of 2,937 other nodes: the slots stop at width
+        # 63 and the tail holds 63 x 2,874 entries, 60 n rows of 16 words if
+        # gathered at once; each run of hubs gathers at most n of them
+        import tracemalloc
+
+        nx = pytest.importorskip("networkx")
+        g = parse_edge_list([f"h{i} v{j}" for i in range(63) for j in range(2937)])
+        assert self.slots_and_hubs(g) == (63, 63)
+        tracemalloc.start()
+        try:
+            vals = closeness_centrality(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # every hub has one value and every other node another: networkx's
+        # hop totals of node 0 (hub h0) and node 1 (v0)
+        h = nx.Graph(list(zip(*np.nonzero(g.adjacency()))))
+        hub, other = (sum(nx.single_source_shortest_path_length(h, v).values()) for v in (0, 1))
+        is_hub = np.array([v.startswith("h") for v in g.node_ids])
+        np.testing.assert_array_equal(vals, np.where(is_hub, 1.0 / hub, 1.0 / other))
+
     @pytest.fixture(scope="class")
     def barabasi_albert(self):
         nx = pytest.importorskip("networkx")

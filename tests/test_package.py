@@ -262,3 +262,17 @@ def test_every_setting_is_set_by_a_caller():
     ]
     assert sorted(set(unset) - SETTINGS_ONLY_TESTS_SET) == []
     assert SETTINGS_ONLY_TESTS_SET <= set(unset)  # an exemption no longer needed goes too
+
+
+def test_one_newton_core_in_stacking():
+    # every level-1 fit, quadratic penalty or lasso, runs one damped
+    # proximal-Newton loop: one function reads the iteration cap
+    path = Path(dynstack.__file__).resolve().parent / "stacking.py"
+    readers = {
+        fn.name
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "MAX_NEWTON_ITER"
+    }
+    assert readers == {"_fit"}

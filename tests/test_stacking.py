@@ -77,6 +77,11 @@ class TestLevel1Data:
         with pytest.raises(ValueError, match="z column 2 .* row 2"):
             Level1Data(np.array([0, 1, 0]), z, np.zeros(3), ["a", "b"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_u_names_its_row(self, bad):
+        with pytest.raises(ValueError, match=rf"^u holds {bad} in row 2; u must be finite$"):
+            Level1Data(np.array([0, 1, 0]), np.full((3, 1), 0.5), [0.1, bad, 0.3], ["a"])
+
     def test_csv_round_trip_with_provenance(self, tmp_path):
         data = make_data(n=40)
         path = tmp_path / "lvl1.csv"
@@ -631,7 +636,7 @@ class TestSelectLambda:
 
 
 class TestNewtonCarry:
-    """The state a cross-validation grid walk hands from one Newton fit to the next."""
+    """The state a cross-validation grid walk hands from one quadratic-penalty fit to the next."""
 
     @staticmethod
     def two_folds(seed):
@@ -651,39 +656,39 @@ class TestNewtonCarry:
         return (x * (mu * (1.0 - mu))[:, None]).T @ x
 
     def test_carried_state_describes_the_returned_coefficients(self):
-        from dynstack.stacking import _neg_loglik, _newton_diag
+        from dynstack.stacking import _fit, _neg_loglik
 
         ((x, y), _), pen = self.two_folds(36)
         cfg = FitConfig()
         carry = {}
-        coef, path, _ = _newton_diag(x, y, 0.01 * pen, cfg, None, carry)
+        coef, path, _ = _fit(x, y, pen, 0.01, False, cfg, None, None, carry)
         assert np.array_equal(carry["eta"], x @ coef)
         assert carry["nll"] == _neg_loglik(x @ coef, y)
         assert path[-1] == carry["nll"] + float(0.01 * pen @ (coef * coef))
         # carrying only the linear predictor and log-likelihood changes nothing
-        cold = _newton_diag(x, y, 0.1 * pen, cfg, coef)
+        cold = _fit(x, y, pen, 0.1, False, cfg, coef)
         del carry["hess"]
-        warm = _newton_diag(x, y, 0.1 * pen, cfg, coef, carry)
+        warm = _fit(x, y, pen, 0.1, False, cfg, coef, None, carry)
         assert np.array_equal(warm[0], cold[0]) and warm[1] == cold[1]
         # the Hessian carried is the likelihood's alone, which w <= 1/4 bounds
-        _newton_diag(x, y, 1e4 * pen, cfg, warm[0], carry)
+        _fit(x, y, pen, 1e4, False, cfg, warm[0], None, carry)
         assert np.all(np.diag(carry["hess"]) <= np.diag(x.T @ x) / 4.0 * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("wrong", ["at_zero", "other_fold"])
     def test_first_step_on_a_wrong_hessian_reaches_the_cold_objective(self, wrong):
-        from dynstack.stacking import _newton_diag
+        from dynstack.stacking import _fit
 
         (fold, other), pen = self.two_folds(37)
         x, y = fold
         cfg, grid = FitConfig(), stacking.LAMBDA_GRID
         for prev, lam in zip(grid[::4], grid[1::4]):
-            start, _, _ = _newton_diag(x, y, prev * pen, cfg)
+            start, _, _ = _fit(x, y, pen, prev, False, cfg)
             if wrong == "at_zero":
                 hess = self.likelihood_hessian(x, np.zeros(x.shape[1]))
             else:
-                hess = self.likelihood_hessian(other[0], _newton_diag(*other, prev * pen, cfg)[0])
-            _, path, converged = _newton_diag(x, y, lam * pen, cfg, start, {"hess": hess})
-            _, cold, _ = _newton_diag(x, y, lam * pen, cfg)
+                hess = self.likelihood_hessian(other[0], _fit(*other, pen, prev, False, cfg)[0])
+            _, path, converged = _fit(x, y, pen, lam, False, cfg, start, None, {"hess": hess})
+            _, cold, _ = _fit(x, y, pen, lam, False, cfg)
             assert converged
             assert all(b <= a for a, b in zip(path, path[1:]))
             assert abs(path[-1] - cold[-1]) <= cfg.newton_tol * (1.0 + abs(cold[-1]))
@@ -814,13 +819,18 @@ class TestLassoCarry:
         y = data.y[rows].astype(float)
         return x, y, _lasso_null_fit(x, y)
 
+    @staticmethod
+    def lasso(x, y, strength, coef0, null_fit, carry=None):
+        pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
+        return stacking._fit(x, y, pen, strength, True, FitConfig(), coef0, null_fit, carry)
+
     def test_carried_state_describes_the_returned_coefficients(self):
-        from dynstack.stacking import _lasso_logistic, _neg_loglik
+        from dynstack.stacking import _neg_loglik
 
         x, y, null_fit = self.fold(41)
         for strength in (0.1, 0.3 * null_fit[1]):
             carry = {}
-            coef, path, converged = _lasso_logistic(x, y, strength, None, null_fit, carry)
+            coef, path, converged = self.lasso(x, y, strength, None, null_fit, carry)
             assert converged and len(path) > 2 and np.any(coef[1:])
             eta = x @ coef
             mu = sigmoid(eta)
@@ -831,29 +841,31 @@ class TestLassoCarry:
 
     @pytest.mark.parametrize("design", STATIC_DESIGNS)
     def test_carried_walk_equals_the_walk_on_coefficients_alone(self, design):
-        from dynstack.stacking import _lasso_logistic
-
         x, y, null_fit = self.fold(42, design)
         carry, warm, cold = {}, None, None
         for strength in stacking.LAMBDA_GRID:
-            warm, warm_path, warm_ok = _lasso_logistic(x, y, strength, warm, null_fit, carry)
-            cold, cold_path, cold_ok = _lasso_logistic(x, y, strength, cold, null_fit)
+            warm, warm_path, warm_ok = self.lasso(x, y, strength, warm, null_fit, carry)
+            cold, cold_path, cold_ok = self.lasso(x, y, strength, cold, null_fit)
             assert np.array_equal(warm, cold)
             assert warm_path == cold_path and warm_ok == cold_ok
 
-    def test_no_carry_after_an_above_critical_or_unconverged_fit(self, monkeypatch):
+    def test_carry_after_an_above_critical_or_unconverged_fit(self, monkeypatch):
+        from dynstack.stacking import _neg_loglik
+
         x, y, null_fit = self.fold(43)
         carry = {}
-        coef, _, _ = stacking._lasso_logistic(x, y, 0.1, None, null_fit, carry)
-        assert set(carry) == {"eta", "mu", "grad", "nll"}
+        coef, _, _ = self.lasso(x, y, 0.1, None, null_fit, carry)
+        assert set(carry) == {"eta", "nll", "mu", "grad", "hess"}
         # above the critical strength the fit is the intercept-only one
-        stacking._lasso_logistic(x, y, 2.0 * null_fit[1], coef, null_fit, carry)
+        self.lasso(x, y, 2.0 * null_fit[1], coef, null_fit, carry)
         assert carry == {}
-        # one outer step does not reach the optimum at 1e-3 from the one at 0.1
-        coef, _, _ = stacking._lasso_logistic(x, y, 0.1, None, null_fit, carry)
+        # one outer step does not reach the optimum at 1e-3 from the one at 0.1;
+        # the carry still describes the coefficients that step returns
+        coef, _, _ = self.lasso(x, y, 0.1, None, null_fit, carry)
         monkeypatch.setattr(stacking, "MAX_NEWTON_ITER", 1)
-        _, _, converged = stacking._lasso_logistic(x, y, 1e-3, coef, null_fit, carry)
-        assert not converged and carry == {}
+        coef, _, converged = self.lasso(x, y, 1e-3, coef, null_fit, carry)
+        assert not converged and set(carry) == {"eta", "nll", "hess"}
+        assert np.array_equal(carry["eta"], x @ coef) and carry["nll"] == _neg_loglik(x @ coef, y)
 
     def test_no_state_survives_a_call(self, monkeypatch):
         a, b = make_data(case=3, n=600, seed=44), make_data(case=2, n=500, seed=45)
