@@ -36,10 +36,11 @@ CLOSENESS_CHUNK = 1024
 
 
 class GraphParseError(ValueError):
-    """Malformed edge or label input. ``record`` is the index of the edge at
-    which a merged weight stopped being finite, when that was the fault."""
+    """Malformed edge, label or feature input; from :meth:`Graph.build`,
+    ``record`` is the first bad edge's index and ``detail`` its fault."""
 
     record: int | None = None
+    detail = ""
 
 
 def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -87,11 +88,11 @@ class Graph:
     def build(cls, node_ids, edges):
         """Construct from an iterable of ``(i, j, weight)`` index triples.
 
-        Parallel edges are merged by summing their weights in input order;
-        self-loops, NaN, fractional or out-of-range indices, negative,
-        infinite or NaN weights and a merged weight that overflows to
-        infinity are rejected; the overflow names the pair of the first edge
-        at which a running sum does.
+        Parallel edges are merged by summing their weights in input order.
+        This is the one check of edge values: the first edge with an out-of-range,
+        fractional or NaN index, a self-loop, or a negative, infinite or NaN weight,
+        else the first at which a pair's merged weight overflows, raises
+        :class:`GraphParseError` as ``edges[k] = (i, j, w): <detail>``.
         Zero-weight edges are stored, so they count toward the degree.
         Every node is unlabeled; :meth:`with_labels` adds labels.
         """
@@ -99,24 +100,26 @@ class Graph:
         n = len(node_ids)
         e = np.array(list(edges), dtype=float).reshape(-1, 3)
         ends, w = e[:, :2], e[:, 2]
-        outside = ((ends < 0) | (ends >= n)).any(axis=1)
-        fractional = (ends != np.floor(ends)).any(axis=1)  # true for NaN too
-        checks = [e[:, 0] == e[:, 1], outside, fractional, w < 0, ~np.isfinite(w)]
-        fault = np.select(checks, list(range(1, 6)))
+        outside, fractional = (ends < 0) | (ends >= n), ends != np.floor(ends)  # NaN: fractional
+        fault = np.select([outside.any(axis=1), fractional.any(axis=1), e[:, 0] == e[:, 1], w < 0,
+                           ~np.isfinite(w)], [1, 2, 3, 4, 5])
         if fault.any():
             k = int(np.argmax(fault > 0))
-            what = ("a self-loop", f"out of range for {n} nodes", "not between integer indices",
-                    "negatively weighted", "weighted by a non-finite value")
+            i, _, wk = e[k].tolist()
+            node = node_ids[int(i)] if fault[k] == 3 else None  # a self-loop's index is valid
+            detail = (f"node index out of range for {n} nodes", "node index not an integer",
+                      f"self-loop on {node!r}", f"negative weight {wk!r}",
+                      f"non-finite weight {wk!r}")[fault[k] - 1]
+        else:
+            lo, hi = np.sort(ends, axis=1).astype(np.int64).T
+            pairs, total, k = _merge(lo * n + hi, w)
+            if k is not None:
+                a, b = node_ids[lo[k]], node_ids[hi[k]]
+                detail = f"the parallel edges between {a!r} and {b!r} sum to a non-finite weight"
+        if k is not None:
             edge = ", ".join(repr(v).removesuffix(".0") for v in e[k].tolist())
-            raise GraphParseError(f"edges[{k}] = ({edge}) is {what[fault[k] - 1]}")
-        lo, hi = np.sort(e[:, :2], axis=1).astype(np.int64).T
-        pairs, total, first = _merge(lo * n + hi, w)
-        if first is not None:
-            err = GraphParseError(
-                f"the parallel edges between {node_ids[lo[first]]!r} and {node_ids[hi[first]]!r} "
-                "sum to a non-finite weight"
-            )
-            err.record = first
+            err = GraphParseError(f"edges[{k}] = ({edge}): {detail}")
+            err.record, err.detail = k, detail
             raise err
         i, j = np.divmod(pairs, n)
         from scipy.sparse import csr_matrix
@@ -187,45 +190,42 @@ class Graph:
         return Graph(ids, adj.indptr, adj.indices, adj.data, self.labels[keep], self.class_names)
 
 
+def _records(lines):
+    """The 1-based number and whitespace-separated fields of each line of
+    ``lines`` that is neither blank nor a ``#`` comment, lazily."""
+    return ((n, f) for n, f in enumerate(map(str.split, lines), 1) if f and f[0][0] != "#")
+
+
+def _weight(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
+
+
 def parse_edge_list(lines) -> Graph:
     """Parse whitespace-separated ``id1 id2 [weight]`` lines into a graph.
 
     Blank lines and lines starting with ``#`` are skipped. Repeated pairs
-    merge by weight sum; node ids are interned in first-seen order.
-    Malformed lines raise :class:`GraphParseError` with the line number,
-    as does the first line whose weight takes a merged sum past the float
-    range; ``lines`` is a sequence, read again to find that line.
+    merge by weight sum; node ids are interned in first-seen order. A line
+    without two or three fields or with a non-numeric weight raises
+    :class:`GraphParseError` with its line number, as does the first edge
+    that breaks a rule of :meth:`Graph.build`, the one place they live.
     """
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    edges, at = [], []  # each edge's (i, j, weight), and its line
+    for lineno, parts in _records(lines):
         if len(parts) not in (2, 3):
-            raise GraphParseError(f"line {lineno}: expected 'id1 id2 [weight]', got {line!r}")
-        a, b = parts[0], parts[1]
-        if a == b:
-            raise GraphParseError(f"line {lineno}: self-loop on {a!r}")
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-numeric weight {parts[2]!r}") from None
-            if not np.isfinite(w) or w < 0:
-                raise GraphParseError(f"line {lineno}: invalid weight {w}")
-        else:
-            w = 1.0
-        for tok in (a, b):
-            if tok not in ids:
-                ids[tok] = len(ids)
-        edges.append((ids[a], ids[b], w))
+            got = " ".join(parts)
+            raise GraphParseError(f"line {lineno}: expected 'id1 id2 [weight]', got {got!r}")
+        w = _weight(parts[2], lineno) if len(parts) == 3 else 1.0
+        a = ids.setdefault(parts[0], len(ids))
+        edges.append((a, ids.setdefault(parts[1], len(ids)), w))
+        at.append(lineno)
     try:
         return Graph.build(list(ids), edges)
-    except GraphParseError as err:  # every line passed, so a merged sum overflowed
-        read = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
-        raise GraphParseError(f"line {read[err.record]}: {err}") from None
+    except GraphParseError as err:
+        raise GraphParseError(f"line {at[err.record]}: {err.detail}") from None
 
 
 class _LabelRows(list):

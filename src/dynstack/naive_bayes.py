@@ -7,13 +7,12 @@ never zero out a class.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import GraphParseError, _merge
+from .graph import GraphParseError, _merge, _records, _weight
 
 # scipy loads in the functions that use it: runs without a graph never import it
 if TYPE_CHECKING:
@@ -47,44 +46,38 @@ def parse_feature_file(lines, node_ids) -> SparseFeatures:
 
     Rows align with ``node_ids``; nodes absent from the file get empty
     feature vectors. Terms are interned in first-seen order, and a term
-    repeated for one node sums its weights in file order; the first line
-    at which such a sum overflows the float range raises.
+    repeated for one node sums its weights in file order. Errors name the
+    line of an unknown node, a token that is not ``term:weight`` or a
+    non-numeric weight, else of the first negative or non-finite weight,
+    else of the first weight at which a sum overflows.
     """
     index = {nid: i for i, nid in enumerate(node_ids)}
     vocab: dict[str, int] = {}
-    rows, cols, vals = [], [], []
-    starts = []  # (line number, index of its first weight) per data line
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        starts.append((lineno, len(vals)))
-        parts = line.split()
-        node_id = parts[0]
-        if node_id not in index:
-            raise GraphParseError(f"line {lineno}: features for unknown node {node_id!r}")
+    rows, cols, vals, at = [], [], [], []  # each weight's node, term, value and line
+    for lineno, parts in _records(lines):
+        node = index.get(parts[0])
+        if node is None:
+            raise GraphParseError(f"line {lineno}: features for unknown node {parts[0]!r}")
         for tok in parts[1:]:
             term, sep, weight = tok.rpartition(":")
             if not sep or not term:
                 raise GraphParseError(f"line {lineno}: expected term:weight, got {tok!r}")
-            try:
-                w = float(weight)
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-numeric weight in {tok!r}") from None
-            if w < 0 or not np.isfinite(w):
-                raise GraphParseError(f"line {lineno}: invalid weight in {tok!r}")
-            rows.append(index[node_id])
+            rows.append(node)
             cols.append(vocab.setdefault(term, len(vocab)))
-            vals.append(w)
+            vals.append(_weight(weight, lineno))
+        at += [lineno] * (len(parts) - 1)
     vocabulary, shape = list(vocab), (len(node_ids), len(vocab))
+    vals = np.asarray(vals, dtype=float)
+    bad = ~np.isfinite(vals) | (vals < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GraphParseError(f"line {at[k]}: term {vocabulary[cols[k]]!r} has weight "
+                              f"{vals[k].item()!r}; weights must be finite and nonnegative")
     keys = np.asarray(rows, dtype=np.int64) * shape[1] + np.asarray(cols, dtype=np.int64)
-    entries, sums, first = _merge(keys, np.asarray(vals, dtype=float))
+    entries, sums, first = _merge(keys, vals)
     if first is not None:
-        lineno = starts[bisect.bisect_right([at for _, at in starts], first) - 1][0]
-        term = vocabulary[cols[first]]
-        raise GraphParseError(
-            f"line {lineno}: the weights of term {term!r} sum to a non-finite value"
-        )
+        raise GraphParseError(f"line {at[first]}: the weights of term {vocabulary[cols[first]]!r} "
+                              "sum to a non-finite value")
     from scipy.sparse import csr_matrix
 
     # the merged entries are distinct and sorted by node, then term: CSR order already

@@ -89,25 +89,10 @@ def generate_case(case: int, n: int, seed) -> SimDataset:
     return SimDataset(y, z1, z2, u)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``, each run of ties given its average rank.
-
-    Equal to ``scipy.stats.rankdata(x)`` bit for bit: any NaN makes every
-    rank NaN, and infinities rank at the ends.
-    """
-    if np.isnan(x).any():
-        return np.full(len(x), np.nan)
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
-    counts = np.diff(starts, append=len(x))
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
-    return ranks
-
-
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via the rank statistic, midranks for ties."""
+    """Area under the ROC curve: the share of (positive, negative) pairs in
+    which the positive scores higher, a tie counting one half; NaN when any
+    score is NaN. The pair counts are exact half-integers."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
@@ -117,8 +102,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = _midranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    if np.isnan(scores).any():
+        return np.nan
+    # per positive: twice the negatives below it, plus the negatives it ties
+    neg = np.sort(scores[~pos])
+    twice = np.searchsorted(neg, scores[pos], "left") + np.searchsorted(neg, scores[pos], "right")
+    return float(twice.sum() / 2 / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)

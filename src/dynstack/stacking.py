@@ -81,9 +81,26 @@ def _neg_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     return float((np.maximum(eta, 0.0) + t - y * eta).sum())
 
 
-def _probabilities(z: np.ndarray) -> bool:
-    """Whether every entry of ``z`` lies in [0, 1], up to a 1e-9 round-off."""
-    return z.min(initial=0.0) >= -1e-9 and z.max(initial=0.0) <= 1 + 1e-9
+class _RowError(ValueError):
+    """Level-1 row ``row`` (from 0) breaks the row rule ``detail`` names."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"row {row + 1}: {detail}")
+        self.row, self.detail = row, detail
+
+
+def _check_rows(z: np.ndarray, u: np.ndarray, y=None) -> None:
+    """Raise :class:`_RowError` for the first row that breaks a level-1 row rule:
+    ``y``, if given, is 0 or 1; ``z`` lies in [0, 1] to within 1e-9; ``u`` is finite."""
+    y = np.zeros(len(u)) if y is None else np.asarray(y)
+    outside = ~((z >= -1e-9) & (z <= 1 + 1e-9))  # NaN too
+    fault = np.select([~np.isin(y, (0, 1)), outside.any(axis=1), ~np.isfinite(u)], [1, 2, 3])
+    if fault.any():
+        k = int(np.argmax(fault > 0))
+        c = int(np.argmax(outside[k]))
+        raise _RowError(k, (f"y must be 0 or 1, got {y[k].item()!r}",
+                            f"z column {c + 1} holds {z[k, c].item()!r}; z must lie in [0, 1]",
+                            f"u holds {u[k].item()!r}; u must be finite")[fault[k] - 1])
 
 
 @dataclass(frozen=True)
@@ -93,7 +110,9 @@ class Level1Data:
     ``z`` holds, per level-0 classifier, its predicted class probabilities
     with the last class dropped, so the columns are linearly independent
     of the all-ones intercept. ``columns`` records which classifier and
-    class each column came from.
+    class each column came from. Rows keep the rules of :func:`_check_rows`:
+    ``y`` is 0 or 1, ``z`` lies in [0, 1] to within 1e-9 (and is clipped to
+    it) and ``u`` is finite; a ``ValueError`` names the first row that does not.
     """
 
     y: np.ndarray
@@ -102,32 +121,19 @@ class Level1Data:
     columns: list[str]
 
     def __post_init__(self):
-        # check before the cast, which would truncate 0.5 to class 0
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValueError("y must be binary 0/1")
-        y = np.asarray(self.y, dtype=np.int64)
         z = np.atleast_2d(np.asarray(self.z, dtype=float))
         u = np.asarray(self.u, dtype=float)
-        if z.shape[0] != len(y) or len(u) != len(y):
+        if z.shape[0] != len(self.y) or len(u) != len(self.y):
             raise ValueError("y, z, u must be aligned")
         if z.shape[1] < 1:
             raise ValueError("z has no columns; level-1 data needs p >= 1")
-        if not np.all(np.isfinite(z)):
-            row, col = np.argwhere(~np.isfinite(z))[0]
-            raise ValueError(
-                f"z column {col + 1} holds {z[row, col]} in row {row + 1}; z must be finite"
-            )
-        if not _probabilities(z):
-            raise ValueError("z entries must be probabilities in [0, 1]")
-        if not np.all(np.isfinite(u)):
-            row = np.flatnonzero(~np.isfinite(u))[0]
-            raise ValueError(f"u holds {u[row]} in row {row + 1}; u must be finite")
+        _check_rows(z, u, self.y)  # before the cast, which would truncate 0.5 to class 0
         if len(self.columns) != z.shape[1]:
             raise ValueError("one provenance entry per z column required")
         for name in self.columns:  # the sidecar and the model file store stripped lines
             if name != name.strip() or len(name.splitlines()) != 1:
                 raise ValueError(f"provenance name {name!r} is not one line without outer spaces")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
         object.__setattr__(self, "z", np.clip(z, 0.0, 1.0))
         object.__setattr__(self, "u", u)
 
@@ -182,7 +188,7 @@ def build_level1(y, predictors, u, folds: int = 10, seed: int = 0) -> Level1Data
     minus the last class column. Every fold must return the first fold's
     number of classes.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)  # Level1Data checks it is 0 or 1 before its integer cast
     u = np.asarray(u, dtype=float)
     n = len(y)
     check_folds(folds)
@@ -705,18 +711,15 @@ def select_strength(data: Level1Data, design: str, penalty: str, config: FitConf
 
 
 def predict(model: StackModel, z, u) -> np.ndarray:
-    """Positive-class probability for rows ``(Z, u)``."""
+    """Positive-class probability for rows ``(Z, u)``; a ``ValueError`` names the first
+    row with ``z`` outside [0, 1] (to within 1e-9) or a non-finite ``u``."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != model.p:
         raise ValueError(f"expected {model.p} z columns, got {z.shape[1]}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if z.shape[0] != len(u):
         raise ValueError(f"z has {z.shape[0]} rows, u has {len(u)}")
-    zu = np.column_stack([z, u])
-    if not np.isfinite(zu).all():  # NaN would pass through every design silently
-        row, col = np.argwhere(~np.isfinite(zu))[0]
-        name = f"z column {col + 1}" if col < model.p else "u"
-        raise ValueError(f"{name} holds {zu[row, col]} in row {row + 1}; z and u must be finite")
+    _check_rows(z, u)  # NaN would pass through every design silently
     x = design_matrix(z, u, model.design, model.basis)
     if x.shape[1] != len(model.coef):
         raise ValueError(
@@ -759,34 +762,27 @@ def write_level1(path, data: Level1Data) -> None:
             fh.write(f"z_{j + 1} = {name}\n")
 
 
-def _bad_level1_line(path, width: int, has_y: bool) -> str | None:
-    """Name the first data line that does not hold ``width`` finite numbers,
-    whose z values are not probabilities or, when ``has_y``, whose first
-    field is not exactly 0 or 1; None when every line holds them."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rec in filter(None, reader):
-            where = f"{path} line {reader.line_num}"
+def _table(rows, width: int) -> np.ndarray:
+    """``rows`` as a float array; :class:`_RowError` names the first row that
+    is not ``width`` numbers."""
+    try:  # a ragged body, or rows of another width, fail the cast or the reshape
+        return np.asarray(rows, dtype=float).reshape(len(rows), width)
+    except ValueError:  # only a bad file pays for the row search
+        for k, rec in enumerate(rows):
             if len(rec) != width:
-                return f"{where}: expected {width} fields, got {len(rec)}"
+                raise _RowError(k, f"expected {width} fields, got {len(rec)}") from None
             try:
-                row = np.asarray(rec, dtype=float)
+                np.asarray(rec, dtype=float)
             except ValueError as err:
-                return f"{where}: {err}"
-            if not np.isfinite(row).all():
-                return f"{where}: non-finite value in {rec}"
-            if has_y and row[0] not in (0.0, 1.0):
-                return f"{where}: y must be 0 or 1, got {rec[0]!r}"
-            if not _probabilities(row[int(has_y) : -1]):
-                return f"{where}: z values must be probabilities in [0, 1], got {rec}"
-    return None
+                raise _RowError(k, str(err)) from None
+        raise
 
 
 def read_level1(path, require_y: bool = True) -> Level1Data:
     """Read a level-1 CSV; picks up the provenance sidecar when present.
 
-    A malformed row raises a ``ValueError`` naming the file and line.
+    The first row that is not as many numbers as the header has fields, or breaks
+    a row rule of :class:`Level1Data`, raises a ``ValueError`` naming its line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -797,23 +793,29 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
             raise ValueError(
                 f"{path}: unexpected level-1 header {header!r}; expected y,z_1,...,z_p,u, p >= 1"
             )
-        rows = [rec for rec in reader if rec]
+        rows, lines = [], []  # lines[k]: the file line of rows[k]
+        for rec in reader:
+            if rec:
+                rows.append(rec)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     zcols = len(header) - 1 - int(has_y)
     columns = [f"z_{j + 1}" for j in range(zcols)]
     sidecar = path.with_name(path.name + ".provenance.txt")
     if sidecar.exists():
-        lines = sidecar.read_text().splitlines()
-        columns = [line.split("=", 1)[1].strip() for line in lines if "=" in line]
+        names = sidecar.read_text().splitlines()
+        columns = [line.split("=", 1)[1].strip() for line in names if "=" in line]
         if len(columns) != zcols:
             raise ValueError(f"{sidecar}: {len(columns)} names for {zcols} z columns")
-    try:  # a ragged body, or rows of another width, fail the cast or the reshape
-        body = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    try:
+        body = _table(rows, len(header))
         y = body[:, 0] if has_y else np.zeros(len(body), dtype=np.int64)
         return Level1Data(y, body[:, int(has_y) : -1], body[:, -1], columns)
-    except ValueError as err:  # only a bad file pays for the line search; else a name is bad
-        raise ValueError(_bad_level1_line(path, len(header), has_y) or f"{sidecar}: {err}") from None
+    except _RowError as err:
+        raise ValueError(f"{path} line {lines[err.row]}: {err.detail}") from None
+    except ValueError as err:  # every row is sound, so a provenance name is bad
+        raise ValueError(f"{sidecar}: {err}") from None
 
 
 def save_model(path, model: StackModel) -> None:
@@ -845,8 +847,8 @@ def load_model(path) -> StackModel:
     """Read a file written by :func:`save_model`; errors name the file."""
     try:
         return _parse_model(Path(path).read_text().splitlines())
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    except ValueError as err:  # one naming a line reads "<path> line N: ..."
+        raise ValueError(f"{path}{' ' if str(err).startswith('line ') else ': '}{err}") from err
 
 
 def _parse_model(text: list[str]) -> StackModel:
@@ -859,13 +861,17 @@ def _parse_model(text: list[str]) -> StackModel:
         raise ValueError("not a dynstack model file")
     fields: dict[str, str] = {}
     columns: list[str] = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "column":
             columns.append(value)
+        elif key in fields:
+            raise ValueError(f"line {lineno}: a second {key!r} line")
+        elif key not in "design penalty strength p degree u_lo u_hi knots coef".split():
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         else:
             fields[key] = value
 

@@ -47,6 +47,17 @@ class TestParseEdgeList:
         with pytest.raises(GraphParseError, match="weight"):
             parse_edge_list(["a b -1"])
 
+    def test_first_bad_edge_in_file_order_is_named(self):
+        # a negative weight on line 3 and a self-loop on line 5: both are
+        # Graph.build's rules, and the earlier line is named
+        lines = ["a b 1", "# note", "b c -1", "", "c c 2"]
+        with pytest.raises(GraphParseError, match="^line 3: negative weight -1.0$"):
+            parse_edge_list(lines)
+        with pytest.raises(GraphParseError, match="^line 5: self-loop on 'c'$"):
+            parse_edge_list(lines[:2] + ["b c 1"] + lines[3:])
+        with pytest.raises(GraphParseError, match="^line 2: non-finite weight inf$"):
+            parse_edge_list(["a b", "b c 1e309"])
+
     def test_comments_and_blanks_skipped(self):
         g = parse_edge_list(["# header", "", "a b", "  ", "# a c"])
         assert g.n_nodes == 2 and g.n_edges == 1
@@ -133,15 +144,15 @@ class TestBuild:
     @pytest.mark.parametrize(
         "edge,message",
         [
-            ((2, 2, 1.0), r"edges\[1\] = \(2, 2, 1\) is a self-loop"),
-            ((0, 3, 1.0), r"edges\[1\] = \(0, 3, 1\) is out of range for 3 nodes"),
-            ((-1, 2, 1.0), r"edges\[1\] = \(-1, 2, 1\) is out of range"),
-            ((1, 2, -0.5), r"edges\[1\] = \(1, 2, -0.5\) is negatively weighted"),
-            ((0, 2, np.inf), r"edges\[1\] = \(0, 2, inf\) is weighted by a non-finite value"),
-            ((1, 2, np.nan), r"edges\[1\] = \(1, 2, nan\) is weighted by a non-finite value"),
-            ((0.5, 1, 1.0), r"edges\[1\] = \(0.5, 1, 1\) is not between integer indices"),
-            ((np.nan, 1, 1.0), r"edges\[1\] = \(nan, 1, 1\) is not between integer indices"),
-            ((1, 2.0000001, 1.0), r"edges\[1\] = \(1, 2.0000001, 1\) is not between integer"),
+            ((2, 2, 1.0), r"edges\[1\] = \(2, 2, 1\): self-loop on 'c'$"),
+            ((0, 3, 1.0), r"edges\[1\] = \(0, 3, 1\): node index out of range for 3 nodes$"),
+            ((-1, 2, 1.0), r"edges\[1\] = \(-1, 2, 1\): node index out of range"),
+            ((1, 2, -0.5), r"edges\[1\] = \(1, 2, -0.5\): negative weight -0.5$"),
+            ((0, 2, np.inf), r"edges\[1\] = \(0, 2, inf\): non-finite weight inf$"),
+            ((1, 2, np.nan), r"edges\[1\] = \(1, 2, nan\): non-finite weight nan$"),
+            ((0.5, 1, 1.0), r"edges\[1\] = \(0.5, 1, 1\): node index not an integer$"),
+            ((np.nan, 1, 1.0), r"edges\[1\] = \(nan, 1, 1\): node index not an integer$"),
+            ((1, 2.0000001, 1.0), r"edges\[1\] = \(1, 2.0000001, 1\): node index not an integer"),
         ],
         ids=["self-loop", "index too large", "negative index", "negative weight", "inf", "nan",
              "fractional index", "nan index", "nearly integral index"],
@@ -161,7 +172,8 @@ class TestBuild:
             Graph.build(["a", "b", "c"], [(0, 1, 1.0), (2, 1, 1.5e308), (1, 2, 1.5e308)])
         # both pairs overflow; b-c does so first, on edges[2], though a-b sorts first
         edges = [(1, 2, 1e308), (0, 1, 1e308), (2, 1, 1e308), (1, 0, 1e308)]
-        with pytest.raises(GraphParseError, match="^the parallel edges between 'b' and 'c' sum"):
+        message = r"^edges\[2\] = \(2, 1, 1e\+308\): the parallel edges between 'b' and 'c' sum"
+        with pytest.raises(GraphParseError, match=message):
             Graph.build(["a", "b", "c"], edges)
 
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dynstack.metrics import accuracy, binned_accuracy, paired_comparison
-from dynstack.simulation import _midranks
+from dynstack.simulation import auc
+
+from oracles import brute_force_auc
 
 
 class TestAccuracy:
@@ -143,18 +145,25 @@ class TestPairedComparison:
             paired_comparison(np.ones(1), np.ones(1))
 
 
-class TestMidranks:
-    """The rank statistic behind ``simulation.auc``, against scipy's ``rankdata``."""
+class TestAucByCounting:
+    """``simulation.auc`` counts pairs; its exact half-integer sums make it
+    equal to the all-pairs oracle bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0, 1e300, np.inf, -np.inf, np.nan]),
-            min_size=1,
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0, 1e300, np.inf, -np.inf, np.nan]),
+                st.integers(0, 1),
+            ),
+            min_size=2,
             max_size=40,
-        )
+        ).filter(lambda pairs: len({label for _, label in pairs}) == 2)
     )
-    def test_equals_rankdata_bit_for_bit(self, values):
-        x = np.array(values)
-        np.testing.assert_array_equal(_midranks(x), stats.rankdata(x), strict=True)
-
+    def test_equals_brute_force_bit_for_bit(self, pairs):
+        scores, labels = np.array(pairs).T
+        value = auc(scores, labels)
+        if np.isnan(scores).any():
+            assert np.isnan(value)
+        else:
+            assert value == brute_force_auc(scores, labels)

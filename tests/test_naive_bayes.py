@@ -39,6 +39,15 @@ class TestParseFeatureFile:
         with pytest.raises(GraphParseError):
             parse_feature_file(["a justaterm"], ["a"])
 
+    def test_first_bad_weight_is_named_before_an_overflowing_sum(self):
+        # line 4 takes term t's sum past the float range, but line 2's NaN comes first
+        lines = ["a t:1e308", "b u:nan", "", "a t:1e308"]
+        message = "^line 2: term 'u' has weight nan; weights must be finite and nonnegative$"
+        with pytest.raises(GraphParseError, match=message):
+            parse_feature_file(lines, ["a", "b"])
+        with pytest.raises(GraphParseError, match="^line 1: term 'w' has weight -2.0; weights"):
+            parse_feature_file(["a v:1 w:-2"], ["a"])
+
     def test_term_with_colon(self):
         f = parse_feature_file(["a topic/ai:stats:2"], ["a"])
         assert f.vocabulary == ["topic/ai:stats"]

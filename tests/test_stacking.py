@@ -53,9 +53,9 @@ def random_binary_data(rng, n=200, p=2, signal=2.0):
 
 class TestLevel1Data:
     def test_validation(self):
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(ValueError, match="^row 2: y must be 0 or 1, got 2$"):
             Level1Data(np.array([0, 2]), np.zeros((2, 1)), np.zeros(2), ["a"])
-        with pytest.raises(ValueError, match="probabilities"):
+        with pytest.raises(ValueError, match=r"^row 2: z column 1 holds 1.5; z must lie in \[0, 1\]$"):
             Level1Data(np.array([0, 1]), np.array([[0.2], [1.5]]), np.zeros(2), ["a"])
         with pytest.raises(ValueError, match="provenance"):
             Level1Data(np.array([0, 1]), np.zeros((2, 2)), np.zeros(2), ["a"])
@@ -67,19 +67,19 @@ class TestLevel1Data:
             Level1Data(np.array([0, 1, 0, 1]), np.zeros((4, 0)), np.zeros(4), [])
 
     def test_fractional_y_rejected_before_the_integer_cast(self):
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(ValueError, match="^row 1: y must be 0 or 1, got 0.5$"):
             Level1Data([0.5, 1, 0], np.zeros((3, 1)), np.zeros(3), ["a"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_z_names_its_column(self, bad):
         z = np.full((3, 2), 0.5)
         z[1, 1] = bad
-        with pytest.raises(ValueError, match="z column 2 .* row 2"):
+        with pytest.raises(ValueError, match=rf"^row 2: z column 2 holds {bad}; z must lie in \[0, 1\]$"):
             Level1Data(np.array([0, 1, 0]), z, np.zeros(3), ["a", "b"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_u_names_its_row(self, bad):
-        with pytest.raises(ValueError, match=rf"^u holds {bad} in row 2; u must be finite$"):
+        with pytest.raises(ValueError, match=rf"^row 2: u holds {bad}; u must be finite$"):
             Level1Data(np.array([0, 1, 0]), np.full((3, 1), 0.5), [0.1, bad, 0.3], ["a"])
 
     def test_csv_round_trip_with_provenance(self, tmp_path):
@@ -98,13 +98,13 @@ class TestLevel1Data:
         [
             ("1,0.5,0.3\n0,0.5\n", "level1.csv line 3: expected 3 fields, got 2"),
             ("1,0.5\n0,0.5\n", "level1.csv line 2: expected 3 fields, got 2"),
-            ("1,0.5,0.3\n\n0,nan,0.2\n", "level1.csv line 4: non-finite value"),
-            ("1,0.5,0.3\n\n\n0,0.5,inf\n", "level1.csv line 5: non-finite value"),
+            ("1,0.5,0.3\n\n0,nan,0.2\n", r"level1.csv line 4: z column 1 holds nan; z must lie in \[0, 1\]$"),
+            ("1,0.5,0.3\n\n\n0,0.5,inf\n", "level1.csv line 5: u holds inf; u must be finite$"),
             ("1,0.5,0.3\n0,abc,0.2\n", "level1.csv line 3: could not convert .*'abc'"),
             ("", "level1.csv: no data rows"),
-            ("0.5,0.5,0.3\n1,0.5,0.2\n0,0.5,0.1\n", "level1.csv line 2: y must be 0 or 1, got '0.5'"),
-            ("1,0.5,0.3\n1,1.5,0.2\n", r"level1.csv line 3: z values must be probabilities"),
-            ("1,-1e-8,0.3\n", r"level1.csv line 2: z values must be probabilities in \[0, 1\]"),
+            ("0.5,0.5,0.3\n1,0.5,0.2\n0,0.5,0.1\n", "level1.csv line 2: y must be 0 or 1, got 0.5$"),
+            ("1,0.5,0.3\n1,1.5,0.2\n", r"level1.csv line 3: z column 1 holds 1.5; z must lie in \[0, 1\]$"),
+            ("1,-1e-8,0.3\n", r"level1.csv line 2: z column 1 holds -1e-08; z must lie in \[0, 1\]$"),
         ],
         ids=[
             "short row", "every row short", "nan", "inf", "non-numeric", "header only",
@@ -161,6 +161,13 @@ class TestBuildLevel1:
         data = build_level1(y, {"clf0": half, "clf1": half}, u, folds=4, seed=0)
         assert data.p == 2
         assert data.columns == ["clf0:class0", "clf1:class0"]
+
+    def test_fractional_y_rejected(self):
+        # an integer cast ahead of Level1Data's check used to turn 0.5 into class 0
+        half = lambda fit, held: np.full((len(held), 2), 0.5)
+        y = np.r_[0.5, np.arange(11) % 2]
+        with pytest.raises(ValueError, match="^row 1: y must be 0 or 1, got 0.5$"):
+            build_level1(y, {"clf": half}, np.zeros(12), folds=3, seed=0)
 
     def test_column_arithmetic_mixed_classes(self):
         n = 18
@@ -448,13 +455,13 @@ class TestPredictDynamic:
         model = fit_dynamic(data, 1.0, default_basis(data.u))
         z = np.full((3, 2), 0.5)
         z[2, 1] = np.nan
-        with pytest.raises(ValueError, match=r"^z column 2 holds nan in row 3; z and u must be finite$"):
+        with pytest.raises(ValueError, match=r"^row 3: z column 2 holds nan; z must lie in \[0, 1\]$"):
             predict(model, z, np.full(3, 0.5))
 
     def test_infinite_u_names_row(self):
         data = make_data(n=50)
         model = fit_dynamic(data, 1.0, default_basis(data.u))
-        with pytest.raises(ValueError, match=r"^u holds inf in row 2; z and u must be finite$"):
+        with pytest.raises(ValueError, match=r"^row 2: u holds inf; u must be finite$"):
             predict(model, np.full((3, 2), 0.5), [0.5, np.inf, 0.5])
 
     def test_outputs_in_unit_interval(self):
@@ -1175,6 +1182,15 @@ class TestObjectivePath:
 
 
 class TestPredictStatic:
+    @pytest.mark.parametrize("bad", [1.5, -1e-8])
+    def test_z_outside_the_unit_interval_names_its_row(self, bad):
+        # fitting rejects such a row; predict used to score it
+        m = StackModel("m1", "none", 0.0, np.zeros(3), 2, ["z1", "z2"])
+        z = np.full((3, 2), 0.5)
+        z[2, 0] = bad
+        with pytest.raises(ValueError, match=rf"^row 3: z column 1 holds {bad}; z must lie in \[0, 1\]$"):
+            predict(m, z, np.zeros(3))
+
     def test_zero_coefficients_give_half(self):
         m = StackModel("m2", "none", 0.0, np.zeros(4), 2, ["z1", "z2"])
         np.testing.assert_allclose(
@@ -1212,14 +1228,14 @@ class TestPredictStatic:
         m = StackModel("m2", "ridge", 1.0, np.zeros(4), 2, ["z1", "z2"])
         z = np.full((4, 2), 0.5)
         z[1, 0] = np.nan
-        with pytest.raises(ValueError, match=r"^z column 1 holds nan in row 2; z and u must be finite$"):
+        with pytest.raises(ValueError, match=r"^row 2: z column 1 holds nan; z must lie in \[0, 1\]$"):
             predict(m, z, np.zeros(4))
 
     def test_infinite_u_names_row(self):
         # m1 never reads u, yet the row is as bad as in Level1Data
         for m in (StackModel("m2", "ridge", 1.0, np.zeros(4), 2, ["z1", "z2"]),
                   StackModel("m1", "none", 0.0, np.zeros(3), 2, ["z1", "z2"])):
-            with pytest.raises(ValueError, match=r"^u holds -inf in row 4; z and u must be finite$"):
+            with pytest.raises(ValueError, match=r"^row 4: u holds -inf; u must be finite$"):
                 predict(m, np.full((4, 2), 0.5), [0.0, 0.1, 0.2, -np.inf])
 
 
@@ -1298,6 +1314,19 @@ class TestModelFiles:
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
         with pytest.raises(ValueError, match="model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [("penalty = lasso", "a second 'penalty' line"), ("bogus = 1", "unknown key 'bogus'")],
+        ids=["repeated", "unknown"],
+    )
+    def test_repeated_or_unknown_key_names_its_line(self, tmp_path, extra, message):
+        # a second penalty line used to load as a lasso model, an unknown key without a word
+        path = tmp_path / "model.txt"
+        save_model(path, StackModel("m1", "ridge", 1.0, np.zeros(3), 2, ["z1", "z2"]))
+        path.write_text(path.read_text() + extra + "\n")  # after 8 lines, so on line 9
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 9: {message}$"):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -10,11 +10,14 @@ with one directory of outputs per run. Manifests name their input files
 by path; every path is written relative to the run root as ``<root>/...``.
 ``tests/test_golden.py`` reruns the same commands and compares the bytes,
 so re-record only when an output is meant to change, and show the diff.
+``tests/golden/blas.txt`` records the config string of every OpenBLAS the
+runs loaded; off those kernels the test compares numbers, not bytes.
 The dynstack package is imported from ``src/`` of this checkout.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import shutil
 import sys
 import tempfile
@@ -22,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+BLAS = GOLDEN / "blas.txt"  # the OpenBLAS configs the record was made on, one a line
 
 NETWORK = (300, 5)  # planted_homophily_network(n_nodes, seed)
 LEVEL1 = {"level1_1200.csv": (1200, 21), "level1_2500.csv": (2500, 22)}  # case 3 (n, seed)
@@ -94,6 +98,15 @@ def outputs(root: Path, run: str) -> dict[str, bytes]:
     return files
 
 
+def blas_configs() -> list[str]:
+    """The sorted config strings (version, build flags, kernel) of every
+    OpenBLAS loaded in this process, as ``perfbench/envinfo.py`` reads them."""
+    spec = importlib.util.spec_from_file_location("envinfo", ROOT / "perfbench" / "envinfo.py")
+    envinfo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envinfo)
+    return sorted({lib["config"] for lib in envinfo.blas_runtime() if lib["config"]})
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,6 +117,7 @@ def main() -> int:
             (GOLDEN / run).mkdir(parents=True)
             for name, data in outputs(root, run).items():
                 (GOLDEN / run / name).write_bytes(data)
+        BLAS.write_text("".join(f"{config}\n" for config in blas_configs()))
     print(f"recorded {len(RUNS)} runs in {GOLDEN.relative_to(ROOT)}")
     return 0
 
