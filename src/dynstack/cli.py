@@ -246,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--out", default=".", help="output directory")
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="parallel workers")
+            p.add_argument(
+                "--threads", type=int, default=1,
+                help="parallel worker processes, at most one per repetition",
+            )
 
     p = sub.add_parser("simulate", help="synthetic level-1 comparison of generalizers")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3))

@@ -140,13 +140,15 @@ def child_seeds(seed: int, count: int) -> list[int]:
 
 def map_reps(fn, jobs, threads: int = 1) -> list:
     """``fn(*job)`` for every job, in job order; ``threads > 1`` runs the jobs
-    in that many worker processes, so ``fn`` and the jobs must pickle."""
+    in up to that many worker processes, one per job at most, so ``fn`` and
+    the jobs must pickle."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads > 1:
+    workers = min(threads, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs), chunksize=1))
     return [fn(*job) for job in jobs]
 

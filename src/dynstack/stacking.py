@@ -89,6 +89,14 @@ class _RowError(ValueError):
         self.row, self.detail = row, detail
 
 
+class _SpecError(ValueError):
+    """Spec field ``key`` (design, penalty or strength) breaks the rule the message names."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(detail)
+        self.key = key
+
+
 def _check_rows(z: np.ndarray, u: np.ndarray, y=None) -> None:
     """Raise :class:`_RowError` for the first row that breaks a level-1 row rule:
     ``y``, if given, is 0 or 1; ``z`` lies in [0, 1] to within 1e-9; ``u`` is finite."""
@@ -342,16 +350,18 @@ class StackModel:
     objective_path: list[float] = field(default_factory=list, repr=False, compare=False)
 
 
-def _check_spec(design: str, penalty: str, strength: float = 0.0) -> None:
-    """Raise unless ``design`` is known, ``penalty`` applies to it and
-    ``strength`` is finite and >= 0: the contract of every fit and model file."""
+def _check_spec(design: str, penalty: str, strength: float) -> None:
+    """Raise :class:`_SpecError` unless ``design`` is known, ``penalty`` applies
+    to it and ``strength`` is finite and >= 0: the contract of every fit and model file."""
     if design not in DESIGNS:
-        raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
+        raise _SpecError("design", f"unknown design {design!r}; expected one of {DESIGNS}")
     allowed = ("curvature",) if design == "dynamic" else ("none", "ridge", "lasso")
     if penalty not in allowed:
-        raise ValueError(f"unknown penalty {penalty!r} for design {design!r}; expected {allowed}")
+        raise _SpecError(
+            "penalty", f"unknown penalty {penalty!r} for design {design!r}; expected {allowed}"
+        )
     if not (np.isfinite(strength) and strength >= 0):
-        raise ValueError(f"penalty strength must be finite and >= 0, got {strength}")
+        raise _SpecError("strength", f"penalty strength must be finite and >= 0, got {strength}")
 
 
 def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndarray:
@@ -401,19 +411,27 @@ def default_basis(
     return make_basis(lo, hi, interior_knots, degree)
 
 
-def _problem(data: Level1Data, design: str, penalty: str, basis: BSplineBasis | None = None):
-    """``(x, y, pen, rot)``: the design a fit runs on, the responses in its
-    row order, its per-coefficient penalty weights (None without a penalty;
-    ridge and lasso spare the intercept), and the rotation back to model
-    coefficients, ``coef = rot @ fitted``. Only the curvature penalty
-    rotates, into its eigenbasis (see :func:`_penalty_eigenbasis`); every
-    other ``rot`` is None. Above ``SPAN_HESSIAN_ROWS`` rows the rotated
-    design is a :class:`_SpanDesign`, whose rows are in knot-span order.
+def _problem(data: Level1Data, design: str, penalty: str, strength: float, basis=None):
+    """``(x, y, pen, rot)`` of a fit at ``strength`` that :func:`_check_spec` and the
+    overflow check pass: the design it runs on, the responses in its row order,
+    its per-coefficient penalty weights (zero without a penalty; ridge and lasso
+    spare the intercept) and the rotation back to model coefficients, ``coef =
+    rot @ fitted``. Only a curvature penalty at a positive strength rotates, into
+    its eigenbasis (see :func:`_penalty_eigenbasis`); every other ``rot`` is None.
+    Above ``SPAN_HESSIAN_ROWS`` rows the rotated design is a :class:`_SpanDesign`,
+    whose rows are in knot-span order.
     """
+    _check_spec(design, penalty, strength)
     x, y = design_matrix(data.z, data.u, design, basis), data.y.astype(float)
-    if penalty != "curvature":
-        return x, y, None if penalty == "none" else np.r_[0.0, np.ones(x.shape[1] - 1)], None
-    pen, rot = _penalty_eigenbasis(basis, data.p)
+    if penalty == "curvature" and strength > 0:
+        pen, rot = _penalty_eigenbasis(basis, data.p)
+    else:
+        pen, rot = float(penalty in ("ridge", "lasso")) * np.r_[0.0, np.ones(x.shape[1] - 1)], None
+    with np.errstate(over="ignore"):  # the Newton weights of a quadratic penalty
+        if penalty != "lasso" and np.isinf(2.0 * (strength * pen)).any():
+            raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
+    if rot is None:
+        return x, y, pen, rot
     if data.n <= SPAN_HESSIAN_ROWS:
         return x @ rot, y, pen, rot
     d, k, span = x.shape[1], basis.size, knot_spans(basis, data.u)
@@ -473,11 +491,12 @@ class _SpanDesign:
 
 def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=None, carry=None):
     """Minimize ``-loglik(x b) + strength * sum_k pen[k] * b_k^2``, or with
-    ``lasso`` ``strength * |b|_1`` on the coordinates ``pen`` penalizes, by
-    damped proximal Newton; ``pen`` None or ``strength`` 0 is plain logistic.
+    ``lasso`` ``strength * |b[1:]|_1``, by damped proximal Newton; plain
+    logistic is the same fit with a zero ``pen`` or ``strength``.
 
-    Each step minimizes the penalized quadratic model: a Cholesky solve, or
-    for the lasso :func:`_lasso_working_solve` on weights floored at 1e-8.
+    Each step minimizes the penalized quadratic model: a Cholesky solve on
+    ``H + 2 diag(strength * pen)``, or :func:`_lasso_working_solve` on weights
+    floored at 1e-8 for the lasso.
     Step halving keeps the objective from rising (the lasso allows a 1e-12
     relative slack), and a fit with no descent left is at its optimum. A
     quadratic fit stops on a relative objective change below
@@ -507,12 +526,12 @@ def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=Non
         lik_hess = None  # the lasso floors its weights, so it forms its own
     d, gram = x.shape[1], getattr(x, "gram", None)
     beta = np.zeros(d) if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    pen_diag = strength * pen if pen is not None and strength > 0 and not lasso else None
+    pen_diag = strength * pen
 
     def objective(b, nll):
         if lasso:
             return nll + strength * np.abs(b[1:]).sum()
-        return nll if pen_diag is None else nll + float(pen_diag @ (b * b))
+        return nll + float(pen_diag @ (b * b))
 
     if eta is None:
         eta = x @ beta
@@ -536,8 +555,6 @@ def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=Non
             lik_hess = (x * w[:, None]).T @ x if gram is None else gram(w)
         if lasso:
             step = _lasso_working_solve(lik_hess, lik_hess @ beta - grad, strength, beta) - beta
-        elif pen_diag is None:
-            step = _solve_spd(lik_hess, -grad, HESSIAN_JITTER)
         else:
             hess = lik_hess.copy()
             hess.flat[:: d + 1] += 2.0 * pen_diag
@@ -569,31 +586,21 @@ def _fit(x, y, pen, strength, lasso, config: FitConfig, coef0=None, null_fit=Non
     return beta, path, converged
 
 
-def _check_overflow(strength, pen, lasso: bool) -> None:
-    """Raise unless the Newton weights ``2 * strength * pen`` of a quadratic penalty are finite."""
-    with np.errstate(over="ignore"):
-        if pen is not None and not lasso and np.isinf(2.0 * (strength * pen)).any():
-            raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
-
-
 def _fit_model(data: Level1Data, design, penalty, strength, config: FitConfig, basis=None):
     """The final :class:`StackModel` fit of :func:`fit_dynamic` and :func:`fit_static`.
 
-    A zero strength fits without a penalty (a dynamic model then stays in
-    its own basis). Without an effective penalty (strength 0, or one that
-    is all zero as for a degree <= 1 basis) separable classes send the
-    coefficients to infinity, so such a fit raises instead.
+    Without an effective penalty (strength 0, or weights that are all zero
+    as for a degree <= 1 basis) separable classes send the coefficients to
+    infinity, so such a fit raises instead.
     """
-    _check_spec(design, penalty, strength)
-    x, y, pen, rot = _problem(data, design, penalty if strength > 0 else "none", basis)
-    _check_overflow(strength, pen, penalty == "lasso")
+    x, y, pen, rot = _problem(data, design, penalty, strength, basis)
     if data.n < x.shape[1]:
         warnings.warn(
             f"{data.n} observations for {x.shape[1]} coefficients; expect an unstable fit",
             stacklevel=3,
         )
     coef, path, converged = _fit(x, y, pen, strength, penalty == "lasso", config)
-    if (pen is None or not pen.any()) and (not converged or np.abs(coef).max() > 1e2):
+    if not (strength * pen).any() and (not converged or np.abs(coef).max() > 1e2):
         raise ConvergenceError(
             "the unpenalized fit diverged; the classes may be separable -- "
             "use ridge, or a curvature penalty for the dynamic model"
@@ -624,8 +631,8 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     Scores each value of :data:`LAMBDA_GRID` by the total held-out negative
     log-likelihood over shared folds; ties go to the larger value. Held-out
     scores need only ``X beta``, so the fits stay in the basis :func:`_problem`
-    gives; a fold of a :class:`_SpanDesign` takes its rows out of the blocks
-    built once. The grid's largest value is checked for overflow before any fold.
+    gives at the grid's largest value, checked for overflow before any fold; a
+    fold of a :class:`_SpanDesign` takes its rows out of the blocks built once.
     Each fold walks the grid warm-starting the one Newton core, :func:`_fit`,
     from the last coefficients and the one state every fit carries (linear
     predictor, log-likelihood, the probabilities and likelihood gradient when
@@ -635,10 +642,8 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     its fit at every strength from the fold's critical one up, so that fit
     is scored once.
     """
-    _check_spec(design, penalty)
-    x, y, pen, _ = _problem(data, design, penalty, basis)
+    x, y, pen, _ = _problem(data, design, penalty, LAMBDA_GRID[-1], basis)
     lasso = penalty == "lasso"
-    _check_overflow(LAMBDA_GRID[-1], pen, lasso)
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
     _assert_valid_folds(data.y, fold_idx)
     scores = np.zeros(len(LAMBDA_GRID))
@@ -734,6 +739,8 @@ predict_dynamic = predict  # the name perfbench/workloads.py calls
 
 def coefficient_curves(model: StackModel, u_grid) -> np.ndarray:
     """Evaluate every weight curve ``beta_j`` of a dynamic model on ``u_grid``; (n, p)."""
+    if model.design != "dynamic":
+        raise ValueError(f"coefficient curves need a dynamic model, not a {model.design} one")
     b = basis_matrix(model.basis, u_grid)
     eta = model.coef[1:].reshape(model.p, model.basis.size)
     return b @ eta.T
@@ -844,7 +851,8 @@ def save_model(path, model: StackModel) -> None:
 
 
 def load_model(path) -> StackModel:
-    """Read a file written by :func:`save_model`; errors name the file."""
+    """Read a file written by :func:`save_model`; errors name the file, and
+    the line of any key whose value breaks a rule (``<path> line N: key: ...``)."""
     try:
         return _parse_model(Path(path).read_text().splitlines())
     except ValueError as err:  # one naming a line reads "<path> line N: ..."
@@ -859,7 +867,7 @@ def _parse_model(text: list[str]) -> StackModel:
         )
     if header != "dynstack-model 2":
         raise ValueError("not a dynstack model file")
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}  # key: (its line number, its value)
     columns: list[str] = []
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
@@ -873,35 +881,56 @@ def _parse_model(text: list[str]) -> StackModel:
         elif key not in "design penalty strength p degree u_lo u_hi knots coef".split():
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         else:
-            fields[key] = value
+            fields[key] = (lineno, value)
 
-    def get(key: str) -> str:
+    def at(key: str) -> str:  # a rule across keys names the line of one
+        return f"line {fields[key][0]}: "
+
+    def get(key: str, parse=str):
+        """``parse`` of the ``key`` line's value; its error names that line and key."""
         if key not in fields:
             raise ValueError(f"model file has no {key!r} line")
-        return fields[key]
+        try:
+            return parse(fields[key][1])
+        except ValueError as err:
+            raise ValueError(f"{at(key)}{key}: {err}") from None
 
-    design, penalty, strength = get("design"), get("penalty"), float(get("strength"))
-    _check_spec(design, penalty, strength)
-    coef = np.array([float(v) for v in get("coef").split()])
+    def reals(value: str) -> np.ndarray:
+        return np.array([float(v) for v in value.split()])
+
+    design, penalty, strength = get("design"), get("penalty"), get("strength", float)
+    try:
+        _check_spec(design, penalty, strength)
+    except _SpecError as err:
+        raise ValueError(f"{at(err.key)}{err.key}: {err}") from None
+    coef = get("coef", reals)
     if not np.isfinite(coef).all():
-        raise ValueError("'coef' holds a non-finite value")
-    p = int(get("p"))
+        raise ValueError(f"{at('coef')}'coef' holds a non-finite value")
+    p = get("p", int)
     if p < 1:
-        raise ValueError(f"p = {p}; a model needs p >= 1")
+        raise ValueError(f"{at('p')}p: must be >= 1, got {p}")
     if len(columns) != p:
-        raise ValueError(f"{len(columns)} 'column' lines for p = {p}")
+        raise ValueError(f"{at('p')}{len(columns)} 'column' lines for p = {p}")
     basis = None
     if design == "dynamic":
         # every basis comes from make_basis, so the file's knots must be its knots
-        degree = int(get("degree"))
-        knots = np.array([float(v) for v in get("knots").split()])
-        interior = max(len(knots) - 2 * degree - 2, 0)
-        basis = make_basis(float(get("u_lo")), float(get("u_hi")), interior, degree)
-        if not np.array_equal(knots, basis.knots):
-            raise ValueError("'knots' are not the clamped uniform knots of [u_lo, u_hi]")
+        degree, knots = get("degree", int), get("knots", reals)
+        if degree < 0:
+            raise ValueError(f"{at('degree')}degree: must be >= 0, got {degree}")
+        u_lo, u_hi = get("u_lo", float), get("u_hi", float)
+        interior = len(knots) - 2 * degree - 2  # each end knot repeats degree + 1 times
+        try:  # too few knots for the degree builds no basis, whatever the degree
+            basis = make_basis(u_lo, u_hi, interior, degree) if interior >= 0 else None
+        except ValueError as err:  # the domain, which the u_hi line closes
+            raise ValueError(f"{at('u_hi')}{err}") from None
+        if basis is None or not np.array_equal(knots, basis.knots):
+            raise ValueError(
+                f"{at('knots')}'knots' are not the clamped uniform knots of [u_lo, u_hi]"
+            )
     width = design_matrix(np.zeros((1, p)), np.zeros(1), design, basis).shape[1]
     if len(coef) != width:
         raise ValueError(
-            f"'coef' has {len(coef)} values; a {design} model with p = {p} needs {width}"
+            f"{at('coef')}'coef' has {len(coef)} values; "
+            f"a {design} model with p = {p} needs {width}"
         )
     return StackModel(design, penalty, strength, coef, p, columns, basis)

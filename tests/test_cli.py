@@ -554,7 +554,7 @@ class TestStackCommands:
         cur_out = tmp_path / "cur"
         assert main(["curves", "--model", str(path), "--points", "3", "--out", str(cur_out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: 1 'column' lines for p = 2") and err.count("\n") == 1
+        assert err == f"error: {path} line 5: 1 'column' lines for p = 2\n"  # the p line
         assert not (cur_out / "curves.csv").exists()
 
     def test_predict_with_damaged_model_fails(self, level1_file, tmp_path, capsys):
@@ -571,7 +571,7 @@ class TestStackCommands:
         pred_out = tmp_path / "pred"
         argv = ["stack-predict", "--model", str(path), "--data", str(level1_file)]
         assert main([*argv, "--out", str(pred_out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: 'knots' are not")
+        assert capsys.readouterr().err.startswith(f"error: {path} line 9: 'knots' are not")
         assert not (pred_out / "predictions.csv").exists()
 
 

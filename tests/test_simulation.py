@@ -128,6 +128,36 @@ class TestRunSimulation:
         for key in seq.raw:
             np.testing.assert_array_equal(seq.raw[key], par.raw[key])
 
+    @pytest.mark.parametrize(
+        "threads,jobs,workers", [(64, 2, 2), (2, 5, 2), (3, 3, 3), (8, 1, None), (1, 4, None)]
+    )
+    def test_at_most_one_worker_per_job(self, monkeypatch, threads, jobs, workers):
+        # threads=64 for 2 jobs used to ask the pool for 64 workers, and fork
+        # them all; the recorder runs the jobs in this process and starts none
+        import concurrent.futures
+
+        from dynstack.simulation import map_reps
+
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        out = map_reps(lambda a, b: a * b, [(j, 10) for j in range(jobs)], threads)
+        assert out == [10 * j for j in range(jobs)]
+        assert asked == ([] if workers is None else [workers])
+
     def test_paired_data_shared_across_methods(self):
         # z1_only and z2_only see the same datasets: with the same split
         # their AUCs must come from the identical test labels, which we can

@@ -504,6 +504,12 @@ class TestCoefficientCurves:
             ref = BSpline(basis.knots, eta, basis.degree)(grid)
             np.testing.assert_allclose(curves[:, j], ref, atol=1e-10)
 
+    def test_static_model_rejected_naming_its_design(self):
+        # a static model has no basis: this was an AttributeError on None.u_lo
+        model = StackModel("m1", "ridge", 1.0, np.zeros(3), 2, ["z1", "z2"])
+        with pytest.raises(ValueError, match="^coefficient curves need a dynamic model, not a m1 one$"):
+            coefficient_curves(model, np.linspace(0.0, 1.0, 5))
+
 
 def assert_matches_cold_oracle_cv(x, y, pen, cfg, seed, chosen, report):
     """``(chosen, report)`` of a cross-validation over ``x`` equal the choice and,
@@ -739,7 +745,7 @@ class TestSpanHessian:
         u = span_u(kind, rng, basis)
         z = rng.uniform(0, 1, (len(u), p))
         data = Level1Data(rng.integers(0, 2, len(u)), z, u, [f"z{j}" for j in range(p)])
-        spans, y, _, rot = stacking._problem(data, "dynamic", "curvature", basis)
+        spans, y, _, rot = stacking._problem(data, "dynamic", "curvature", 1.0, basis)
         assert isinstance(spans, stacking._SpanDesign)
         assert np.array_equal(np.sort(spans.order), np.arange(len(u)))
         assert np.array_equal(y, data.y[spans.order])
@@ -760,9 +766,9 @@ class TestSpanHessian:
         u = np.linspace(0.0, 1.0, SPAN_HESSIAN_ROWS + 1)
         data = Level1Data(np.arange(len(u)) % 2, np.full((len(u), 2), 0.5), u, ["a", "b"])
         at_gate = data.subset(slice(1, None))
-        assert type(_problem(at_gate, "dynamic", "curvature", basis)[0]) is np.ndarray
-        assert isinstance(_problem(data, "dynamic", "curvature", basis)[0], _SpanDesign)
-        assert type(_problem(data, "dynamic", "none", basis)[0]) is np.ndarray  # unpenalized
+        assert type(_problem(at_gate, "dynamic", "curvature", 1.0, basis)[0]) is np.ndarray
+        assert isinstance(_problem(data, "dynamic", "curvature", 1.0, basis)[0], _SpanDesign)
+        assert type(_problem(data, "dynamic", "curvature", 0.0, basis)[0]) is np.ndarray  # unpenalized
         # so test_matches_cold_started_oracle_cv checks select_lambda on span
         # designs against the IRLS cold oracle
         assert 2000 > SPAN_HESSIAN_ROWS
@@ -973,6 +979,24 @@ class TestFitStatic:
         test = generate_case(1, 2000, 32).to_level1()
         m = fit_static(train, "m1", "none", 0.0)
         assert auc(predict(m, test.z, test.u), test.y) == pytest.approx(0.75, abs=0.03)
+
+    def test_zero_strength_is_the_zero_penalty(self):
+        # plain logistic is the quadratic fit with zero weights: every zero-strength
+        # fit lands on the same bits, and a dynamic one stays in its own basis
+        data = random_binary_data(np.random.default_rng(21), n=300, p=2, signal=1.0)
+        for design in STATIC_DESIGNS:
+            fits = [fit_static(data, design, "none", 0.0),
+                    fit_static(data, design, "ridge", 0.0),
+                    fit_static(data, design, "lasso", 0.0)]
+            for m in fits[1:]:
+                assert m.coef.tobytes() == fits[0].coef.tobytes()
+        basis = default_basis(data.u, interior_knots=2)
+        x = dynamic_design(data.z, data.u, basis)
+        plain, _, converged = stacking._fit(
+            x, data.y.astype(float), np.zeros(x.shape[1]), 0.0, False, FitConfig()
+        )
+        assert converged
+        assert fit_dynamic(data, 0.0, basis).coef.tobytes() == plain.tobytes()
 
     def test_strength_selection_returns_grid_value(self, monkeypatch):
         data = make_data(n=240, seed=15)
@@ -1298,7 +1322,9 @@ class TestModelFiles:
             if not (line.startswith(key) and action == "drop"):
                 lines.append(line)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="model.txt: " + message):
+        # a missing line or a bad header names no line; test_bad_value_names_its_line
+        # pins the line and key each other fault names
+        with pytest.raises(ValueError, match=r"model.txt(: | line \d+: (\w+: )?)" + message):
             load_model(path)
 
     def test_model_without_z_column_rejected(self, tmp_path):
@@ -1307,7 +1333,7 @@ class TestModelFiles:
         path.write_text(
             "dynstack-model 2\ndesign = m1\npenalty = none\nstrength = 0\np = 0\ncoef = 0.5\n"
         )
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: p = 0; a model needs p >= 1$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 5: p: must be >= 1, got 0$"):
             load_model(path)
 
     def test_non_model_file_rejected(self, tmp_path):
@@ -1368,7 +1394,51 @@ class TestModelFiles:
         value = edit(lines[i].split(" = ", 1)[1])
         lines[i : i + 1] = [] if value is None else [f"{key} = {value}"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="model.txt: " + message):
+        with pytest.raises(ValueError, match=r"model.txt line \d+: (\w+: )?" + message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key,value,named,message",
+        [
+            ("static", "strength", "abc", "strength", "strength: could not convert string to float"),
+            ("static", "p", "2.5", "p", "p: invalid literal for int"),
+            ("dynamic", "degree", "three", "degree", "degree: invalid literal for int"),
+            ("dynamic", "u_lo", "zz", "u_lo", "u_lo: could not convert string to float: 'zz'"),
+            ("dynamic", "knots", "0 0 x", "knots", "knots: could not convert string to float: 'x'"),
+            ("static", "coef", "1 2 abc", "coef", "coef: could not convert string to float: 'abc'"),
+            ("static", "design", "m9", "design", "design: unknown design 'm9'"),
+            ("static", "penalty", "bogus", "penalty", "penalty: unknown penalty 'bogus'"),
+            ("dynamic", "strength", "nan", "strength", "strength: penalty strength must be finite"),
+            ("dynamic", "knots", "0 0 0 0 0.4 1 1 1 1", "knots", "'knots' are not the clamped"),
+            ("dynamic", "u_lo", "9", "u_hi", r"invalid domain \[9.0, "),
+            ("static", "coef", "1 2", "coef", "'coef' has 2 values; a m2 model with p = 2 needs 4"),
+            ("static", "coef", "1 2 nan 4", "coef", "'coef' holds a non-finite value"),
+            ("dynamic", "p", "3", "p", "2 'column' lines for p = 3"),
+            ("dynamic", "degree", "-1", "degree", "degree: must be >= 0, got -1"),
+            ("dynamic", "degree", str(10**12), "knots", "'knots' are not the clamped"),
+        ],
+        ids=[
+            "strength", "p", "degree", "u_lo", "knots-token", "coef-token", "design", "penalty",
+            "nan-strength", "knots-mismatch", "domain", "coef-width", "coef-non-finite",
+            "column-count", "negative-degree", "huge-degree",
+        ],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, kind, key, value, named, message):
+        # a bad value used to fail with the file name alone, such as
+        # "model.txt: could not convert string to float: 'abc'"; a degree too
+        # large for the knots is refused before any basis of that degree is built
+        if kind == "dynamic":
+            model = StackModel("dynamic", "curvature", 1.0, np.zeros(15), 2, ["a", "b"],
+                               make_basis(0.0, 1.0, 3, 3))
+        else:
+            model = StackModel("m2", "ridge", 1.0, np.zeros(4), 2, ["a", "b"])
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        lines = [f"{key} = {value}" if line.startswith(key + " = ") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        at = next(i for i, line in enumerate(lines, 1) if line.startswith(named + " = "))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {at}: {message}"):
             load_model(path)
 
 
