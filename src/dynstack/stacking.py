@@ -898,6 +898,12 @@ def _parse_model(text: list[str]) -> StackModel:
     def reals(value: str) -> np.ndarray:
         return np.array([float(v) for v in value.split()])
 
+    def finite(value: str) -> float:
+        x = float(value)
+        if not np.isfinite(x):
+            raise ValueError(f"must be finite, got {x}")
+        return x
+
     design, penalty, strength = get("design"), get("penalty"), get("strength", float)
     try:
         _check_spec(design, penalty, strength)
@@ -917,12 +923,12 @@ def _parse_model(text: list[str]) -> StackModel:
         degree, knots = get("degree", int), get("knots", reals)
         if degree < 0:
             raise ValueError(f"{at('degree')}degree: must be >= 0, got {degree}")
-        u_lo, u_hi = get("u_lo", float), get("u_hi", float)
+        u_lo, u_hi = get("u_lo", finite), get("u_hi", finite)
+        if u_lo >= u_hi:  # the domain, which the u_hi line closes
+            raise ValueError(f"{at('u_hi')}invalid domain [{u_lo}, {u_hi}]: need u_lo < u_hi")
         interior = len(knots) - 2 * degree - 2  # each end knot repeats degree + 1 times
-        try:  # too few knots for the degree builds no basis, whatever the degree
-            basis = make_basis(u_lo, u_hi, interior, degree) if interior >= 0 else None
-        except ValueError as err:  # the domain, which the u_hi line closes
-            raise ValueError(f"{at('u_hi')}{err}") from None
+        # too few knots for the degree builds no basis, whatever the degree
+        basis = make_basis(u_lo, u_hi, interior, degree) if interior >= 0 else None
         if basis is None or not np.array_equal(knots, basis.knots):
             raise ValueError(
                 f"{at('knots')}'knots' are not the clamped uniform knots of [u_lo, u_hi]"

@@ -1289,22 +1289,25 @@ class TestModelFiles:
         assert back.basis is None and "knots" not in path.read_text()
 
     @pytest.mark.parametrize(
-        "kind,edit,message",
+        "kind,edit,message,at,key",
         [
-            ("dynamic", "drop coef", "model file has no 'coef' line"),
-            ("static", "drop design", "model file has no 'design' line"),
-            ("dynamic", "truncate coef", "'coef' has 20 values; a dynamic model .* needs 21"),
-            ("static", "truncate coef", "'coef' has 5 values; a m3 model with p = 2 needs 6"),
-            ("static", "replace coef = 1.0 abc", "could not convert string to float: 'abc'"),
-            ("dynamic", "replace p = 2.5", "invalid literal for int"),
-            ("static", "replace design = m9", "unknown design 'm9'"),
-            ("dynamic", "replace dynstack-model 1", "a dynstack-model 1 file, which this version no"),
-            ("static", "replace penalty = curvature", "unknown penalty 'curvature' for design 'm3'"),
-            ("dynamic", "replace penalty = ridge", "unknown penalty 'ridge' for design 'dynamic'"),
-            ("dynamic", "drop knots", "model file has no 'knots' line"),
+            ("dynamic", "drop coef", "model file has no 'coef' line", None, None),
+            ("static", "drop design", "model file has no 'design' line", None, None),
+            ("dynamic", "truncate coef", "'coef' has 20 values; a dynamic model .* needs 21", "coef", None),
+            ("static", "truncate coef", "'coef' has 5 values; a m3 model with p = 2 needs 6", "coef", None),
+            ("static", "replace coef = 1.0 abc", "could not convert string to float: 'abc'", "coef", "coef"),
+            ("dynamic", "replace p = 2.5", "invalid literal for int", "p", "p"),
+            ("static", "replace design = m9", "unknown design 'm9'", "design", "design"),
+            ("dynamic", "replace dynstack-model 1", "a dynstack-model 1 file, which this version no",
+             None, None),
+            ("static", "replace penalty = curvature", "unknown penalty 'curvature' for design 'm3'",
+             "penalty", "penalty"),
+            ("dynamic", "replace penalty = ridge", "unknown penalty 'ridge' for design 'dynamic'",
+             "penalty", "penalty"),
+            ("dynamic", "drop knots", "model file has no 'knots' line", None, None),
         ],
     )
-    def test_damaged_file_names_file_and_key(self, tmp_path, kind, edit, message):
+    def test_damaged_file_names_file_and_key(self, tmp_path, kind, edit, message, at, key):
         data = make_data(n=150, seed=18)
         if kind == "dynamic":
             model = fit_dynamic(data, 1.0, default_basis(data.u))
@@ -1312,19 +1315,26 @@ class TestModelFiles:
             model = fit_static(data, "m3", "ridge", strength=1.0)
         path = tmp_path / "model.txt"
         save_model(path, model)
-        action, key, *value = edit.split(" ", 2)
+        action, target, *value = edit.split(" ", 2)
         lines = []
         for line in path.read_text().splitlines():
-            if line.startswith(key) and action == "truncate":
+            if line.startswith(target) and action == "truncate":
                 line = line.rsplit(" ", 1)[0]
-            if line.startswith(key + " ") and action == "replace":
-                line = f"{key} {value[0]}"
-            if not (line.startswith(key) and action == "drop"):
+            if line.startswith(target + " ") and action == "replace":
+                line = f"{target} {value[0]}"
+            if not (line.startswith(target) and action == "drop"):
                 lines.append(line)
         path.write_text("\n".join(lines) + "\n")
-        # a missing line or a bad header names no line; test_bad_value_names_its_line
-        # pins the line and key each other fault names
-        with pytest.raises(ValueError, match=r"model.txt(: | line \d+: (\w+: )?)" + message):
+        # a missing line or a bad header names no line; any other fault names the
+        # line of the key ``at``, and a value that breaks its own rule also its ``key``
+        prefix = re.escape(str(path))
+        if at is None:
+            prefix += ": "
+        else:
+            prefix += f" line {next(i for i, t in enumerate(lines, 1) if t.startswith(at + ' = '))}: "
+        if key is not None:
+            prefix += f"{key}: "
+        with pytest.raises(ValueError, match="^" + prefix + message):
             load_model(path)
 
     def test_model_without_z_column_rejected(self, tmp_path):
@@ -1356,21 +1366,27 @@ class TestModelFiles:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "kind,key,edit,message",
+        "kind,key,edit,named,message",
         [
-            ("dynamic", "knots", lambda v: " ".join(reversed(v.split())), "'knots' are not"),
-            ("dynamic", "knots", lambda v: v.replace(v.split()[5], "nan", 1), "'knots' are not"),
-            ("dynamic", "knots", lambda v: v.rsplit(" ", 1)[0], "'knots' are not"),
-            ("dynamic", "u_lo", lambda v: "2.5", r"invalid domain \[2.5, "),
-            ("dynamic", "coef", lambda v: "nan " + v.split(" ", 1)[1], "'coef' holds a non-finite"),
-            ("static", "coef", lambda v: v.rsplit(" ", 1)[0] + " inf", "'coef' holds a non-finite"),
-            ("dynamic", "column", lambda v: None, "1 'column' lines for p = 2"),
-            ("dynamic", "column", lambda v: f"{v}\ncolumn = {v}", "3 'column' lines for p = 2"),
-            ("static", "column", lambda v: None, "1 'column' lines for p = 2"),
-            ("static", "column", lambda v: f"{v}\ncolumn = extra", "3 'column' lines for p = 2"),
-            ("dynamic", "strength", lambda v: "nan", "penalty strength must be finite .* got nan"),
-            ("static", "strength", lambda v: "-5", "penalty strength must be finite .* got -5.0"),
-            ("static", "penalty", lambda v: "bogus", "unknown penalty 'bogus' for design 'm2'"),
+            ("dynamic", "knots", lambda v: " ".join(reversed(v.split())), "knots", "'knots' are not"),
+            ("dynamic", "knots", lambda v: v.replace(v.split()[5], "nan", 1), "knots",
+             "'knots' are not"),
+            ("dynamic", "knots", lambda v: v.rsplit(" ", 1)[0], "knots", "'knots' are not"),
+            ("dynamic", "u_lo", lambda v: "2.5", "u_hi", r"invalid domain \[2.5, "),
+            ("dynamic", "coef", lambda v: "nan " + v.split(" ", 1)[1], "coef",
+             "'coef' holds a non-finite"),
+            ("static", "coef", lambda v: v.rsplit(" ", 1)[0] + " inf", "coef",
+             "'coef' holds a non-finite"),
+            ("dynamic", "column", lambda v: None, "p", "1 'column' lines for p = 2"),
+            ("dynamic", "column", lambda v: f"{v}\ncolumn = {v}", "p", "3 'column' lines for p = 2"),
+            ("static", "column", lambda v: None, "p", "1 'column' lines for p = 2"),
+            ("static", "column", lambda v: f"{v}\ncolumn = extra", "p", "3 'column' lines for p = 2"),
+            ("dynamic", "strength", lambda v: "nan", "strength",
+             "strength: penalty strength must be finite .* got nan"),
+            ("static", "strength", lambda v: "-5", "strength",
+             "strength: penalty strength must be finite .* got -5.0"),
+            ("static", "penalty", lambda v: "bogus", "penalty",
+             "penalty: unknown penalty 'bogus' for design 'm2'"),
         ],
         ids=[
             "reversed-knots", "nan-knot", "short-knots", "lo-above-hi", "nan-coef", "inf-coef",
@@ -1379,7 +1395,7 @@ class TestModelFiles:
             "nan-strength", "negative-strength", "unknown-penalty",
         ],
     )
-    def test_inconsistent_model_rejected(self, tmp_path, kind, key, edit, message):
+    def test_inconsistent_model_rejected(self, tmp_path, kind, key, edit, named, message):
         # each of these used to load and then predict wrong numbers or NaN,
         # or label curves with the wrong names; an edit of None drops the line
         data = make_data(n=150, seed=19)
@@ -1394,7 +1410,9 @@ class TestModelFiles:
         value = edit(lines[i].split(" = ", 1)[1])
         lines[i : i + 1] = [] if value is None else [f"{key} = {value}"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"model.txt line \d+: (\w+: )?" + message):
+        lines = path.read_text().splitlines()  # an edit may add a line
+        at = next(i for i, line in enumerate(lines, 1) if line.startswith(named + " = "))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {at}: {message}"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -1404,6 +1422,8 @@ class TestModelFiles:
             ("static", "p", "2.5", "p", "p: invalid literal for int"),
             ("dynamic", "degree", "three", "degree", "degree: invalid literal for int"),
             ("dynamic", "u_lo", "zz", "u_lo", "u_lo: could not convert string to float: 'zz'"),
+            ("dynamic", "u_lo", "nan", "u_lo", "u_lo: must be finite, got nan$"),
+            ("dynamic", "u_hi", "inf", "u_hi", "u_hi: must be finite, got inf$"),
             ("dynamic", "knots", "0 0 x", "knots", "knots: could not convert string to float: 'x'"),
             ("static", "coef", "1 2 abc", "coef", "coef: could not convert string to float: 'abc'"),
             ("static", "design", "m9", "design", "design: unknown design 'm9'"),
@@ -1418,7 +1438,7 @@ class TestModelFiles:
             ("dynamic", "degree", str(10**12), "knots", "'knots' are not the clamped"),
         ],
         ids=[
-            "strength", "p", "degree", "u_lo", "knots-token", "coef-token", "design", "penalty",
+            "strength", "p", "degree", "u_lo", "nan-u_lo", "inf-u_hi", "knots-token", "coef-token", "design", "penalty",
             "nan-strength", "knots-mismatch", "domain", "coef-width", "coef-non-finite",
             "column-count", "negative-degree", "huge-degree",
         ],
