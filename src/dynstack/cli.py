@@ -63,6 +63,7 @@ def _manifest(args, omit=(), **resolved) -> str:
 
 def _curves(model: StackModel, points: int):
     """``points`` rows over the model's domain: ``u``, then each weight curve there."""
+    coefficient_curves(model, ())  # refuses a static model, which has no domain
     grid = np.linspace(model.basis.u_lo, model.basis.u_hi, points)
     curves = coefficient_curves(model, grid)
     rows = [[repr(float(u))] + [repr(float(v)) for v in row] for u, row in zip(grid, curves)]
@@ -226,9 +227,10 @@ def cmd_curves(args):
     if args.points < 1:
         raise _UsageError(f"--points must be >= 1, got {args.points}")
     model = load_model(args.model)
-    if model.design != "dynamic":
-        raise ValueError(f"{args.model}: coefficient curves require a dynamic model file")
-    return {"curves.csv": _curves(model, args.points)}, _manifest(args)
+    try:
+        return {"curves.csv": _curves(model, args.points)}, _manifest(args)
+    except ValueError as err:  # a static model: name its file
+        raise ValueError(f"{args.model}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,11 @@ def run_simulation(
     """
     cases = tuple(cases)
     methods = tuple(methods)
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:k]:  # report.raw holds one row set per (case, method)
+            raise ValueError(f"method {m!r} is given twice")
     check_folds(folds)
     rep_seeds = child_seeds(seed, len(cases) * reps)
     jobs = [

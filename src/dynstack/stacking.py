@@ -8,9 +8,10 @@ minimizes the negative Bernoulli log-likelihood plus a curvature penalty
 Newton iteration; ``lam`` is picked by cross-validation. The static
 baselines are the same model with constant (m1, m2) or straight-line
 (m3) weights and optional ridge or lasso shrinkage: every generalizer is
-one :class:`StackModel` on one :func:`design_matrix`, fitted by one damped
+one :class:`StackModel` on one :func:`_design_matrix`, fitted by one damped
 proximal-Newton core, :func:`_fit`, and cross-validated by one driver,
-:func:`_cv_profile`.
+:func:`_cv_profile`. A :class:`StackModel` checks its contract when it is
+made, so no function that reads one checks it again.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "StackModel",
     "ConvergenceError",
     "build_level1",
-    "design_matrix",
     "fit_dynamic",
     "predict",
     "coefficient_curves",
@@ -90,10 +90,10 @@ class _RowError(ValueError):
 
 
 class _SpecError(ValueError):
-    """Spec field ``key`` (design, penalty or strength) breaks the rule the message names."""
+    """Field ``key`` of a model (design, penalty, strength, p or coef) breaks rule ``detail``."""
 
     def __init__(self, key: str, detail: str):
-        super().__init__(detail)
+        super().__init__(f"{key}: {detail}")
         self.key = key
 
 
@@ -328,15 +328,18 @@ def _lasso_null_fit(x, y):
 # one model, one design and one fit for every generalizer
 
 
-@dataclass
+@dataclass(frozen=True)
 class StackModel:
-    """A fitted level-1 model: ``logit = design_matrix(z, u, design, basis) @ coef``.
+    """A fitted level-1 model: ``logit = _design_matrix(z, u, design, basis) @ coef``.
 
     ``design`` is m1-m3 (constant or straight-line weights) or dynamic
     (spline weight curves on ``basis``). ``penalty`` is none, ridge or lasso
     for m1-m3 and curvature for dynamic, and ``strength`` is its weight. A
     dynamic model clamps ``u`` into the basis domain, so its weight curves
-    stay bounded off the training range.
+    stay bounded off the training range. A model checks its contract when it
+    is made, a ``ValueError`` naming the field that breaks it: :func:`_check_spec`,
+    ``p >= 1`` and ``p`` ``columns``, and as many finite ``coef`` as the design has
+    columns. No reader of a model checks it again.
     """
 
     design: str
@@ -349,10 +352,26 @@ class StackModel:
     converged: bool = True
     objective_path: list[float] = field(default_factory=list, repr=False, compare=False)
 
+    def __post_init__(self):
+        _check_spec(self.design, self.penalty, self.strength, self.basis)
+        coef, p = np.asarray(self.coef, dtype=float), self.p
+        if p < 1:
+            raise _SpecError("p", f"must be >= 1, got {p}")
+        if len(self.columns) != p:  # before the width, whose one-row design has p columns
+            raise _SpecError("p", f"{len(self.columns)} column names for p = {p}")
+        if not np.isfinite(coef).all():
+            raise _SpecError("coef", f"must be finite, got {coef[~np.isfinite(coef)][0]}")
+        width = _design_matrix(np.zeros((1, p)), np.zeros(1), self.design, self.basis).shape[1]
+        if len(coef) != width:
+            need = f"a {self.design} model with p = {p} needs {width}"
+            raise _SpecError("coef", f"has {len(coef)} values; {need}")
+        object.__setattr__(self, "coef", coef)
 
-def _check_spec(design: str, penalty: str, strength: float) -> None:
+
+def _check_spec(design: str, penalty: str, strength: float, basis: BSplineBasis | None) -> None:
     """Raise :class:`_SpecError` unless ``design`` is known, ``penalty`` applies
-    to it and ``strength`` is finite and >= 0: the contract of every fit and model file."""
+    to it, ``strength`` is finite and >= 0 and ``basis`` is given exactly when the
+    design is dynamic: the spec of every fit and :class:`StackModel`."""
     if design not in DESIGNS:
         raise _SpecError("design", f"unknown design {design!r}; expected one of {DESIGNS}")
     allowed = ("curvature",) if design == "dynamic" else ("none", "ridge", "lasso")
@@ -362,6 +381,9 @@ def _check_spec(design: str, penalty: str, strength: float) -> None:
         )
     if not (np.isfinite(strength) and strength >= 0):
         raise _SpecError("strength", f"penalty strength must be finite and >= 0, got {strength}")
+    if (basis is None) == (design == "dynamic"):
+        need = "needs a spline basis" if basis is None else "takes no spline basis"
+        raise _SpecError("design", f"{design!r} {need}")
 
 
 def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndarray:
@@ -377,25 +399,19 @@ def dynamic_design(z: np.ndarray, u: np.ndarray, basis: BSplineBasis) -> np.ndar
     return out
 
 
-def design_matrix(z, u, design: str, basis: BSplineBasis | None = None) -> np.ndarray:
-    """Level-1 rows of ``design``, intercept first.
+def _design_matrix(z, u, design: str, basis: BSplineBasis | None = None) -> np.ndarray:
+    """Level-1 rows of ``design`` on float arrays ``z``, ``u`` and a checked spec, intercept first.
 
     m1 is ``(1, Z)``, m2 adds ``u`` and m3 also adds every ``Z_j * u``;
     dynamic is :func:`dynamic_design` on ``basis``.
     """
     if design == "dynamic":
-        if basis is None:
-            raise ValueError("the dynamic design needs a spline basis")
         return dynamic_design(z, u, basis)
-    if design not in STATIC_DESIGNS:
-        raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
-    cols = [np.ones((z.shape[0], 1)), z]
+    cols = [np.ones((len(z), 1)), z]
     if design != "m1":
-        cols.append(u)
+        cols.append(u[:, None])
     if design == "m3":
-        cols.append(z * u)
+        cols.append(z * u[:, None])
     return np.hstack(cols)
 
 
@@ -421,8 +437,8 @@ def _problem(data: Level1Data, design: str, penalty: str, strength: float, basis
     Above ``SPAN_HESSIAN_ROWS`` rows the rotated design is a :class:`_SpanDesign`,
     whose rows are in knot-span order.
     """
-    _check_spec(design, penalty, strength)
-    x, y = design_matrix(data.z, data.u, design, basis), data.y.astype(float)
+    _check_spec(design, penalty, strength, basis)
+    x, y = _design_matrix(data.z, data.u, design, basis), data.y.astype(float)
     if penalty == "curvature" and strength > 0:
         pen, rot = _penalty_eigenbasis(basis, data.p)
     else:
@@ -642,6 +658,8 @@ def _cv_profile(data: Level1Data, design, penalty, config: FitConfig, seed: int,
     its fit at every strength from the fold's critical one up, so that fit
     is scored once.
     """
+    if penalty == "none":
+        raise ValueError("penalty 'none' has no strength to choose by cross-validation")
     x, y, pen, _ = _problem(data, design, penalty, LAMBDA_GRID[-1], basis)
     lasso = penalty == "lasso"
     fold_idx = _cv_fold_indices(len(y), config.cv_folds, seed)
@@ -709,9 +727,9 @@ def fit_static(
 
 
 def select_strength(data: Level1Data, design: str, penalty: str, config: FitConfig, seed: int = 0):
-    """Cross-validated penalty strength for a static design; mirrors
+    """Cross-validated ridge or lasso strength for a static design; mirrors
     :func:`select_lambda` (shared folds, held-out likelihood, ties to the
-    larger value)."""
+    larger value). Penalty "none" has no strength to choose: a ``ValueError``."""
     return _cv_profile(data, design, penalty, config, seed)
 
 
@@ -725,13 +743,7 @@ def predict(model: StackModel, z, u) -> np.ndarray:
     if z.shape[0] != len(u):
         raise ValueError(f"z has {z.shape[0]} rows, u has {len(u)}")
     _check_rows(z, u)  # NaN would pass through every design silently
-    x = design_matrix(z, u, model.design, model.basis)
-    if x.shape[1] != len(model.coef):
-        raise ValueError(
-            f"design {model.design!r} produces {x.shape[1]} columns but the "
-            f"model has {len(model.coef)} coefficients"
-        )
-    return sigmoid(x @ model.coef)
+    return sigmoid(_design_matrix(z, u, model.design, model.basis) @ model.coef)
 
 
 predict_dynamic = predict  # the name perfbench/workloads.py calls
@@ -741,9 +753,7 @@ def coefficient_curves(model: StackModel, u_grid) -> np.ndarray:
     """Evaluate every weight curve ``beta_j`` of a dynamic model on ``u_grid``; (n, p)."""
     if model.design != "dynamic":
         raise ValueError(f"coefficient curves need a dynamic model, not a {model.design} one")
-    b = basis_matrix(model.basis, u_grid)
-    eta = model.coef[1:].reshape(model.p, model.basis.size)
-    return b @ eta.T
+    return basis_matrix(model.basis, u_grid) @ model.coef[1:].reshape(model.p, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +861,8 @@ def save_model(path, model: StackModel) -> None:
 
 
 def load_model(path) -> StackModel:
-    """Read a file written by :func:`save_model`; errors name the file, and
-    the line of any key whose value breaks a rule (``<path> line N: key: ...``)."""
+    """Read a file written by :func:`save_model`; errors name the file, and the line of
+    any key that breaks a rule of the file or of :class:`StackModel` (``<path> line N: ...``)."""
     try:
         return _parse_model(Path(path).read_text().splitlines())
     except ValueError as err:  # one naming a line reads "<path> line N: ..."
@@ -905,19 +915,7 @@ def _parse_model(text: list[str]) -> StackModel:
         return x
 
     design, penalty, strength = get("design"), get("penalty"), get("strength", float)
-    try:
-        _check_spec(design, penalty, strength)
-    except _SpecError as err:
-        raise ValueError(f"{at(err.key)}{err.key}: {err}") from None
-    coef = get("coef", reals)
-    if not np.isfinite(coef).all():
-        raise ValueError(f"{at('coef')}'coef' holds a non-finite value")
-    p = get("p", int)
-    if p < 1:
-        raise ValueError(f"{at('p')}p: must be >= 1, got {p}")
-    if len(columns) != p:
-        raise ValueError(f"{at('p')}{len(columns)} 'column' lines for p = {p}")
-    basis = None
+    coef, p, basis = get("coef", reals), get("p", int), None
     if design == "dynamic":
         # every basis comes from make_basis, so the file's knots must be its knots
         degree, knots = get("degree", int), get("knots", reals)
@@ -933,10 +931,7 @@ def _parse_model(text: list[str]) -> StackModel:
             raise ValueError(
                 f"{at('knots')}'knots' are not the clamped uniform knots of [u_lo, u_hi]"
             )
-    width = design_matrix(np.zeros((1, p)), np.zeros(1), design, basis).shape[1]
-    if len(coef) != width:
-        raise ValueError(
-            f"{at('coef')}'coef' has {len(coef)} values; "
-            f"a {design} model with p = {p} needs {width}"
-        )
-    return StackModel(design, penalty, strength, coef, p, columns, basis)
+    try:
+        return StackModel(design, penalty, strength, coef, p, columns, basis)
+    except _SpecError as err:
+        raise ValueError(f"{at(err.key)}{err}") from None

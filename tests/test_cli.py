@@ -473,7 +473,7 @@ class TestStackCommands:
         out = tmp_path / "fit"
         assert main(["stack-fit", "--level1", str(level1_file), *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: penalty strength must be finite and >= 0") and err.count("\n") == 1
+        assert err.startswith("error: strength: penalty strength must be finite and >= 0") and err.count("\n") == 1
         assert not (out / "model.txt").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -554,7 +554,7 @@ class TestStackCommands:
         cur_out = tmp_path / "cur"
         assert main(["curves", "--model", str(path), "--points", "3", "--out", str(cur_out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path} line 5: 1 'column' lines for p = 2\n"  # the p line
+        assert err == f"error: {path} line 5: p: 1 column names for p = 2\n"  # the p line
         assert not (cur_out / "curves.csv").exists()
 
     def test_predict_with_damaged_model_fails(self, level1_file, tmp_path, capsys):

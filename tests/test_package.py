@@ -276,3 +276,17 @@ def test_one_newton_core_in_stacking():
         if isinstance(node, ast.Name) and node.id == "MAX_NEWTON_ITER"
     }
     assert readers == {"_fit"}
+
+
+def test_one_owner_of_the_designs_in_stacking():
+    # the design rule lives in _check_spec, which every fit and every
+    # StackModel runs: no other function reads the list of designs
+    path = Path(dynstack.__file__).resolve().parent / "stacking.py"
+    readers = {
+        fn.name
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "DESIGNS"
+    }
+    assert readers == {"_check_spec"}

@@ -172,6 +172,11 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="unknown method"):
             run_simulation(cases=(1,), methods=("bogus",), n=100, reps=2, seed=0)
 
+    def test_repeated_method_rejected(self):
+        # it was fitted twice and reported in two rows, but raw kept one set
+        with pytest.raises(ValueError, match="^method 'ridge_m1' is given twice$"):
+            run_simulation(cases=(1,), methods=("ridge_m1", "random", "ridge_m1"), n=100, reps=2)
+
     def test_sd_uses_sample_formula(self):
         rep = run_simulation(cases=(1,), methods=("random",), n=150, reps=5, seed=2, folds=2)
         vals = rep.raw[(1, "random")]

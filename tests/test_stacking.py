@@ -15,9 +15,9 @@ from dynstack.stacking import (
     Level1Data,
     StackModel,
     build_level1,
+    _design_matrix,
     coefficient_curves,
     default_basis,
-    design_matrix,
     dynamic_design,
     fit_dynamic,
     fit_static,
@@ -586,7 +586,7 @@ class TestSelectLambda:
         cfg = FitConfig()
         strength, report = select_strength(data, design, "ridge", cfg, seed=35)
 
-        x = design_matrix(data.z, data.u, design)
+        x = _design_matrix(data.z, data.u, design)
         pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
         assert_matches_cold_oracle_cv(x, data.y, pen, cfg, 35, strength, report)
 
@@ -828,7 +828,7 @@ class TestLassoCarry:
 
         data = make_data(case=3, n=2000, seed=seed)
         rows = np.setdiff1d(np.arange(data.n), _cv_fold_indices(data.n, 10, seed)[0])
-        x = np.asfortranarray(design_matrix(data.z, data.u, design)[rows])
+        x = np.asfortranarray(_design_matrix(data.z, data.u, design)[rows])
         y = data.y[rows].astype(float)
         return x, y, _lasso_null_fit(x, y)
 
@@ -910,7 +910,7 @@ class TestLassoCarry:
             monkeypatch.setattr(stacking, "LAMBDA_GRID", grid)
             folds = _cv_fold_indices(data.n, cfg.cv_folds, case)
             for design in STATIC_DESIGNS:
-                x = design_matrix(data.z, data.u, design)
+                x = _design_matrix(data.z, data.u, design)
                 pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
                 critical = [
                     _lasso_null_fit(x[r], data.y[r])[1]
@@ -964,7 +964,7 @@ class TestFitStatic:
             data = random_binary_data(np.random.default_rng(200 + seed), n=300, p=3)
             strength = float(rng.uniform(0.05, 20.0))
             m = fit_static(data, "m3", "lasso", strength=strength)
-            x = design_matrix(data.z, data.u, "m3")
+            x = _design_matrix(data.z, data.u, "m3")
             mu = sigmoid(x @ m.coef)
             g = -(x.T @ (data.y - mu))
             assert abs(g[0]) < 1e-6
@@ -1005,10 +1005,20 @@ class TestFitStatic:
         assert strength in stacking.LAMBDA_GRID
         assert len(report) == 7
 
+    def test_no_penalty_has_no_strength_to_select(self):
+        # every grid value used to fit the same unpenalized model, and the
+        # "chosen" strength came from last-digit differences of the walks
+        data = make_data(n=240, seed=15)
+        for design in STATIC_DESIGNS:
+            with pytest.raises(
+                ValueError, match="^penalty 'none' has no strength to choose by cross-validation$"
+            ):
+                select_strength(data, design, "none", FitConfig(cv_folds=4))
+
 
 def working_problem(rng, design, p, n=400):
     """Weighted Gram and target of one proximal-Newton step on a static design."""
-    x = design_matrix(rng.uniform(0, 1, (n, p)), rng.uniform(0, 1, n), design)
+    x = _design_matrix(rng.uniform(0, 1, (n, p)), rng.uniform(0, 1, n), design)
     mu = sigmoid(x @ rng.normal(0.0, 1.0, x.shape[1]))
     y = (rng.uniform(0, 1, n) < mu).astype(float)
     gram = (x * (mu * (1 - mu))[:, None]).T @ x
@@ -1167,7 +1177,7 @@ class TestObjectivePath:
     def test_static_fits(self):
         data = make_data(n=500, seed=21)
         for design in STATIC_DESIGNS:
-            x = design_matrix(data.z, data.u, design)
+            x = _design_matrix(data.z, data.u, design)
             ones = np.r_[0.0, np.ones(x.shape[1] - 1)]
             crit = float(np.abs(x[:, 1:].T @ (data.y - data.y.mean())).max())
             m = fit_static(data, design, "none", 0.0)
@@ -1183,7 +1193,7 @@ class TestObjectivePath:
         from dynstack.stacking import _fit
 
         data = make_data(n=400, seed=22)
-        x = design_matrix(data.z, data.u, "m3")
+        x = _design_matrix(data.z, data.u, "m3")
         pen = np.r_[0.0, np.ones(x.shape[1] - 1)]
         coef = None
         for strength in np.logspace(-3, 2, 11):
@@ -1234,9 +1244,9 @@ class TestPredictStatic:
         )
 
     def test_design_width_mismatch_rejected(self):
-        m2 = StackModel("m3", "none", 0.0, np.zeros(4), 2, ["z1", "z2"])
-        with pytest.raises(ValueError, match="coefficients"):
-            predict(m2, np.zeros((2, 2)), np.zeros(2))
+        # predict used to find this; the model now refuses it when it is made
+        with pytest.raises(ValueError, match="^coef: has 4 values; a m3 model with p = 2 needs 6$"):
+            StackModel("m3", "none", 0.0, np.zeros(4), 2, ["z1", "z2"])
 
     def test_wrong_z_width_rejected(self):
         m = StackModel("m1", "none", 0.0, np.zeros(3), 2, ["z1", "z2"])
@@ -1261,6 +1271,61 @@ class TestPredictStatic:
                   StackModel("m1", "none", 0.0, np.zeros(3), 2, ["z1", "z2"])):
             with pytest.raises(ValueError, match=r"^row 4: u holds -inf; u must be finite$"):
                 predict(m, np.full((4, 2), 0.5), [0.0, 0.1, 0.2, -np.inf])
+
+
+_BASIS = make_basis(0.0, 1.0, 3, 3)  # 7 functions: a dynamic model with p = 2 has 15 coefficients
+
+
+class TestModelContract:
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (("m2", "none", 0.0, [0.0, np.nan, 0.0, 0.0], 2, ["a", "b"]), "coef: must be finite, got nan"),
+            (("m1", "ridge", 1.0, [0.0, 0.0, np.inf], 2, ["a", "b"]), "coef: must be finite, got inf"),
+            (("dynamic", "curvature", 1.0, [-np.inf] * 15, 2, ["a", "b"], _BASIS),
+             "coef: must be finite, got -inf"),
+            (("m1", "none", 0.0, np.zeros(5), 2, ["a", "b"]),
+             "coef: has 5 values; a m1 model with p = 2 needs 3"),
+            (("dynamic", "curvature", 1.0, np.zeros(9), 2, ["a", "b"], _BASIS),
+             "coef: has 9 values; a dynamic model with p = 2 needs 15"),
+            (("m1", "none", 0.0, np.zeros(3), 2, ["a"]), "p: 1 column names for p = 2"),
+            (("dynamic", "curvature", 1.0, np.zeros(15), 2, ["a", "b", "c"], _BASIS),
+             "p: 3 column names for p = 2"),
+            (("m1", "none", 0.0, np.zeros(1), 0, []), "p: must be >= 1, got 0"),
+            (("dynamic", "curvature", 1.0, np.zeros(15), 2, ["a", "b"]),
+             "design: 'dynamic' needs a spline basis"),
+            (("m3", "ridge", 1.0, np.zeros(6), 2, ["a", "b"], _BASIS),
+             "design: 'm3' takes no spline basis"),
+            (("m7", "none", 0.0, np.zeros(3), 2, ["a", "b"]),
+             rf"design: unknown design 'm7'; expected one of {re.escape(str(stacking.DESIGNS))}"),
+            (("m1", "curvature", 1.0, np.zeros(3), 2, ["a", "b"]),
+             r"penalty: unknown penalty 'curvature' for design 'm1'; expected \('none', 'ridge', 'lasso'\)"),
+            (("m1", "ridge", -1.0, np.zeros(3), 2, ["a", "b"]),
+             "strength: penalty strength must be finite and >= 0, got -1.0"),
+        ],
+        ids=[
+            "nan-coef", "inf-coef", "dynamic-inf-coef", "m1-coef-count", "dynamic-coef-count",
+            "missing-column", "extra-column", "p-zero", "dynamic-without-basis",
+            "static-with-basis", "design-m7", "penalty", "strength",
+        ],
+    )
+    def test_broken_model_is_refused_when_made_naming_its_field(self, fields, message):
+        # each of these used to be made: predict then gave NaN or a numpy
+        # error, and save_model wrote a file load_model refuses, or raised
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StackModel(*fields)
+
+    def test_every_method_builds_its_model(self):
+        from dynstack.simulation import METHODS, fit_method, parse_method
+
+        data = make_data(n=300, seed=5)
+        stackers = [m for m in METHODS if m not in ("random", "z1_only", "z2_only")]
+        assert len(stackers) == 10
+        for name in stackers:
+            model = fit_method(name, data, 3, 0)[0]
+            assert (model.design, model.penalty) == parse_method(name)
+            assert (model.basis is None) == (model.design != "dynamic")
+            assert np.isfinite(model.coef).all() and model.columns == data.columns
 
 
 class TestModelFiles:
@@ -1293,8 +1358,14 @@ class TestModelFiles:
         [
             ("dynamic", "drop coef", "model file has no 'coef' line", None, None),
             ("static", "drop design", "model file has no 'design' line", None, None),
-            ("dynamic", "truncate coef", "'coef' has 20 values; a dynamic model .* needs 21", "coef", None),
-            ("static", "truncate coef", "'coef' has 5 values; a m3 model with p = 2 needs 6", "coef", None),
+            pytest.param(
+                "dynamic", "truncate coef", "coef: has 20 values; a dynamic model with p = 2 needs 21",
+                "coef", None, id="dynamic-truncate coef-'coef' has 20 values; a dynamic model .* needs 21-coef-None",
+            ),
+            pytest.param(
+                "static", "truncate coef", "coef: has 5 values; a m3 model with p = 2 needs 6",
+                "coef", None, id="static-truncate coef-'coef' has 5 values; a m3 model with p = 2 needs 6-coef-None",
+            ),
             ("static", "replace coef = 1.0 abc", "could not convert string to float: 'abc'", "coef", "coef"),
             ("dynamic", "replace p = 2.5", "invalid literal for int", "p", "p"),
             ("static", "replace design = m9", "unknown design 'm9'", "design", "design"),
@@ -1374,13 +1445,13 @@ class TestModelFiles:
             ("dynamic", "knots", lambda v: v.rsplit(" ", 1)[0], "knots", "'knots' are not"),
             ("dynamic", "u_lo", lambda v: "2.5", "u_hi", r"invalid domain \[2.5, "),
             ("dynamic", "coef", lambda v: "nan " + v.split(" ", 1)[1], "coef",
-             "'coef' holds a non-finite"),
+             "coef: must be finite, got nan"),
             ("static", "coef", lambda v: v.rsplit(" ", 1)[0] + " inf", "coef",
-             "'coef' holds a non-finite"),
-            ("dynamic", "column", lambda v: None, "p", "1 'column' lines for p = 2"),
-            ("dynamic", "column", lambda v: f"{v}\ncolumn = {v}", "p", "3 'column' lines for p = 2"),
-            ("static", "column", lambda v: None, "p", "1 'column' lines for p = 2"),
-            ("static", "column", lambda v: f"{v}\ncolumn = extra", "p", "3 'column' lines for p = 2"),
+             "coef: must be finite, got inf"),
+            ("dynamic", "column", lambda v: None, "p", "p: 1 column names for p = 2"),
+            ("dynamic", "column", lambda v: f"{v}\ncolumn = {v}", "p", "p: 3 column names for p = 2"),
+            ("static", "column", lambda v: None, "p", "p: 1 column names for p = 2"),
+            ("static", "column", lambda v: f"{v}\ncolumn = extra", "p", "p: 3 column names for p = 2"),
             ("dynamic", "strength", lambda v: "nan", "strength",
              "strength: penalty strength must be finite .* got nan"),
             ("static", "strength", lambda v: "-5", "strength",
@@ -1431,9 +1502,9 @@ class TestModelFiles:
             ("dynamic", "strength", "nan", "strength", "strength: penalty strength must be finite"),
             ("dynamic", "knots", "0 0 0 0 0.4 1 1 1 1", "knots", "'knots' are not the clamped"),
             ("dynamic", "u_lo", "9", "u_hi", r"invalid domain \[9.0, "),
-            ("static", "coef", "1 2", "coef", "'coef' has 2 values; a m2 model with p = 2 needs 4"),
-            ("static", "coef", "1 2 nan 4", "coef", "'coef' holds a non-finite value"),
-            ("dynamic", "p", "3", "p", "2 'column' lines for p = 3"),
+            ("static", "coef", "1 2", "coef", "coef: has 2 values; a m2 model with p = 2 needs 4"),
+            ("static", "coef", "1 2 nan 4", "coef", "coef: must be finite, got nan"),
+            ("dynamic", "p", "3", "p", "p: 2 column names for p = 3"),
             ("dynamic", "degree", "-1", "degree", "degree: must be >= 0, got -1"),
             ("dynamic", "degree", str(10**12), "knots", "'knots' are not the clamped"),
         ],
