@@ -214,11 +214,10 @@ def cmd_stack_fit(args):
 def cmd_stack_predict(args):
     model = load_model(args.model)
     data = read_level1(args.data, require_y=False)
-    if data.p != model.p:
-        raise ValueError(
-            f"{args.data} has {data.p} z columns; {args.model} was fitted on {model.p}"
-        )
-    probs = predict(model, data.z, data.u)
+    try:
+        probs = predict(model, data.z, data.u)
+    except ValueError as err:  # z of another width than the model's: name both files
+        raise ValueError(f"{args.data}, {args.model}: {err}") from None
     rows = [[i, repr(float(p))] for i, p in enumerate(probs)]
     return {"predictions.csv": (["row", "probability"], rows)}, _manifest(args)
 

@@ -17,7 +17,7 @@ __all__ = [
     "BSplineBasis",
     "make_basis",
     "basis_matrix",
-    "knot_spans",
+    "local_basis",
     "curvature_penalty",
     "assemble_block_penalty",
 ]
@@ -78,25 +78,19 @@ def make_basis(u_lo: float, u_hi: float, interior_knots: int, degree: int) -> BS
     return BSplineBasis(degree=degree, knots=knots, u_lo=float(u_lo), u_hi=float(u_hi))
 
 
-def _find_intervals(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index i per point with ``knots[i] <= x < knots[i+1]``, restricted to
-    the non-degenerate interval range (endpoints fold into the last one)."""
-    lo = np.searchsorted(knots, knots[0], side="right") - 1
-    hi = np.searchsorted(knots, knots[-1], side="left") - 1
-    idx = np.searchsorted(knots, x, side="right") - 1
-    return np.clip(idx, lo, hi)
+def _basis_all(knots: np.ndarray, degree: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every degree-``degree`` B-spline on ``knots`` at points ``x``, by its local values.
 
-
-def _basis_all(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate every degree-``degree`` B-spline on ``knots`` at points ``x``.
-
-    Vectorized Cox-de Boor triangular recursion; returns an
-    ``(len(x), len(knots) - degree - 1)`` matrix with at most
-    ``degree + 1`` nonzero entries per row. ``x`` is a float array.
+    Vectorized Cox-de Boor triangular recursion; returns ``(spans, values)``:
+    point ``i`` lies in knot span ``spans[i]``, where only the functions
+    ``spans[i], ..., spans[i] + degree`` can be nonzero, and ``values[i]``
+    holds those ``degree + 1`` values. ``x`` is a float array.
     """
     n = len(x)
-    n_funcs = len(knots) - degree - 1
-    mu = _find_intervals(knots, x)
+    # knots[mu] <= x < knots[mu + 1], within the nonempty intervals (the ends fold into them)
+    lo = np.searchsorted(knots, knots[0], side="right") - 1
+    hi = np.searchsorted(knots, knots[-1], side="left") - 1
+    mu = np.clip(np.searchsorted(knots, x, side="right") - 1, lo, hi)
 
     work = np.zeros((n, degree + 1))
     work[:, 0] = 1.0
@@ -113,18 +107,21 @@ def _basis_all(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
             work[:, r] = saved + right[:, r + 1] * temp
             saved = left[:, j - r] * temp
         work[:, j] = saved
+    return mu - degree, work
 
-    out = np.zeros((n, n_funcs))
-    cols = mu[:, None] - degree + np.arange(degree + 1)[None, :]
-    out[np.arange(n)[:, None], cols] = work
+
+def _scatter(spans: np.ndarray, values: np.ndarray, n_funcs: int) -> np.ndarray:
+    """The dense ``(len(spans), n_funcs)`` matrix of :func:`_basis_all`'s local values."""
+    out = np.zeros((len(spans), n_funcs))
+    out[np.arange(len(spans))[:, None], spans[:, None] + np.arange(values.shape[1])] = values
     return out
 
 
 def _deriv_all(knots: np.ndarray, degree: int, x: np.ndarray, order: int) -> np.ndarray:
     """Order-``order`` derivatives of all degree-``degree`` splines on ``knots``."""
-    if order == 0:
-        return _basis_all(knots, degree, x)
     n_funcs = len(knots) - degree - 1
+    if order == 0:
+        return _scatter(*_basis_all(knots, degree, x), n_funcs)
     if degree == 0:
         return np.zeros((len(x), n_funcs))
     lower = _deriv_all(knots, degree - 1, x, order - 1)
@@ -140,22 +137,20 @@ def basis_matrix(basis: BSplineBasis, u) -> np.ndarray:
 
     Points outside ``[u_lo, u_hi]`` are clamped to the boundary, so the
     returned rows are always well defined. Each row is nonnegative and
-    sums to one.
+    sums to one; it holds :func:`local_basis`'s values and zeros elsewhere.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = np.clip(u, basis.u_lo, basis.u_hi)
-    return _basis_all(basis.knots, basis.degree, x)
+    return _scatter(*local_basis(basis, u), basis.size)
 
 
-def knot_spans(basis: BSplineBasis, u) -> np.ndarray:
-    """Knot span ``s`` of each point, clamped as in :func:`basis_matrix`.
+def local_basis(basis: BSplineBasis, u) -> tuple[np.ndarray, np.ndarray]:
+    """``(spans, values)`` of each point, clamped as in :func:`basis_matrix`.
 
     Spans count the nonempty knot intervals from 0 to ``size - degree - 1``;
-    the basis functions nonzero at a point of span ``s`` are at most
-    ``s, ..., s + degree``, the columns :func:`basis_matrix` fills.
+    a point of span ``s`` has its nonzero basis values in columns ``s, ...,
+    s + degree``, and ``values`` holds those ``degree + 1`` values per point.
     """
     x = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), basis.u_lo, basis.u_hi)
-    return _find_intervals(basis.knots, x) - basis.degree
+    return _basis_all(basis.knots, basis.degree, x)
 
 
 def curvature_penalty(basis: BSplineBasis) -> np.ndarray:

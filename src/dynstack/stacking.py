@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from .splines import (
     assemble_block_penalty,
     basis_matrix,
     curvature_penalty,
-    knot_spans,
+    local_basis,
     make_basis,
 )
 
@@ -61,6 +63,7 @@ MAX_NEWTON_ITER = 100
 HESSIAN_JITTER = 1e-10
 LASSO_KKT_TOL = 1e-8  # a lasso fit stops when its optimality conditions hold to this
 SPAN_HESSIAN_ROWS = 1500  # the rows from which a dynamic fit on knot-span blocks beats a dense one
+READ_CHUNK_ROWS = 1024  # level-1 CSV rows held as text at once before their float cast
 LAMBDA_GRID = np.logspace(-4.0, 4.0, 21)  # the penalty strengths every cross-validation scores
 DEFAULT_KNOTS, DEFAULT_DEGREE = 6, 3  # default_basis: six uniform interior knots, cubic
 
@@ -339,7 +342,7 @@ class StackModel:
     stay bounded off the training range. A model checks its contract when it
     is made, a ``ValueError`` naming the field that breaks it: :func:`_check_spec`,
     ``p >= 1`` and ``p`` ``columns``, and as many finite ``coef`` as the design has
-    columns. No reader of a model checks it again.
+    columns. No reader of a model checks it again, and ``coef`` is a read-only copy.
     """
 
     design: str
@@ -354,7 +357,8 @@ class StackModel:
 
     def __post_init__(self):
         _check_spec(self.design, self.penalty, self.strength, self.basis)
-        coef, p = np.asarray(self.coef, dtype=float), self.p
+        coef, p = np.array(self.coef, dtype=float), self.p
+        coef.flags.writeable = False  # so no write can break the contract checked here
         if p < 1:
             raise _SpecError("p", f"must be >= 1, got {p}")
         if len(self.columns) != p:  # before the width, whose one-row design has p columns
@@ -381,6 +385,8 @@ def _check_spec(design: str, penalty: str, strength: float, basis: BSplineBasis 
         )
     if not (np.isfinite(strength) and strength >= 0):
         raise _SpecError("strength", f"penalty strength must be finite and >= 0, got {strength}")
+    if penalty == "none" and strength != 0:
+        raise _SpecError("strength", f"penalty 'none' takes no strength, got {strength}")
     if (basis is None) == (design == "dynamic"):
         need = "needs a spline basis" if basis is None else "takes no spline basis"
         raise _SpecError("design", f"{design!r} {need}")
@@ -435,28 +441,33 @@ def _problem(data: Level1Data, design: str, penalty: str, strength: float, basis
     rot @ fitted``. Only a curvature penalty at a positive strength rotates, into
     its eigenbasis (see :func:`_penalty_eigenbasis`); every other ``rot`` is None.
     Above ``SPAN_HESSIAN_ROWS`` rows the rotated design is a :class:`_SpanDesign`,
-    whose rows are in knot-span order.
+    whose rows are in knot-span order and whose blocks come from each row's
+    :func:`local_basis` values, so no dense design is built.
     """
     _check_spec(design, penalty, strength, basis)
-    x, y = _design_matrix(data.z, data.u, design, basis), data.y.astype(float)
-    if penalty == "curvature" and strength > 0:
+    y, curved = data.y.astype(float), penalty == "curvature" and strength > 0
+    spans = curved and data.n > SPAN_HESSIAN_ROWS
+    x = None if spans else _design_matrix(data.z, data.u, design, basis)
+    if curved:
         pen, rot = _penalty_eigenbasis(basis, data.p)
     else:
         pen, rot = float(penalty in ("ridge", "lasso")) * np.r_[0.0, np.ones(x.shape[1] - 1)], None
     with np.errstate(over="ignore"):  # the Newton weights of a quadratic penalty
         if penalty != "lasso" and np.isinf(2.0 * (strength * pen)).any():
             raise ValueError(f"penalty strength {strength} overflows 2 * strength * weight")
-    if rot is None:
-        return x, y, pen, rot
-    if data.n <= SPAN_HESSIAN_ROWS:
-        return x @ rot, y, pen, rot
-    d, k, span = x.shape[1], basis.size, knot_spans(basis, data.u)
+    if not spans:
+        return x if rot is None else x @ rot, y, pen, rot
+    d, k, (span, values) = len(rot), basis.size, local_basis(basis, data.u)
     order = np.argsort(span, kind="stable")
     rows = np.split(order, np.searchsorted(span[order], np.arange(1, k - basis.degree)))
     blocks = []
     for s, r in enumerate(rows):  # the intercept, then columns s..s+degree of each z block
         c = np.r_[0, (k * np.arange(data.p)[:, None] + s + np.arange(1, basis.degree + 2)).ravel()]
-        blocks.append((np.asfortranarray(x[np.ix_(r, c)]), c, (c[:, None] * d + c).ravel()))
+        xs = np.empty((len(r), len(c)), order="F")
+        xs[:, 0] = 1.0  # then the products dynamic_design forms, written through a view
+        cross = xs[:, 1:].reshape(len(r), data.p, basis.degree + 1)
+        np.multiply(data.z[r][:, :, None], values[r][:, None, :], out=cross)
+        blocks.append((xs, c, (c[:, None] * d + c).ravel()))
     return _SpanDesign(blocks, rot, order), y[order], pen, rot
 
 
@@ -720,10 +731,11 @@ def fit_static(
 ) -> StackModel:
     """Fit a static generalizer at a fixed penalty ``strength``.
 
-    ``penalty`` is "none" (plain logistic MLE, ``strength`` ignored),
+    ``penalty`` is "none" (plain logistic MLE; ``strength`` is None or 0),
     "ridge", or "lasso"; the intercept is never penalized.
     """
-    return _fit_model(data, design, penalty, 0.0 if penalty == "none" else strength, config)
+    none = penalty == "none" and strength is None  # fit_method passes no strength for it
+    return _fit_model(data, design, penalty, 0.0 if none else strength, config)
 
 
 def select_strength(data: Level1Data, design: str, penalty: str, config: FitConfig, seed: int = 0):
@@ -779,13 +791,13 @@ def write_level1(path, data: Level1Data) -> None:
             fh.write(f"z_{j + 1} = {name}\n")
 
 
-def _table(rows, width: int) -> np.ndarray:
+def _table(rows, width: int, start: int = 0) -> np.ndarray:
     """``rows`` as a float array; :class:`_RowError` names the first row that
-    is not ``width`` numbers."""
+    is not ``width`` numbers, counting the first of ``rows`` as row ``start``."""
     try:  # a ragged body, or rows of another width, fail the cast or the reshape
         return np.asarray(rows, dtype=float).reshape(len(rows), width)
     except ValueError:  # only a bad file pays for the row search
-        for k, rec in enumerate(rows):
+        for k, rec in enumerate(rows, start):
             if len(rec) != width:
                 raise _RowError(k, f"expected {width} fields, got {len(rec)}") from None
             try:
@@ -800,22 +812,26 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
 
     The first row that is not as many numbers as the header has fields, or breaks
     a row rule of :class:`Level1Data`, raises a ``ValueError`` naming its line.
+    Rows are cast to floats ``READ_CHUNK_ROWS`` at a time, so no file is held as text.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [""])
+        header = next(reader, None) or [""]  # no line, or a blank one: no header
         has_y = header[0] == "y"
         if header[-1] != "u" or (require_y and not has_y) or len(header) < 2 + has_y:
             raise ValueError(
                 f"{path}: unexpected level-1 header {header!r}; expected y,z_1,...,z_p,u, p >= 1"
             )
-        rows, lines = [], []  # lines[k]: the file line of rows[k]
-        for rec in reader:
-            if rec:
-                rows.append(rec)
-                lines.append(reader.line_num)
-    if not rows:
+        records = ((rec, reader.line_num) for rec in reader if rec)
+        chunks, lines, bad = [], array("q"), None  # lines[k]: the file line of row k
+        while bad is None and (chunk := list(islice(records, READ_CHUNK_ROWS))):
+            try:
+                chunks.append(_table([rec for rec, _ in chunk], len(header), len(lines)))
+            except _RowError as err:  # raised after the sidecar check, as a bad row is
+                bad = err
+            lines.extend(line for _, line in chunk)
+    if not lines:
         raise ValueError(f"{path}: no data rows")
     zcols = len(header) - 1 - int(has_y)
     columns = [f"z_{j + 1}" for j in range(zcols)]
@@ -826,7 +842,9 @@ def read_level1(path, require_y: bool = True) -> Level1Data:
         if len(columns) != zcols:
             raise ValueError(f"{sidecar}: {len(columns)} names for {zcols} z columns")
     try:
-        body = _table(rows, len(header))
+        if bad is not None:
+            raise bad
+        body, chunks = np.concatenate(chunks), None  # so no second copy meets Level1Data's
         y = body[:, 0] if has_y else np.zeros(len(body), dtype=np.int64)
         return Level1Data(y, body[:, int(has_y) : -1], body[:, -1], columns)
     except _RowError as err:

@@ -420,7 +420,7 @@ class TestStackCommands:
         pred_out = tmp_path / "pred"
         argv = ["stack-predict", "--model", str(model), "--data", str(one)]
         assert main([*argv, "--out", str(pred_out)]) == 1
-        assert capsys.readouterr().err == f"error: {one} has 1 z columns; {model} was fitted on 2\n"
+        assert capsys.readouterr().err == f"error: {one}, {model}: expected 2 z columns, got 1\n"
         assert not pred_out.exists()
 
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from dynstack.splines import (
     assemble_block_penalty,
     basis_matrix,
     curvature_penalty,
-    knot_spans,
+    local_basis,
     make_basis,
 )
 
@@ -68,10 +68,15 @@ class TestEvalBasis:
         b = make_basis(-1.0, 2.0, interior, degree)
         edges = np.r_[np.unique(b.knots), -5.0, 7.0]  # on every knot, and clamped
         u = np.r_[edges, np.random.default_rng(4).uniform(-1.0, 2.0, 300)]
-        span = knot_spans(b, u)
+        span, values = local_basis(b, u)
         assert span.min() >= 0 and span.max() == b.size - degree - 1
-        rows, cols = np.nonzero(basis_matrix(b, u))
+        dense = basis_matrix(b, u)
+        rows, cols = np.nonzero(dense)
         assert np.all((cols >= span[rows]) & (cols <= span[rows] + degree))
+        # the local values are the dense row's entries in those columns, bit for bit
+        assert values.shape == (len(u), degree + 1)
+        cols = span[:, None] + np.arange(degree + 1)
+        assert np.array_equal(values, dense[np.arange(len(u))[:, None], cols])
 
     def test_out_of_domain_clamps(self):
         b = make_basis(0.0, 1.0, 3, 3)

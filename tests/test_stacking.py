@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -143,6 +144,58 @@ class TestLevel1Data:
         write_level1(path, make_data(n=20))
         (tmp_path / "lvl1.csv.provenance.txt").write_text("z_1 = a\nz_2 =\n")
         with pytest.raises(ValueError, match="^.*lvl1.csv.provenance.txt: provenance name ''"):
+            read_level1(path)
+
+    def test_bad_row_past_the_first_chunk_names_its_line(self, tmp_path):
+        # rows are cast a chunk at a time; a row error counts from the chunk's first row
+        data = make_data(n=stacking.READ_CHUNK_ROWS + 500)
+        path = tmp_path / "lvl1.csv"
+        write_level1(path, data)
+        text = path.read_text().splitlines()
+        k = stacking.READ_CHUNK_ROWS + 300
+        text[k - 1] = ",".join(["0", "0.5", "x", "0.1"])  # file line k, data row k - 2 from 0
+        text.insert(5, "")  # a blank line: lines and rows no longer differ by one
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {k + 1}: could not convert"):
+            read_level1(path)
+        text[k] = ",".join(["0", "0.5", "0.5", "inf"])  # a row rule, checked after every cast
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {k + 1}: u holds inf"):
+            read_level1(path)
+
+    def test_bad_sidecar_is_named_before_a_bad_row(self, tmp_path):
+        path = tmp_path / "lvl1.csv"
+        write_level1(path, make_data(n=20))
+        path.write_text(path.read_text() + "1,0.5\n")
+        sidecar = tmp_path / "lvl1.csv.provenance.txt"
+        with pytest.raises(ValueError, match="lvl1.csv line 22: expected 4 fields, got 2"):
+            read_level1(path)
+        sidecar.write_text("z_1 = a\n")
+        with pytest.raises(ValueError, match="provenance.txt: 1 names for 2 z columns"):
+            read_level1(path)
+
+    def test_read_holds_little_more_than_its_table(self, tmp_path):
+        # 12.6x the table's float bytes when every row was held as strings until
+        # one cast, 2.3x with chunked casts; the bound is set from those
+        import tracemalloc
+
+        data = make_data(n=20000, seed=3)
+        path = tmp_path / "lvl1.csv"
+        write_level1(path, data)
+        read_level1(path)  # imports warm
+        tracemalloc.start()
+        try:
+            read_level1(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * data.n * (data.p + 2) * 8
+
+    def test_blank_first_line_names_file(self, tmp_path):
+        # it was an IndexError traceback
+        path = tmp_path / "level1.csv"
+        path.write_text("\ny,z_1,u\n1,0.5,0.3\n")
+        with pytest.raises(ValueError, match=r"level1.csv: unexpected level-1 header \[''\]"):
             read_level1(path)
 
     def test_empty_file_names_file(self, tmp_path):
@@ -424,14 +477,13 @@ class TestPredictDynamic:
     def test_zero_coefficients_give_half(self):
         data = make_data(n=50)
         model = fit_dynamic(data, 1.0, default_basis(data.u))
-        model.coef[:] = 0.0
+        model = dataclasses.replace(model, coef=np.zeros_like(model.coef))
         np.testing.assert_allclose(predict(model, data.z, data.u), 0.5)
 
     def test_intercept_only_closed_form(self):
         data = make_data(n=50)
         model = fit_dynamic(data, 1.0, default_basis(data.u))
-        model.coef[:] = 0.0
-        model.coef[0] = -3.0
+        model = dataclasses.replace(model, coef=np.r_[-3.0, np.zeros(len(model.coef) - 1)])
         np.testing.assert_allclose(
             predict(model, np.zeros((4, 2)), np.full(4, 0.5)),
             sigmoid(-3.0),
@@ -496,7 +548,8 @@ class TestCoefficientCurves:
         basis = default_basis(data.u, interior_knots=3)
         model = fit_dynamic(data, 1.0, basis)
         rng = np.random.default_rng(12)
-        model.coef[1:] = rng.normal(0, 1, data.p * basis.size)
+        coef = np.r_[model.coef[0], rng.normal(0, 1, data.p * basis.size)]
+        model = dataclasses.replace(model, coef=coef)
         grid = np.linspace(basis.u_lo, basis.u_hi, 40)
         curves = coefficient_curves(model, grid)
         for j in range(data.p):
@@ -745,11 +798,19 @@ class TestSpanHessian:
         u = span_u(kind, rng, basis)
         z = rng.uniform(0, 1, (len(u), p))
         data = Level1Data(rng.integers(0, 2, len(u)), z, u, [f"z{j}" for j in range(p)])
-        spans, y, _, rot = stacking._problem(data, "dynamic", "curvature", 1.0, basis)
+        full = dynamic_design(data.z, u, basis)
+        with monkeypatch.context() as m:  # no dense design on the span path
+            for name in ("_design_matrix", "dynamic_design", "basis_matrix"):
+                m.setattr(stacking, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+            spans, y, _, rot = stacking._problem(data, "dynamic", "curvature", 1.0, basis)
         assert isinstance(spans, stacking._SpanDesign)
         assert np.array_equal(np.sort(spans.order), np.arange(len(u)))
         assert np.array_equal(y, data.y[spans.order])
-        dense = (dynamic_design(z, u, basis) @ rot)[spans.order]
+        # each block is the dense design's rows of its span on its columns, bit for bit
+        for lo, hi, (xs, cols, _) in zip(spans.cuts, spans.cuts[1:], spans.blocks):
+            assert xs.flags.f_contiguous
+            assert np.array_equal(xs, full[np.ix_(spans.order[lo:hi], cols)])
+        dense = (full @ rot)[spans.order]
         keep = rng.uniform(0, 1, len(u)) < 0.9
         for x, rows in ((spans, dense), (spans.take(keep), dense[keep])):
             b, r = rng.normal(size=x.shape[1]), rng.normal(size=len(rows))
@@ -777,8 +838,8 @@ class TestSpanHessian:
         from dynstack.stacking import SPAN_HESSIAN_ROWS, _SpanDesign
 
         sorts, grams = [], []
-        real_spans, real_gram = stacking.knot_spans, _SpanDesign.gram
-        monkeypatch.setattr(stacking, "knot_spans", lambda *a: sorts.append(1) or real_spans(*a))
+        real_spans, real_gram = stacking.local_basis, _SpanDesign.gram
+        monkeypatch.setattr(stacking, "local_basis", lambda *a: sorts.append(1) or real_spans(*a))
         monkeypatch.setattr(_SpanDesign, "gram", lambda *a: grams.append(len(a[1])) or real_gram(*a))
         data = make_data(case=3, n=2 * SPAN_HESSIAN_ROWS, seed=43)
         monkeypatch.setattr(stacking, "LAMBDA_GRID", np.logspace(-4.0, 4.0, 5))
@@ -789,6 +850,22 @@ class TestSpanHessian:
         assert len(sorts) == 1 and set(grams) == {data.n - data.n // 4}
         fit_dynamic(data, lam, basis, cfg)
         assert len(sorts) == 2 and set(grams) == {data.n - data.n // 4, data.n}
+
+    def test_span_blocks_take_little_more_memory_than_themselves(self):
+        # 4.13x the block bytes when the blocks were gathered out of the dense
+        # design, 2.31x when built from the local spline values; bound set from those
+        import tracemalloc
+
+        data = make_data(case=3, n=4000, seed=45)
+        basis = default_basis(data.u)
+        stacking._problem(data, "dynamic", "curvature", 1.0, basis)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            stacking._problem(data, "dynamic", "curvature", 1.0, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * data.n * (1 + data.p * (basis.degree + 1)) * 8
 
     @pytest.mark.parametrize("cv_seed", [1, 2, 3])
     def test_span_and_dense_walks_agree(self, monkeypatch, cv_seed):
@@ -939,6 +1016,14 @@ class TestFitStatic:
             fit_static(data, "m9", "none", 0.0)
         with pytest.raises(ValueError, match="penalty"):
             fit_static(data, "m1", "elastic", 1.0)
+
+    def test_strength_without_a_penalty_rejected(self):
+        # fit_static(d, "m1", "none", 5.0) used to fit with the strength ignored
+        data = make_data(n=200, seed=8)
+        with pytest.raises(ValueError, match="^strength: penalty 'none' takes no strength, got 5.0$"):
+            fit_static(data, "m1", "none", 5.0)
+        for strength in (None, 0, 0.0):  # fit_method passes None
+            assert fit_static(data, "m1", "none", strength).strength == 0.0
 
     def test_huge_ridge_shrinks_to_prior(self):
         rng = np.random.default_rng(10)
@@ -1302,11 +1387,13 @@ class TestModelContract:
              r"penalty: unknown penalty 'curvature' for design 'm1'; expected \('none', 'ridge', 'lasso'\)"),
             (("m1", "ridge", -1.0, np.zeros(3), 2, ["a", "b"]),
              "strength: penalty strength must be finite and >= 0, got -1.0"),
+            (("m2", "none", 5.0, np.zeros(4), 2, ["a", "b"]),
+             "strength: penalty 'none' takes no strength, got 5.0"),
         ],
         ids=[
             "nan-coef", "inf-coef", "dynamic-inf-coef", "m1-coef-count", "dynamic-coef-count",
             "missing-column", "extra-column", "p-zero", "dynamic-without-basis",
-            "static-with-basis", "design-m7", "penalty", "strength",
+            "static-with-basis", "design-m7", "penalty", "strength", "strength-without-penalty",
         ],
     )
     def test_broken_model_is_refused_when_made_naming_its_field(self, fields, message):
@@ -1314,6 +1401,16 @@ class TestModelContract:
         # error, and save_model wrote a file load_model refuses, or raised
         with pytest.raises(ValueError, match=f"^{message}$"):
             StackModel(*fields)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        # a write once gave NaN predictions and a model file load_model refuses
+        coef = np.zeros(3)
+        model = StackModel("m1", "ridge", 1.0, coef, 2, ["a", "b"])
+        coef[1] = 5.0
+        assert model.coef[1] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.coef[1] = np.nan
+        assert np.isfinite(model.coef).all()
 
     def test_every_method_builds_its_model(self):
         from dynstack.simulation import METHODS, fit_method, parse_method
@@ -1554,10 +1651,11 @@ def _static_models(draw):
     design = draw(st.sampled_from(STATIC_DESIGNS))
     p = draw(st.integers(1, 3))
     width = {"m1": 1 + p, "m2": 2 + p, "m3": 2 + 2 * p}[design]
+    penalty = draw(st.sampled_from(("none", "ridge", "lasso")))
     return StackModel(
         design=design,
-        penalty=draw(st.sampled_from(("none", "ridge", "lasso"))),
-        strength=draw(st.floats(0, 1e8)),
+        penalty=penalty,
+        strength=0.0 if penalty == "none" else draw(st.floats(0, 1e8)),  # none takes no strength
         coef=np.array(draw(st.lists(_floats, min_size=width, max_size=width))),
         p=p,
         columns=draw(st.lists(_names, min_size=p, max_size=p)),
